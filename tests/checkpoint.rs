@@ -226,3 +226,86 @@ proptest! {
         prop_assert_eq!(straight.1, resumed.1, "recorder tail diverged");
     }
 }
+
+/// FNV-1a/64 over a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a/64 digests of `Snapshot::to_bytes()` for every arch (in `ARCHS`
+/// order) × workload, three checkpoints each: 20k warm-up, then one
+/// checkpoint every 7,777 retired instructions.
+const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
+    (
+        "641.leela",
+        [
+            [0x5c35cd058fde77a8, 0x7529cf837c97034c, 0xbb1a3d90e3e74afe],
+            [0x62851932006dbf48, 0xaa0f6f7e04c7931c, 0x707d5320a52477c8],
+            [0x0dc865217e9dbfc0, 0x8cac809bb14378ee, 0xf76f840109767a37],
+            [0x917f5bf0bad67851, 0x5c82827b619d45db, 0x5ee44036e1c4568e],
+            [0x1ad3594d8551a4c2, 0x4a377f3b55caff5a, 0x9dc21d240db3100a],
+            [0xb7100cb8ecd61ddc, 0x34d3fb26024a3f72, 0x2090b7a169d6bc06],
+            [0x956771cdb9c972f7, 0xe561451691488045, 0x82fcb1e1c75c68dd],
+        ],
+    ),
+    (
+        "605.mcf",
+        [
+            [0x8f1a04da4d51ec01, 0xd27995fd8f891c08, 0xdb1837b3e26129a5],
+            [0x979be473d503db37, 0x215ee95045b328ee, 0x54b76c702a3fdbb0],
+            [0xbfcd821dc675c4e3, 0x0798514000f96cb4, 0xb27d6991d90020cf],
+            [0xe1ea9ff0f6362b14, 0xc563d4a4759be6ea, 0x89690dbc825bb3b8],
+            [0x5ce42d3c9f5d669e, 0x84514c5dcb993ba4, 0x49ed53aba9a36f73],
+            [0xccf7dd75e3565678, 0x3e6b82855f508ea9, 0xf0380869c83b358e],
+            [0xbf191b9ab416f294, 0x90cd5a7cc66ddfa2, 0xed1899b7eed19f02],
+        ],
+    ),
+];
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // The snapshot format is a contract (resume files outlive builds): any
+    // change to the back-end's or front-end's internal bookkeeping must
+    // serialize to exactly the bytes recorded here, and a restored
+    // simulator must checkpoint back to the same bytes it was built from.
+    let mut got_all = Vec::new();
+    for (workload, _) in PINNED_SNAPSHOT_DIGESTS {
+        let w = workloads::by_name(workload).expect("workload exists");
+        let mut per_arch = Vec::new();
+        for arch in ARCHS {
+            let mut sim =
+                Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
+            sim.warm_up(20_000).expect("warm-up");
+            let mut got = [0u64; 3];
+            for slot in &mut got {
+                sim.run(7_777).expect("stride");
+                let snap = sim.checkpoint();
+                let bytes = snap.to_bytes();
+                *slot = fnv1a64(&bytes);
+                let again = snap.restore().expect("snapshot restores").checkpoint();
+                assert!(
+                    again.to_bytes() == bytes,
+                    "restore→checkpoint changed the bytes ({workload}, {})",
+                    arch.label()
+                );
+            }
+            per_arch.push(got);
+        }
+        got_all.push((workload, per_arch));
+    }
+    for ((workload, want), (_, got)) in PINNED_SNAPSHOT_DIGESTS.iter().zip(&got_all) {
+        for ((arch, want), got) in ARCHS.iter().zip(want).zip(got) {
+            assert_eq!(
+                want,
+                got,
+                "snapshot bytes changed ({workload}, {})",
+                arch.label()
+            );
+        }
+    }
+}
