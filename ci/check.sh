@@ -26,6 +26,14 @@ for ex in elf_variants frontend_trace quickstart workload_explorer; do
     ./target/release/examples/"$ex" >/dev/null
 done
 
+# simbench is its own package outside the workspace; it drives the
+# back-end through its public API, so build and test it here, and require
+# its seed-1 output check (SimStats digests) to pass on a short run.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
+    --workload kernel-leela --seconds 1 --trace 0 >"$tmp/simbench.out"
+grep -q '"correct": true' "$tmp/simbench.out"
+
 # Smoke: a checkpointed run must resume from its snapshot (end-to-end
 # through the CLI; bit-identity is pinned by tests/checkpoint.rs).
 ckpt="$tmp/smoke.ckpt"

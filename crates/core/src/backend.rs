@@ -7,11 +7,22 @@
 //! execute, and requests pipeline flushes. Wrong-path instructions occupy
 //! resources and issue (polluting) data-cache accesses but never trigger
 //! flushes themselves (DESIGN.md §10).
+//!
+//! Scheduler bookkeeping is slot-indexed. Every internal reference to an
+//! in-flight instruction (rename map, wakeup lists, completion events,
+//! load/store queue entries) is a `(fid, pos)` handle, where `pos` is the
+//! instruction's absolute ROB position; resolving one is a subtraction and
+//! an fid check. Wakeup lists and the ready bitmap are indexed by
+//! `pos` modulo a power-of-two ring, and issue walks the bitmap
+//! oldest-first from the ROB head. Loads and stores also sit in
+//! program-ordered queues, so store-to-load forwarding, RAW detection and
+//! the memory-dependence store lookup scan only the queue they need.
+//! Snapshots stay fid-keyed; positions are rebuilt on restore.
 
 use crate::config::BackendConfig;
 use crate::memdep::MemDepTable;
 use elf_mem::MemorySystem;
-use elf_types::{Addr, Cycle, FetchMode, FxHashMap, InstClass, Prediction, SeqNum, StaticInst};
+use elf_types::{Addr, Cycle, FetchMode, InstClass, Prediction, SeqNum, StaticInst};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -284,43 +295,79 @@ impl elf_types::Snap for BackendStats {
     }
 }
 
+/// A reference to an in-flight instruction: its front-end id and its
+/// absolute ROB position (`rob_front_pos` + index at dispatch). Resolving
+/// one is a subtraction plus an fid check; the check rejects handles whose
+/// entry retired or was squashed, including when a younger instruction
+/// has since reused the position.
+#[derive(Debug, Clone, Copy)]
+struct Handle {
+    fid: u64,
+    pos: u64,
+}
+
+/// Position given to restored handles whose fid is no longer in the ROB
+/// (retired rename-map producers, stale completion events). Their fid
+/// check can never succeed again, so the position is never used.
+const GONE: u64 = u64::MAX;
+
+/// `qword` of a memory operation without an address. Real qwords have
+/// their low three bits clear, so this never matches one.
+const NO_QWORD: Addr = Addr::MAX;
+
+/// A load/store queue entry, kept in program order per queue.
+#[derive(Debug, Clone, Copy)]
+struct LsqEntry {
+    h: Handle,
+    pc: Addr,
+    /// The address rounded down to its 8-byte word, or [`NO_QWORD`].
+    qword: Addr,
+    bound: bool,
+}
+
+/// What [`Backend::squash_younger`] removed, and the replay material of
+/// the survivors when asked for.
+#[derive(Debug, Default)]
+struct Squashed {
+    /// Smallest squashed bound sequence number.
+    min_seq: Option<SeqNum>,
+    /// Instructions squashed (dispatch queue + ROB).
+    count: u64,
+    hist_replay: Vec<bool>,
+    ras_replay: Vec<elf_frontend::RasOp>,
+}
+
 /// The out-of-order back-end.
 #[derive(Debug)]
 pub struct Backend {
     cfg: BackendConfig,
     rob: VecDeque<RobEntry>,
+    /// Absolute position of `rob[0]`; advances by one per retirement, so a
+    /// handle's position stays valid while its entry is in flight.
+    rob_front_pos: u64,
+    /// `ring - 1`, where `ring = rob_entries.next_power_of_two()` slots
+    /// back the per-slot scheduler state; live positions never collide.
+    slot_mask: u64,
     dispatch_q: VecDeque<(BoundInst, Cycle)>,
-    reg_map: [Option<u64>; 32],
+    reg_map: [Option<Handle>; 32],
     prf_used: usize,
-    lsq_used: usize,
     /// Dispatched-but-not-issued entries (issue-queue occupancy).
     iq_used: usize,
-    /// Entries whose dependencies are all complete, kept sorted in
-    /// program (fid) order. A sorted `Vec` beats a `BTreeSet` here: the
-    /// set stays small (bounded by the issue queue) and is scanned in
-    /// full every cycle, so contiguity wins over asymptotics.
+    /// Per-slot bitmap of entries whose producers have all completed;
+    /// issue walks it oldest-first from the ROB head.
     ready: Vec<u64>,
-    /// Wakeup lists: producer fid -> dependent fids still waiting on it.
-    /// FxHash-keyed: fids are dense trusted integers, SipHash is wasted
-    /// work on the per-cycle complete/dispatch paths.
-    wakeup: FxHashMap<u64, Vec<u64>>,
-    /// Recycled wakeup lists — subscriber vectors drained by `complete`
-    /// go back here so steady-state dispatch never allocates.
-    wakeup_pool: Vec<Vec<u64>>,
-    /// Completion events, a min-heap on (done cycle, fid). Keys are
-    /// unique (a fid issues at most once), so pop order is exactly the
-    /// sorted order a `BTreeSet` would give, without per-event tree
-    /// rebalancing; `save_state` sorts the events when serializing.
-    exec_events: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// fid -> absolute ROB position (`rob_front_pos` + current index).
-    /// O(1) replacement for fid binary searches on the wakeup, issue and
-    /// completion paths; derived state, rebuilt on snapshot restore.
-    rob_pos: FxHashMap<u64, u64>,
-    /// Absolute position of `rob[0]`; advances by one per retirement so
-    /// `rob_pos` entries stay valid without per-retire reindexing.
-    rob_front_pos: u64,
-    /// Scratch buffer reused by the issue stage.
-    scratch: Vec<u64>,
+    /// Per-slot wakeup lists: the dependents waiting on the slot's
+    /// instruction. Cleared when the slot is reallocated; entries for
+    /// squashed dependents are rejected by their handle's fid check.
+    wakeup: Vec<Vec<Handle>>,
+    /// Completion events, a min-heap on (done cycle, fid, pos). A fid
+    /// issues at most once, so (done, fid) is unique and pop order is the
+    /// sorted order; `save_state` sorts the events when serializing.
+    exec_events: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
+    /// In-flight loads and stores, each in program order: pushed at
+    /// dispatch, popped at commit (front) or squash (back).
+    loads: VecDeque<LsqEntry>,
+    stores: VecDeque<LsqEntry>,
     /// Scratch flush lists reused by `complete` (cleared per cycle).
     raw_flush_scratch: Vec<PendingFlush>,
     misp_flush_scratch: Vec<PendingFlush>,
@@ -335,20 +382,20 @@ impl Backend {
     /// Creates a back-end.
     #[must_use]
     pub fn new(cfg: BackendConfig) -> Self {
+        let ring = cfg.rob_entries.next_power_of_two();
         Backend {
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob_front_pos: 0,
+            slot_mask: ring as u64 - 1,
             dispatch_q: VecDeque::new(),
             reg_map: [None; 32],
             prf_used: 0,
-            lsq_used: 0,
             iq_used: 0,
-            ready: Vec::new(),
-            wakeup: FxHashMap::default(),
-            wakeup_pool: Vec::new(),
+            ready: vec![0; ring.div_ceil(64)],
+            wakeup: vec![Vec::new(); ring],
             exec_events: BinaryHeap::new(),
-            rob_pos: FxHashMap::default(),
-            rob_front_pos: 0,
-            scratch: Vec::new(),
+            loads: VecDeque::with_capacity(cfg.lsq_entries),
+            stores: VecDeque::with_capacity(cfg.lsq_entries),
             raw_flush_scratch: Vec::new(),
             misp_flush_scratch: Vec::new(),
             memdep: MemDepTable::paper(),
@@ -415,26 +462,52 @@ impl Backend {
             .push_back((b, now + u64::from(self.cfg.rename_latency)));
     }
 
-    /// Current ROB index of an in-flight fid, if still in the ROB.
+    /// Load/store queue occupancy.
+    fn lsq_used(&self) -> usize {
+        self.loads.len() + self.stores.len()
+    }
+
+    /// Current ROB index of a handle's entry, if it is still in flight.
     #[inline]
+    fn index_of(&self, h: Handle) -> Option<usize> {
+        let i = h.pos.wrapping_sub(self.rob_front_pos) as usize;
+        (i < self.rob.len() && self.rob[i].b.fid == h.fid).then_some(i)
+    }
+
+    /// Current ROB index of an in-flight fid (binary search: the ROB is
+    /// fid-sorted). For the rare fid-keyed calls only.
     fn rob_index(&self, fid: u64) -> Option<usize> {
-        self.rob_pos
-            .get(&fid)
-            .map(|&p| (p - self.rob_front_pos) as usize)
+        self.rob.binary_search_by_key(&fid, |e| e.b.fid).ok()
     }
 
-    /// Inserts `fid` into the sorted ready list (no-op when present).
-    fn ready_insert(&mut self, fid: u64) {
-        if let Err(pos) = self.ready.binary_search(&fid) {
-            self.ready.insert(pos, fid);
-        }
+    /// A handle for `fid`: its live position, or [`GONE`] when not in the
+    /// ROB.
+    fn handle_of(&self, fid: u64) -> Handle {
+        let pos = self
+            .rob_index(fid)
+            .map_or(GONE, |i| self.rob_front_pos + i as u64);
+        Handle { fid, pos }
     }
 
-    /// Removes `fid` from the sorted ready list (no-op when absent).
-    fn ready_remove(&mut self, fid: u64) {
-        if let Ok(pos) = self.ready.binary_search(&fid) {
-            self.ready.remove(pos);
-        }
+    /// The scheduler slot backing absolute ROB position `pos`.
+    #[inline]
+    fn slot(&self, pos: u64) -> usize {
+        (pos & self.slot_mask) as usize
+    }
+
+    #[inline]
+    fn set_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn clear_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    #[inline]
+    fn is_ready(&self, slot: usize) -> bool {
+        (self.ready[slot / 64] >> (slot % 64)) & 1 == 1
     }
 
     /// The oracle sequence number of an in-flight instruction, if present
@@ -464,8 +537,8 @@ impl Backend {
         cursor_target: SeqNum,
         now: Cycle,
     ) {
-        let entry = self.rob_index(fid).map(|i| &mut self.rob[i]);
-        if let Some(e) = entry {
+        if let Some(i) = self.rob_index(fid) {
+            let e = &mut self.rob[i];
             let was = e.b.mispredicted;
             e.b.pred = Some(pred);
             e.b.mispredicted = mispredicted;
@@ -500,31 +573,7 @@ impl Backend {
     /// the smallest oracle sequence number among squashed bound
     /// instructions, so the caller can rewind its path cursor.
     pub fn squash_after_returning_seq(&mut self, boundary_fid: u64) -> Option<SeqNum> {
-        let mut min_seq: Option<SeqNum> = None;
-        let mut note = |seq: Option<SeqNum>| {
-            if let Some(s) = seq {
-                min_seq = Some(min_seq.map_or(s, |m: u64| m.min(s)));
-            }
-        };
-        self.dispatch_q.retain(|(b, _)| {
-            let keep = b.fid <= boundary_fid;
-            if !keep {
-                note(b.seq);
-            }
-            keep
-        });
-        while let Some(back) = self.rob.back() {
-            if back.b.fid <= boundary_fid {
-                break;
-            }
-            // invariant: the while-let binding proves the ROB is non-empty.
-            let e = self.rob.pop_back().expect("checked above");
-            note(e.b.seq);
-            self.release_entry(&e);
-            self.stats.squashed += 1;
-        }
-        self.rebuild_reg_map();
-        self.prune_wakeup(boundary_fid);
+        let min_seq = self.squash_younger(boundary_fid, false).min_seq;
         if let Some(p) = self.pending {
             if p.boundary_fid > boundary_fid {
                 // The flush source was squashed.
@@ -534,38 +583,99 @@ impl Backend {
         min_seq
     }
 
-    /// Drops wakeup subscriptions involving squashed instructions.
-    fn prune_wakeup(&mut self, boundary_fid: u64) {
-        self.wakeup.retain(|k, deps| {
-            if *k > boundary_fid {
-                return false;
+    /// Removes every instruction with `fid > boundary_fid` from the
+    /// dispatch queue, the ROB and the load/store queues, and rebuilds the
+    /// rename map. With `replay`, the same pass over the surviving ROB
+    /// also collects the flush's history and RAS replay material.
+    fn squash_younger(&mut self, boundary_fid: u64, replay: bool) -> Squashed {
+        let mut out = Squashed::default();
+        let mut note = |seq: Option<SeqNum>| {
+            if let Some(s) = seq {
+                out.min_seq = Some(out.min_seq.map_or(s, |m: u64| m.min(s)));
             }
-            deps.retain(|d| *d <= boundary_fid);
-            !deps.is_empty()
+        };
+        let mut count: u64 = 0;
+        self.dispatch_q.retain(|(b, _)| {
+            let keep = b.fid <= boundary_fid;
+            if !keep {
+                note(b.seq);
+                count += 1;
+            }
+            keep
         });
-        self.ready.retain(|f| *f <= boundary_fid);
+        while self.rob.back().is_some_and(|e| e.b.fid > boundary_fid) {
+            // invariant: the loop condition proves the ROB is non-empty.
+            let e = self.rob.pop_back().expect("checked above");
+            note(e.b.seq);
+            let slot = self.slot(self.rob_front_pos + self.rob.len() as u64);
+            self.release_entry(&e, slot);
+            self.stats.squashed += 1;
+            count += 1;
+        }
+        out.count = count;
+        for q in [&mut self.loads, &mut self.stores] {
+            while q.back().is_some_and(|m| m.h.fid > boundary_fid) {
+                q.pop_back();
+            }
+        }
+        self.reg_map = [None; 32];
+        for (i, e) in self.rob.iter().enumerate() {
+            if let Some(d) = e.b.sinst.dst {
+                self.reg_map[d as usize] = Some(Handle {
+                    fid: e.b.fid,
+                    pos: self.rob_front_pos + i as u64,
+                });
+            }
+            if !replay || !e.b.is_bound() {
+                continue;
+            }
+            let Some(k) = e.b.sinst.branch_kind() else {
+                continue;
+            };
+            // History replay: resolved outcomes of surviving unretired
+            // bound branches, oldest first — the speculative history is
+            // rebuilt as retired-history + these bits (exact repair).
+            out.hist_replay.extend(elf_frontend::Frontend::history_bit(
+                k,
+                e.b.taken,
+                e.b.next_pc,
+            ));
+            // RAS replay: surviving unretired call/return operations.
+            if k.is_call() {
+                out.ras_replay
+                    .push(elf_frontend::RasOp::Push(e.b.sinst.pc + 4));
+            } else if k.is_return() {
+                out.ras_replay.push(elf_frontend::RasOp::Pop);
+            }
+        }
+        out
     }
 
-    fn release_entry(&mut self, e: &RobEntry) {
-        self.rob_pos.remove(&e.b.fid);
+    /// Appends a memory operation to its load/store queue (no-op for
+    /// other instructions).
+    fn lsq_push(&mut self, h: Handle, b: &BoundInst) {
+        let q = match b.sinst.class {
+            InstClass::Load => &mut self.loads,
+            InstClass::Store => &mut self.stores,
+            _ => return,
+        };
+        q.push_back(LsqEntry {
+            h,
+            pc: b.sinst.pc,
+            qword: b.mem_addr.map_or(NO_QWORD, |a| a & !7),
+            bound: b.is_bound(),
+        });
+    }
+
+    /// Returns an entry's physical register and, if it never issued, its
+    /// issue-queue slot and ready bit.
+    fn release_entry(&mut self, e: &RobEntry, slot: usize) {
         if e.b.sinst.dst.is_some() {
             self.prf_used = self.prf_used.saturating_sub(1);
         }
         if !e.issued {
             self.iq_used = self.iq_used.saturating_sub(1);
-            self.ready_remove(e.b.fid);
-        }
-        if e.b.sinst.class.is_mem() {
-            self.lsq_used = self.lsq_used.saturating_sub(1);
-        }
-    }
-
-    fn rebuild_reg_map(&mut self) {
-        self.reg_map = [None; 32];
-        for e in &self.rob {
-            if let Some(d) = e.b.sinst.dst {
-                self.reg_map[d as usize] = Some(e.b.fid);
-            }
+            self.clear_ready(slot);
         }
     }
 
@@ -604,10 +714,10 @@ impl Backend {
 
     fn dispatch(&mut self, now: Cycle) {
         for _ in 0..self.cfg.rename_width {
-            let Some(&(b, ready)) = self.dispatch_q.front() else {
+            let Some((b, ready)) = self.dispatch_q.front() else {
                 break;
             };
-            if ready > now {
+            if *ready > now {
                 break;
             }
             if self.rob.len() >= self.cfg.rob_entries {
@@ -617,65 +727,61 @@ impl Backend {
             if self.iq_used >= self.cfg.iq_entries {
                 break;
             }
-            if b.sinst.class.is_mem() && self.lsq_used >= self.cfg.lsq_entries {
+            if b.sinst.class.is_mem() && self.lsq_used() >= self.cfg.lsq_entries {
                 break;
             }
             if b.sinst.dst.is_some() && self.prf_used >= self.cfg.prf_entries {
                 break;
             }
-            self.dispatch_q.pop_front();
-
-            let mut producers: [Option<u64>; 3] = [None, None, None];
+            // invariant: the let-else above proves the queue is non-empty.
+            let (b, _) = self.dispatch_q.pop_front().expect("checked above");
+            let h = Handle {
+                fid: b.fid,
+                pos: self.rob_front_pos + self.rob.len() as u64,
+            };
+            let slot = self.slot(h.pos);
+            let mut producers: [Option<Handle>; 3] = [None, None, None];
             for (i, s) in b.sinst.sources().enumerate().take(2) {
                 producers[i] = self.reg_map[s as usize];
             }
-            // Memory-dependence prediction at rename (Table II).
-            let wait_store_fid = if b.sinst.class == InstClass::Load && b.is_bound() {
-                self.memdep.predicted_store(b.sinst.pc).and_then(|spc| {
-                    self.rob
-                        .iter()
-                        .rev()
-                        .find(|e| e.b.sinst.class == InstClass::Store && e.b.sinst.pc == spc)
-                        .map(|e| e.b.fid)
-                })
+            // Memory-dependence prediction at rename (Table II): wait for
+            // the youngest in-flight store with the predicted PC.
+            let wait_store = if b.sinst.class == InstClass::Load && b.is_bound() {
+                self.memdep
+                    .predicted_store(b.sinst.pc)
+                    .and_then(|spc| self.stores.iter().rev().find(|s| s.pc == spc).map(|s| s.h))
             } else {
                 None
             };
-            producers[2] = wait_store_fid;
+            producers[2] = wait_store;
             if let Some(d) = b.sinst.dst {
-                self.reg_map[d as usize] = Some(b.fid);
+                self.reg_map[d as usize] = Some(h);
                 self.prf_used += 1;
-            }
-            if b.sinst.class.is_mem() {
-                self.lsq_used += 1;
             }
             // Register in the wakeup network: count producers that are
             // still in flight and subscribe to their completion.
+            self.wakeup[slot].clear();
             let mut deps_left = 0u8;
-            for p in producers.iter().flatten() {
-                let in_flight = matches!(
-                    self.rob_index(*p),
-                    Some(i) if self.rob[i].state != ExecState::Done
-                );
-                if in_flight {
+            for p in producers.into_iter().flatten() {
+                if self
+                    .index_of(p)
+                    .is_some_and(|i| self.rob[i].state != ExecState::Done)
+                {
                     deps_left += 1;
-                    self.wakeup
-                        .entry(*p)
-                        .or_insert_with(|| self.wakeup_pool.pop().unwrap_or_default())
-                        .push(b.fid);
+                    let ps = self.slot(p.pos);
+                    self.wakeup[ps].push(h);
                 }
             }
             if deps_left == 0 {
-                self.ready_insert(b.fid);
+                self.set_ready(slot);
             }
+            self.lsq_push(h, &b);
             self.iq_used += 1;
             self.stats.dispatched += 1;
-            self.rob_pos
-                .insert(b.fid, self.rob_front_pos + self.rob.len() as u64);
             self.rob.push_back(RobEntry {
                 b,
                 state: ExecState::Waiting,
-                wait_store_fid,
+                wait_store_fid: wait_store.map(|s| s.fid),
                 deps_left,
                 issued: false,
             });
@@ -689,95 +795,103 @@ impl Backend {
         let mut ldst = self.cfg.ldst_ports;
         let mut simd = self.cfg.simd_ports;
 
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(self.ready.iter().copied());
-        for fid in &scratch {
-            if issued >= self.cfg.issue_width {
-                break;
+        // Walk the ready bitmap oldest-first: from the head's slot to the
+        // end of the ring, then around to just below the head.
+        let head = self.slot(self.rob_front_pos);
+        let words = self.ready.len();
+        let (head_word, head_bit) = (head / 64, head % 64);
+        'walk: for k in 0..=words {
+            let wi = (head_word + k) % words;
+            let mut bits = self.ready[wi];
+            if k == 0 {
+                bits &= !0u64 << head_bit;
+            } else if k == words {
+                bits &= (1u64 << head_bit) - 1;
             }
-            let Some(i) = self.rob_index(*fid) else {
-                self.ready_remove(*fid);
-                continue;
-            };
-            let class = {
-                let e = &self.rob[i];
-                debug_assert_eq!(e.state, ExecState::Waiting);
-                debug_assert_eq!(e.deps_left, 0);
-                e.b.sinst.class
-            };
-            // Port allocation.
-            let port_ok = match class {
-                InstClass::Mul | InstClass::Div => {
-                    if muldiv > 0 && alu > 0 {
-                        muldiv -= 1;
-                        alu -= 1;
-                        true
-                    } else {
-                        false
-                    }
+            while bits != 0 {
+                // With no ALU, LD/ST or SIMD port left nothing can issue
+                // (mul/div also takes an ALU port).
+                if issued >= self.cfg.issue_width || alu + ldst + simd == 0 {
+                    break 'walk;
                 }
-                InstClass::Alu | InstClass::Nop | InstClass::Branch(_) => {
-                    if alu > 0 {
-                        alu -= 1;
-                        true
-                    } else {
-                        false
+                let slot = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let i = (slot.wrapping_sub(head) as u64 & self.slot_mask) as usize;
+                let class = {
+                    let e = &self.rob[i];
+                    debug_assert_eq!(e.state, ExecState::Waiting);
+                    debug_assert_eq!(e.deps_left, 0);
+                    e.b.sinst.class
+                };
+                // Port allocation.
+                let port_ok = match class {
+                    InstClass::Mul | InstClass::Div => {
+                        if muldiv > 0 && alu > 0 {
+                            muldiv -= 1;
+                            alu -= 1;
+                            true
+                        } else {
+                            false
+                        }
                     }
-                }
-                InstClass::Load | InstClass::Store => {
-                    if ldst > 0 {
-                        ldst -= 1;
-                        true
-                    } else {
-                        false
+                    InstClass::Alu | InstClass::Nop | InstClass::Branch(_) => {
+                        if alu > 0 {
+                            alu -= 1;
+                            true
+                        } else {
+                            false
+                        }
                     }
-                }
-                InstClass::Simd => {
-                    if simd > 0 {
-                        simd -= 1;
-                        true
-                    } else {
-                        false
+                    InstClass::Load | InstClass::Store => {
+                        if ldst > 0 {
+                            ldst -= 1;
+                            true
+                        } else {
+                            false
+                        }
                     }
+                    InstClass::Simd => {
+                        if simd > 0 {
+                            simd -= 1;
+                            true
+                        } else {
+                            false
+                        }
+                    }
+                };
+                if !port_ok {
+                    continue;
                 }
-            };
-            if !port_ok {
-                continue;
+                let latency = self.exec_latency(i, mem, now);
+                let done = now + u64::from(latency.max(1));
+                let e = &mut self.rob[i];
+                e.state = ExecState::Executing { done };
+                e.issued = true;
+                let fid = e.b.fid;
+                self.clear_ready(slot);
+                self.iq_used = self.iq_used.saturating_sub(1);
+                self.exec_events
+                    .push(Reverse((done, fid, self.rob_front_pos + i as u64)));
+                issued += 1;
             }
-            let latency = self.exec_latency(i, mem, now);
-            let done = now + u64::from(latency.max(1));
-            let e = &mut self.rob[i];
-            e.state = ExecState::Executing { done };
-            e.issued = true;
-            let f = e.b.fid;
-            self.ready_remove(f);
-            self.iq_used = self.iq_used.saturating_sub(1);
-            self.exec_events.push(Reverse((done, f)));
-            issued += 1;
         }
-        self.scratch = scratch;
     }
 
     fn exec_latency(&mut self, idx: usize, mem: &mut MemorySystem, now: Cycle) -> u32 {
-        let (class, pc, addr) = {
-            let e = &self.rob[idx];
-            (e.b.sinst.class, e.b.sinst.pc, e.b.mem_addr)
-        };
-        match class {
+        let e = &self.rob[idx];
+        match e.b.sinst.class {
             InstClass::Alu | InstClass::Nop | InstClass::Branch(_) => 1,
             InstClass::Mul => self.cfg.mul_latency,
             InstClass::Div => self.cfg.div_latency,
             InstClass::Simd => self.cfg.simd_latency,
             InstClass::Store => 1, // address generation; data written at commit
             InstClass::Load => {
-                let Some(a) = addr else { return 1 };
-                // Store-to-load forwarding from an older executed store.
+                let Some(a) = e.b.mem_addr else { return 1 };
+                let (fid, pc) = (e.b.fid, e.b.sinst.pc);
+                // Store-to-load forwarding from an older issued store.
                 let qword = a & !7;
-                let forwarded = self.rob.iter().take(idx).rev().any(|s| {
-                    s.b.sinst.class == InstClass::Store
-                        && s.issued
-                        && s.b.mem_addr.is_some_and(|sa| sa & !7 == qword)
+                let forwarded = self.stores.iter().take_while(|s| s.h.fid < fid).any(|s| {
+                    s.qword == qword && self.index_of(s.h).is_some_and(|j| self.rob[j].issued)
                 });
                 if forwarded {
                     self.stats.forwards += 1;
@@ -796,80 +910,78 @@ impl Backend {
         let mut mispredict_flushes = std::mem::take(&mut self.misp_flush_scratch);
         debug_assert!(raw_flushes.is_empty() && mispredict_flushes.is_empty());
 
-        while let Some(&Reverse((done, fid))) = self.exec_events.peek() {
+        while let Some(&Reverse((done, fid, pos))) = self.exec_events.peek() {
             if done > now {
                 break;
             }
             self.exec_events.pop();
             // Squashed entries leave stale completion events behind; skip them.
-            let Some(i) = self.rob_index(fid) else {
+            let Some(i) = self.index_of(Handle { fid, pos }) else {
                 continue;
             };
-            if !matches!(self.rob[i].state, ExecState::Executing { done: d } if d == done) {
+            let e = &mut self.rob[i];
+            if !matches!(e.state, ExecState::Executing { done: d } if d == done) {
                 continue;
             }
-            self.rob[i].state = ExecState::Done;
-            let b = self.rob[i].b;
-            // Wake dependents; the drained subscriber list goes back to the
-            // pool for reuse by dispatch.
-            if let Some(mut deps) = self.wakeup.remove(&fid) {
-                for d in deps.drain(..) {
-                    if let Some(j) = self.rob_index(d) {
-                        let e = &mut self.rob[j];
-                        if e.state == ExecState::Waiting {
-                            e.deps_left = e.deps_left.saturating_sub(1);
-                            if e.deps_left == 0 {
-                                self.ready_insert(d);
-                            }
-                        }
-                    }
-                }
-                self.wakeup_pool.push(deps);
-            }
+            e.state = ExecState::Done;
+            let b = &e.b;
+            let (bound, class, mem_addr) = (b.is_bound(), b.sinst.class, b.mem_addr);
 
             // Branch resolution.
-            if b.is_bound() && b.mispredicted && b.sinst.class.is_branch() {
+            if bound && b.mispredicted && class.is_branch() {
                 mispredict_flushes.push(PendingFlush {
                     cause: FlushCause::Mispredict,
-                    boundary_fid: b.fid,
+                    boundary_fid: fid,
                     restart_pc: b.next_pc,
-                    // invariant: is_bound() was checked in the guard above.
+                    // invariant: `bound` was checked in the guard above.
                     cursor_target: b.seq.expect("bound") + 1,
                     apply_at: now + u64::from(self.cfg.redirect_latency),
                     raw_pair: None,
                 });
             }
 
-            // RAW-hazard detection: a store executing finds a younger bound
-            // load that already executed with an aliasing address.
-            if b.is_bound() && b.sinst.class == InstClass::Store {
-                if let Some(sa) = b.mem_addr {
+            // RAW-hazard detection: a store executing finds the oldest
+            // younger bound load that already issued to an aliasing word.
+            if bound && class == InstClass::Store {
+                if let Some(sa) = mem_addr {
+                    let store_pc = b.sinst.pc;
                     let qword = sa & !7;
-                    for j in (i + 1)..self.rob.len() {
-                        let l = &self.rob[j];
-                        let load_done =
-                            matches!(l.state, ExecState::Done | ExecState::Executing { .. })
-                                && l.issued;
-                        if l.b.is_bound()
-                            && l.b.sinst.class == InstClass::Load
-                            && load_done
-                            && l.b.mem_addr.is_some_and(|la| la & !7 == qword)
-                        {
-                            raw_flushes.push(PendingFlush {
-                                cause: FlushCause::RawHazard,
-                                boundary_fid: l.b.fid - 1,
-                                restart_pc: l.b.sinst.pc,
-                                // invariant: l.b.is_bound() is part of the
-                                // aliasing-load condition above.
-                                cursor_target: l.b.seq.expect("bound"),
-                                apply_at: now + u64::from(self.cfg.redirect_latency),
-                                raw_pair: Some((l.b.sinst.pc, b.sinst.pc)),
-                            });
-                            break;
-                        }
+                    let first = self.loads.partition_point(|l| l.h.fid < fid);
+                    let hit = self.loads.range(first..).find_map(|l| {
+                        let j = self.index_of(l.h)?;
+                        (l.bound && l.qword == qword && self.rob[j].issued).then_some(j)
+                    });
+                    if let Some(j) = hit {
+                        let l = &self.rob[j].b;
+                        raw_flushes.push(PendingFlush {
+                            cause: FlushCause::RawHazard,
+                            boundary_fid: l.fid - 1,
+                            restart_pc: l.sinst.pc,
+                            // invariant: only bound loads match above.
+                            cursor_target: l.seq.expect("bound"),
+                            apply_at: now + u64::from(self.cfg.redirect_latency),
+                            raw_pair: Some((l.sinst.pc, store_pc)),
+                        });
                     }
                 }
             }
+
+            // Wake dependents. The list is taken out for the borrow and put
+            // back drained, keeping its allocation for the slot's next use.
+            let slot = self.slot(pos);
+            let mut deps = std::mem::take(&mut self.wakeup[slot]);
+            for d in deps.drain(..) {
+                let Some(j) = self.index_of(d) else { continue };
+                let e = &mut self.rob[j];
+                if e.state == ExecState::Waiting {
+                    e.deps_left = e.deps_left.saturating_sub(1);
+                    if e.deps_left == 0 {
+                        let ds = self.slot(d.pos);
+                        self.set_ready(ds);
+                    }
+                }
+            }
+            self.wakeup[slot] = deps;
         }
 
         for f in mispredict_flushes.drain(..).chain(raw_flushes.drain(..)) {
@@ -923,76 +1035,19 @@ impl Backend {
         // Squash younger than the boundary, remembering the smallest bound
         // sequence number squashed — the restart cursor may never skip a
         // bound instruction (it would punch a hole in the retired stream).
-        let mut min_squashed_seq: Option<SeqNum> = None;
-        let mut note = |seq: Option<SeqNum>| {
-            if let Some(sq) = seq {
-                min_squashed_seq = Some(min_squashed_seq.map_or(sq, |m: u64| m.min(sq)));
-            }
-        };
-        let mut flush_squashed: u64 = 0;
-        self.dispatch_q.retain(|(b, _)| {
-            let keep = b.fid <= p.boundary_fid;
-            if !keep {
-                note(b.seq);
-                flush_squashed += 1;
-            }
-            keep
-        });
-        while let Some(back) = self.rob.back() {
-            if back.b.fid <= p.boundary_fid {
-                break;
-            }
-            // invariant: the while-let binding proves the ROB is non-empty.
-            let e = self.rob.pop_back().expect("checked above");
-            note(e.b.seq);
-            self.release_entry(&e);
-            self.stats.squashed += 1;
-            flush_squashed += 1;
-        }
-        self.rebuild_reg_map();
-        self.prune_wakeup(p.boundary_fid);
-        let cursor_target = match min_squashed_seq {
-            Some(sq) => p.cursor_target.min(sq),
+        let sq = self.squash_younger(p.boundary_fid, true);
+        let cursor_target = match sq.min_seq {
+            Some(seq) => p.cursor_target.min(seq),
             None => p.cursor_target,
         };
-
-        // History replay: resolved outcomes of surviving unretired bound
-        // branches, oldest first — the speculative history is rebuilt as
-        // retired-history + these bits (exact repair).
-        let hist_replay = self
-            .rob
-            .iter()
-            .filter(|e| e.b.is_bound())
-            .filter_map(|e| {
-                let k = e.b.sinst.branch_kind()?;
-                elf_frontend::Frontend::history_bit(k, e.b.taken, e.b.next_pc)
-            })
-            .collect();
-        // RAS replay: surviving unretired call/return operations.
-        let ras_replay = self
-            .rob
-            .iter()
-            .filter(|e| e.b.is_bound())
-            .filter_map(|e| {
-                let k = e.b.sinst.branch_kind()?;
-                if k.is_call() {
-                    Some(elf_frontend::RasOp::Push(e.b.sinst.pc + 4))
-                } else if k.is_return() {
-                    Some(elf_frontend::RasOp::Pop)
-                } else {
-                    None
-                }
-            })
-            .collect();
-
         Some(AppliedFlush {
             cause: p.cause,
             boundary_fid: p.boundary_fid,
             restart_pc: p.restart_pc,
             cursor_target,
-            hist_replay,
-            ras_replay,
-            squashed: flush_squashed,
+            hist_replay: sq.hist_replay,
+            ras_replay: sq.ras_replay,
+            squashed: sq.count,
         })
     }
 
@@ -1008,14 +1063,22 @@ impl Backend {
             if self.pending.is_some_and(|p| head.b.fid > p.boundary_fid) {
                 break;
             }
-            // invariant: the while-let binding proves the ROB is non-empty.
+            // invariant: the let-else binding proves the ROB is non-empty.
             let e = self.rob.pop_front().expect("checked above");
+            let slot = self.slot(self.rob_front_pos);
             self.rob_front_pos += 1;
-            self.release_entry(&e);
-            if e.b.sinst.class == InstClass::Store {
-                if let Some(a) = e.b.mem_addr {
-                    mem.store(a, now);
+            self.release_entry(&e, slot);
+            match e.b.sinst.class {
+                InstClass::Load => {
+                    self.loads.pop_front();
                 }
+                InstClass::Store => {
+                    self.stores.pop_front();
+                    if let Some(a) = e.b.mem_addr {
+                        mem.store(a, now);
+                    }
+                }
+                _ => {}
             }
             self.stats.retired += 1;
             retired.push(RetiredInst { b: e.b });
@@ -1048,13 +1111,13 @@ impl Backend {
     pub fn quiescent_until(&self, now: Cycle) -> Option<Cycle> {
         let mut until = Cycle::MAX;
         // Issue: anything ready would execute this cycle.
-        if !self.ready.is_empty() {
+        if self.ready.iter().any(|&w| w != 0) {
             return None;
         }
         // Complete: next completion event (stale events count — popping
         // them mutates the event set, so the reference walk must do it at
         // the same cycle).
-        if let Some(&Reverse((done, _))) = self.exec_events.peek() {
+        if let Some(&Reverse((done, _, _))) = self.exec_events.peek() {
             if done <= now {
                 return None;
             }
@@ -1077,7 +1140,7 @@ impl Backend {
                 until = until.min(ready);
             } else if self.rob.len() < self.cfg.rob_entries
                 && self.iq_used < self.cfg.iq_entries
-                && !(b.sinst.class.is_mem() && self.lsq_used >= self.cfg.lsq_entries)
+                && !(b.sinst.class.is_mem() && self.lsq_used() >= self.cfg.lsq_entries)
                 && !(b.sinst.dst.is_some() && self.prf_used >= self.cfg.prf_entries)
             {
                 return None;
@@ -1143,29 +1206,46 @@ impl Backend {
     /// map, resource counters, scheduler structures, memory-dependence
     /// table, pending flush, statistics and the watchdog timer.
     ///
-    /// The completion events are sorted before writing (the heap's
-    /// internal layout is not canonical) and the scratch buffers are
-    /// transient, so neither perturbs determinism. The configuration is
-    /// not written: restore requires a back-end built from the same config.
+    /// The layout is fid-keyed and canonical: positions are not written,
+    /// the ready set is written oldest-first, the wakeup network as a
+    /// producer-sorted map holding only live dependents, and the
+    /// completion events sorted (stale ones included — popping them is
+    /// observable by the idle skipper). The load/store queues are derived
+    /// from the ROB. The configuration is not written: restore requires a
+    /// back-end built from the same config.
     pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
         use elf_types::Snap;
         self.rob.save(w);
         self.dispatch_q.save(w);
-        self.reg_map.save(w);
+        self.reg_map.map(|h| h.map(|h| h.fid)).save(w);
         self.prf_used.save(w);
-        self.lsq_used.save(w);
+        self.lsq_used().save(w);
         self.iq_used.save(w);
-        (self.ready.len() as u64).save(w);
-        for fid in &self.ready {
-            fid.save(w);
-        }
-        self.wakeup.save(w);
-        (self.exec_events.len() as u64).save(w);
-        let mut events: Vec<(Cycle, u64)> = self.exec_events.iter().map(|r| r.0).collect();
+        let slot_at = |i: usize| self.slot(self.rob_front_pos + i as u64);
+        let fid_at = |i: usize| self.rob[i].b.fid;
+        let ready: Vec<u64> = (0..self.rob.len())
+            .filter(|&i| self.is_ready(slot_at(i)))
+            .map(fid_at)
+            .collect();
+        ready.save(w);
+        let wakeup: Vec<(u64, Vec<u64>)> = (0..self.rob.len())
+            .filter_map(|i| {
+                let deps: Vec<u64> = self.wakeup[slot_at(i)]
+                    .iter()
+                    .filter(|d| self.index_of(**d).is_some())
+                    .map(|d| d.fid)
+                    .collect();
+                (!deps.is_empty()).then(|| (fid_at(i), deps))
+            })
+            .collect();
+        wakeup.save(w);
+        let mut events: Vec<(Cycle, u64)> = self
+            .exec_events
+            .iter()
+            .map(|&Reverse((done, fid, _))| (done, fid))
+            .collect();
         events.sort_unstable();
-        for ev in &events {
-            ev.save(w);
-        }
+        events.save(w);
         self.memdep.save_state(w);
         self.pending.save(w);
         self.stats.save(w);
@@ -1173,12 +1253,17 @@ impl Backend {
     }
 
     /// Restores state saved by [`Backend::save_state`] into a back-end
-    /// built from the same configuration.
+    /// built from the same configuration, rebuilding the positional
+    /// handles, per-slot scheduler state and load/store queues.
     ///
     /// # Errors
     ///
-    /// Returns [`elf_types::SnapError`] on truncated bytes or an ROB that
-    /// does not fit this configuration.
+    /// Returns [`elf_types::SnapError`] on truncated bytes or on a state
+    /// the live back-end can never reach: an ROB that does not fit this
+    /// configuration or whose fids are not strictly increasing, resource
+    /// counters that disagree with the ROB, ready or wakeup dependents
+    /// that are not live waiting entries, or wakeup producers that are
+    /// not live unfinished entries.
     pub fn load_state(
         &mut self,
         r: &mut elf_types::SnapReader<'_>,
@@ -1192,35 +1277,91 @@ impl Backend {
                 self.cfg.rob_entries
             )));
         }
-        self.rob = rob;
-        // `rob_pos` is derived state: re-anchor positions at the restored
+        if rob
+            .iter()
+            .zip(rob.iter().skip(1))
+            .any(|(a, b)| a.b.fid >= b.b.fid)
+        {
+            return Err(SnapError::mismatch("ROB fids are not strictly increasing"));
+        }
+        // Positions are not serialized: re-anchor them at the restored
         // ROB's current layout.
+        self.rob = rob;
         self.rob_front_pos = 0;
-        self.rob_pos.clear();
-        for (i, e) in self.rob.iter().enumerate() {
-            self.rob_pos.insert(e.b.fid, i as u64);
-        }
         self.dispatch_q = Snap::load(r)?;
-        self.reg_map = Snap::load(r)?;
+        let reg_fids: [Option<u64>; 32] = Snap::load(r)?;
+        self.reg_map = reg_fids.map(|f| f.map(|f| self.handle_of(f)));
         self.prf_used = Snap::load(r)?;
-        self.lsq_used = Snap::load(r)?;
+        let lsq_used: usize = Snap::load(r)?;
         self.iq_used = Snap::load(r)?;
-        let n_ready = r.count("ready set")?;
-        self.ready.clear();
-        for _ in 0..n_ready {
-            self.ready_insert(Snap::load(r)?);
+        let count = |pred: fn(&RobEntry) -> bool| self.rob.iter().filter(|e| pred(e)).count();
+        let expected = [
+            (
+                "prf_used",
+                self.prf_used,
+                count(|e| e.b.sinst.dst.is_some()),
+            ),
+            ("lsq_used", lsq_used, count(|e| e.b.sinst.class.is_mem())),
+            ("iq_used", self.iq_used, count(|e| !e.issued)),
+        ];
+        for (what, got, want) in expected {
+            if got != want {
+                return Err(SnapError::mismatch(format!(
+                    "{what} is {got} but the ROB implies {want}"
+                )));
+            }
         }
-        self.wakeup = Snap::load(r)?;
-        let n_events = r.count("exec event set")?;
-        self.exec_events.clear();
-        for _ in 0..n_events {
-            self.exec_events.push(Reverse(Snap::load(r)?));
+        self.loads.clear();
+        self.stores.clear();
+        for i in 0..self.rob.len() {
+            let b = self.rob[i].b;
+            let h = Handle {
+                fid: b.fid,
+                pos: i as u64,
+            };
+            self.lsq_push(h, &b);
         }
+        let waiting = |be: &Self, fid: u64, what: &str| {
+            be.rob_index(fid)
+                .filter(|&i| be.rob[i].state == ExecState::Waiting)
+                .ok_or_else(|| {
+                    SnapError::mismatch(format!("{what} fid {fid} is not a waiting ROB entry"))
+                })
+        };
+        self.ready.fill(0);
+        let ready: Vec<u64> = Snap::load(r)?;
+        for fid in ready {
+            let i = waiting(self, fid, "ready")?;
+            self.set_ready(self.slot(i as u64));
+        }
+        for list in &mut self.wakeup {
+            list.clear();
+        }
+        let wakeup: Vec<(u64, Vec<u64>)> = Snap::load(r)?;
+        for (producer, deps) in wakeup {
+            let p = self
+                .rob_index(producer)
+                .filter(|&i| self.rob[i].state != ExecState::Done)
+                .ok_or_else(|| {
+                    SnapError::mismatch(format!(
+                        "wakeup producer fid {producer} is not an unfinished ROB entry"
+                    ))
+                })?;
+            for fid in deps {
+                let d = waiting(self, fid, "wakeup dependent")?;
+                let ps = self.slot(p as u64);
+                self.wakeup[ps].push(Handle { fid, pos: d as u64 });
+            }
+        }
+        let events: Vec<(Cycle, u64)> = Snap::load(r)?;
+        self.exec_events = events
+            .into_iter()
+            .map(|(done, fid)| Reverse((done, fid, self.handle_of(fid).pos)))
+            .collect();
         self.memdep.load_state(r)?;
         self.pending = Snap::load(r)?;
         self.stats = Snap::load(r)?;
         self.head_stuck_since = Snap::load(r)?;
-        self.scratch.clear();
         Ok(())
     }
 
@@ -1228,7 +1369,7 @@ impl Backend {
     #[must_use]
     pub fn debug_head(&self) -> String {
         let mut s = String::new();
-        for e in self.rob.iter().take(4) {
+        for (i, e) in self.rob.iter().enumerate().take(4) {
             s.push_str(&format!(
                 "[fid={} seq={:?} class={:?} state={:?} deps={} ws={:?} issued={} ready_in_set={}] ",
                 e.b.fid,
@@ -1238,7 +1379,7 @@ impl Backend {
                 e.deps_left,
                 e.wait_store_fid,
                 e.issued,
-                self.ready.contains(&e.b.fid),
+                self.is_ready(self.slot(self.rob_front_pos + i as u64)),
             ));
         }
         s
@@ -1613,5 +1754,244 @@ mod tests {
         }
         assert!(be.rob_len() <= 8);
         assert!(be.stats().rob_full_cycles > 0);
+    }
+
+    fn op(fid: u64, pc: Addr, class: InstClass, dst: Option<u8>, srcs: [u8; 2]) -> BoundInst {
+        let mut b = alu(fid, pc, dst, srcs);
+        b.sinst.class = class;
+        b
+    }
+
+    fn mem_op(fid: u64, pc: Addr, class: InstClass, srcs: [u8; 2], addr: Addr) -> BoundInst {
+        let dst = (class == InstClass::Load).then_some(20);
+        let mut b = op(fid, pc, class, dst, srcs);
+        b.mem_addr = Some(addr);
+        b
+    }
+
+    #[test]
+    fn load_state_rejects_counters_the_rob_does_not_imply() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        be.accept(op(1, 0xe000, InstClass::Div, Some(1), [NO_REG, NO_REG]), 0);
+        for i in 0..6 {
+            be.accept(alu(2 + i, 0xe004 + i * 4, Some(2), [1, NO_REG]), 0);
+        }
+        for c in 0..4 {
+            be.tick(&mut mem, c);
+        }
+        let save = |be: &Backend| {
+            let mut w = elf_types::SnapWriter::new();
+            be.save_state(&mut w);
+            w.into_bytes()
+        };
+        let load =
+            |bytes: &[u8]| Backend::new(cfg()).load_state(&mut elf_types::SnapReader::new(bytes));
+        assert!(load(&save(&be)).is_ok(), "a real state must load");
+        be.iq_used += 1;
+        assert!(
+            matches!(load(&save(&be)), Err(elf_types::SnapError::Mismatch { .. })),
+            "an issue-queue count the ROB does not imply must be rejected"
+        );
+    }
+
+    #[test]
+    fn surviving_producer_never_wakes_a_squashed_dependent_whose_slot_was_reused() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        // fid 1: a divide producing r5. fid 2: a cold load producing r6
+        // (hundreds of cycles). fid 3 waits on the divide.
+        be.accept(op(1, 0xf000, InstClass::Div, Some(5), [NO_REG, NO_REG]), 0);
+        be.accept(
+            mem_op(2, 0xf004, InstClass::Load, [NO_REG, NO_REG], 0x40_0000),
+            0,
+        );
+        be.accept(alu(3, 0xf008, None, [5, NO_REG]), 0);
+        for c in 0..=3 {
+            be.tick(&mut mem, c);
+        }
+        assert_eq!(be.rob_len(), 3);
+        // Squash fid 3; fid 4, waiting on the load, takes its position.
+        assert_eq!(be.squash_after_returning_seq(2), Some(3));
+        be.accept(alu(4, 0xf00c, None, [20, NO_REG]), 3);
+        for c in 4..30 {
+            be.tick(&mut mem, c);
+        }
+        assert_eq!(be.rob[0].b.fid, 2, "the divide completed and retired");
+        let e = &be.rob[1];
+        assert_eq!(e.b.fid, 4);
+        assert_eq!(
+            (e.state, e.deps_left),
+            (ExecState::Waiting, 1),
+            "the divide's completion must not wake the slot's new occupant"
+        );
+        assert!(!be.is_ready(be.slot(be.rob_front_pos + 1)));
+        let (_, retired) = run_until_empty(&mut be, &mut mem);
+        assert_eq!(retired.len(), 2, "the load and fid 4");
+    }
+
+    #[test]
+    fn a_younger_issued_store_never_forwards() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        // The load's address waits on a divide, so the younger store to the
+        // same word issues first.
+        be.accept(
+            op(1, 0x1_0000, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(
+            mem_op(2, 0x1_0004, InstClass::Load, [5, NO_REG], 0xd_0000),
+            0,
+        );
+        be.accept(
+            mem_op(3, 0x1_0008, InstClass::Store, [NO_REG, NO_REG], 0xd_0004),
+            0,
+        );
+        for c in 0..6 {
+            be.tick(&mut mem, c);
+        }
+        assert!(be.rob[2].issued && !be.rob[1].issued);
+        let (cycles, retired) = run_until_empty(&mut be, &mut mem);
+        assert_eq!(retired.len(), 3);
+        assert_eq!(
+            be.stats().forwards,
+            0,
+            "forwarding is from older stores only"
+        );
+        assert!(
+            cycles > 50,
+            "the load must pay the cold miss: {cycles} cycles"
+        );
+    }
+
+    #[test]
+    fn raw_detection_ignores_wrong_path_aliasing_loads() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        // A slow store, then a wrong-path and a bound load to its word that
+        // both execute before it.
+        be.accept(
+            op(1, 0x1_1000, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(
+            mem_op(2, 0x1_1004, InstClass::Store, [5, NO_REG], 0xe_0000),
+            0,
+        );
+        let mut wrong = mem_op(3, 0x1_1008, InstClass::Load, [NO_REG, NO_REG], 0xe_0000);
+        wrong.seq = None;
+        be.accept(wrong, 0);
+        be.accept(
+            mem_op(4, 0x1_100c, InstClass::Load, [NO_REG, NO_REG], 0xe_0000),
+            0,
+        );
+        let mut flush = None;
+        for c in 0..100 {
+            if let (_, Some(f)) = be.tick(&mut mem, c) {
+                flush = Some(f);
+                break;
+            }
+        }
+        let f = flush.expect("the bound load must raise a RAW flush");
+        assert_eq!(f.cause, FlushCause::RawHazard);
+        assert_eq!(
+            f.boundary_fid, 3,
+            "restart at the bound load, not the wrong-path one"
+        );
+        assert_eq!(f.restart_pc, 0x1_100c);
+        assert_eq!(f.cursor_target, 4);
+    }
+
+    #[test]
+    fn memdep_waits_on_the_youngest_older_matching_store() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        be.memdep.train(0x1_200c, 0x1_2000);
+        // Two stores with the predicted PC (held back by a divide), a
+        // younger store with another PC, then the predicted load.
+        be.accept(
+            op(1, 0x1_1ffc, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(
+            mem_op(2, 0x1_2000, InstClass::Store, [5, NO_REG], 0xf_0000),
+            0,
+        );
+        be.accept(
+            mem_op(3, 0x1_2000, InstClass::Store, [5, NO_REG], 0xf_0008),
+            0,
+        );
+        be.accept(
+            mem_op(4, 0x1_2004, InstClass::Store, [5, NO_REG], 0xf_0010),
+            0,
+        );
+        be.accept(
+            mem_op(5, 0x1_200c, InstClass::Load, [NO_REG, NO_REG], 0xf_0018),
+            0,
+        );
+        for c in 0..=2 {
+            be.tick(&mut mem, c);
+        }
+        let ld = &be.rob[4];
+        assert_eq!(ld.b.fid, 5);
+        assert_eq!(ld.wait_store_fid, Some(3));
+        assert_eq!(ld.deps_left, 1, "the load waits for that store");
+        let (_, retired) = run_until_empty(&mut be, &mut mem);
+        assert_eq!(retired.len(), 5);
+    }
+
+    #[test]
+    fn issue_walks_oldest_first_across_the_ring_wrap() {
+        // 100 entries on a 128-slot ring: ring size and capacity differ.
+        let small = BackendConfig {
+            rob_entries: 100,
+            ..cfg()
+        };
+        let mut be = Backend::new(small);
+        let mut mem = MemorySystem::paper();
+        let mut cycle = 0;
+        let drain = |be: &mut Backend, mem: &mut MemorySystem, cycle: &mut u64, check: bool| {
+            let mut wrapped_choice = false;
+            while !be.is_empty() {
+                let head = be.slot(be.rob_front_pos);
+                let (mut above, mut below) = (false, false);
+                for (i, _) in be.rob.iter().enumerate() {
+                    let slot = be.slot(be.rob_front_pos + i as u64);
+                    if be.is_ready(slot) {
+                        *(if slot >= head { &mut above } else { &mut below }) = true;
+                    }
+                }
+                wrapped_choice |= above && below;
+                be.tick(mem, *cycle);
+                *cycle += 1;
+                assert!(*cycle < 10_000, "backend wedged");
+                if check {
+                    // Independent ALUs issue in program order: the issued
+                    // entries always form a prefix of the ROB.
+                    let issued: Vec<bool> = be.rob.iter().map(|e| e.issued).collect();
+                    assert!(
+                        issued.windows(2).all(|w| w[0] || !w[1]),
+                        "younger entry issued before an older one: {issued:?}"
+                    );
+                }
+            }
+            wrapped_choice
+        };
+        for i in 0..120 {
+            be.accept(alu(1 + i, 0x2_0000 + i * 4, None, [NO_REG, NO_REG]), 0);
+        }
+        drain(&mut be, &mut mem, &mut cycle, false);
+        assert_eq!(be.slot(be.rob_front_pos), 120);
+        for i in 0..40 {
+            be.accept(
+                alu(121 + i, 0x3_0000 + i * 4, None, [NO_REG, NO_REG]),
+                cycle,
+            );
+        }
+        assert!(
+            drain(&mut be, &mut mem, &mut cycle, true),
+            "ready entries never straddled the wrap; the test is vacuous"
+        );
     }
 }
