@@ -5,7 +5,7 @@
 //! round-trip.
 
 use elf_sim::core::{FaultKind, FaultPlan, SimConfig, SimStats, Simulator, Snapshot};
-use elf_sim::frontend::{ElfVariant, FetchArch};
+use elf_sim::frontend::{CoupledCondKind, ElfVariant, FetchArch};
 use elf_sim::trace::workloads;
 use proptest::prelude::*;
 
@@ -267,38 +267,55 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
     ),
 ];
 
+/// FNV-1a/64 digests of the same three checkpoints of `641.leela` for
+/// every arch, with every piece of optional state switched on: an active
+/// fault plan (injector state and plan bytes), metrics, the invariant
+/// checker, idle-skip off and the gshare coupled predictor.
+const PINNED_OPTIONAL_STATE_DIGESTS: [[u64; 3]; 7] = [
+    [0x91c6ad251416de62, 0x63e253c54c0cf5b5, 0x68448f6d90260c15],
+    [0xbe2cd5dbf1b6d9fb, 0x25b99caf2b196e5d, 0x608ff1a5d9e66068],
+    [0x4df96e210d1262f8, 0x380206cb0740a6a2, 0xac02e079251bf19e],
+    [0x3d3376d3b09dcf50, 0xc59d3c2bd68f30ae, 0xe765fbd321df5af6],
+    [0x1bd214283f83a1df, 0xe137e6c45828c167, 0x2327f914bfd6dbda],
+    [0x9a3fcc0c827903fd, 0x3288375c4fc4a22c, 0x4b08f50cefa1937b],
+    [0x1493bdd4db4e5a58, 0xba0858ab866cb4e3, 0xe22187349c1b5cb2],
+];
+
+/// Digests three checkpoints (20k warm-up, then one every 7,777 retired
+/// instructions) of `workload` for every arch, requiring each restored
+/// simulator to checkpoint back to the bytes it was built from.
+fn snapshot_digests(workload: &str, cfg: impl Fn(FetchArch) -> SimConfig) -> Vec<[u64; 3]> {
+    let w = workloads::by_name(workload).expect("workload exists");
+    let mut per_arch = Vec::new();
+    for arch in ARCHS {
+        let mut sim = Simulator::try_for_workload(cfg(arch), &w).expect("valid config");
+        sim.warm_up(20_000).expect("warm-up");
+        let mut got = [0u64; 3];
+        for slot in &mut got {
+            sim.run(7_777).expect("stride");
+            let snap = sim.checkpoint();
+            let bytes = snap.to_bytes();
+            *slot = fnv1a64(&bytes);
+            let again = snap.restore().expect("snapshot restores").checkpoint();
+            assert!(
+                again.to_bytes() == bytes,
+                "restore→checkpoint changed the bytes ({workload}, {})",
+                arch.label()
+            );
+        }
+        per_arch.push(got);
+    }
+    per_arch
+}
+
 #[test]
 fn snapshot_bytes_are_pinned() {
     // The snapshot format is a contract (resume files outlive builds): any
     // change to the back-end's or front-end's internal bookkeeping must
     // serialize to exactly the bytes recorded here, and a restored
     // simulator must checkpoint back to the same bytes it was built from.
-    let mut got_all = Vec::new();
-    for (workload, _) in PINNED_SNAPSHOT_DIGESTS {
-        let w = workloads::by_name(workload).expect("workload exists");
-        let mut per_arch = Vec::new();
-        for arch in ARCHS {
-            let mut sim =
-                Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
-            sim.warm_up(20_000).expect("warm-up");
-            let mut got = [0u64; 3];
-            for slot in &mut got {
-                sim.run(7_777).expect("stride");
-                let snap = sim.checkpoint();
-                let bytes = snap.to_bytes();
-                *slot = fnv1a64(&bytes);
-                let again = snap.restore().expect("snapshot restores").checkpoint();
-                assert!(
-                    again.to_bytes() == bytes,
-                    "restore→checkpoint changed the bytes ({workload}, {})",
-                    arch.label()
-                );
-            }
-            per_arch.push(got);
-        }
-        got_all.push((workload, per_arch));
-    }
-    for ((workload, want), (_, got)) in PINNED_SNAPSHOT_DIGESTS.iter().zip(&got_all) {
+    for (workload, want) in PINNED_SNAPSHOT_DIGESTS {
+        let got = snapshot_digests(workload, SimConfig::baseline);
         for ((arch, want), got) in ARCHS.iter().zip(want).zip(got) {
             assert_eq!(
                 want,
@@ -307,5 +324,28 @@ fn snapshot_bytes_are_pinned() {
                 arch.label()
             );
         }
+    }
+}
+
+#[test]
+fn optional_state_snapshot_bytes_are_pinned() {
+    // The baseline pins never write the injector, metrics or checker
+    // payloads, the fault-plan config bytes or the gshare branch.
+    let got = snapshot_digests("641.leela", |arch| {
+        let mut cfg = SimConfig::baseline(arch);
+        cfg.fault = Some(FaultPlan::uniform(300, 7));
+        cfg.metrics = true;
+        cfg.check = true;
+        cfg.idle_skip = false;
+        cfg.frontend.cpl_cond_kind = CoupledCondKind::Gshare { hist_bits: 9 };
+        cfg
+    });
+    for ((arch, want), got) in ARCHS.iter().zip(PINNED_OPTIONAL_STATE_DIGESTS).zip(got) {
+        assert_eq!(
+            want,
+            got,
+            "optional-state snapshot bytes changed ({})",
+            arch.label()
+        );
     }
 }
