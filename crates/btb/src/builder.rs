@@ -145,20 +145,13 @@ impl BtbBuilder {
         self.cur.as_ref()
     }
 
-    /// Serializes the in-flight entry.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.cur.save(w);
-    }
-
-    /// Restores state saved by [`BtbBuilder::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        self.cur = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores the in-flight entry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated or corrupt bytes.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.value(&mut self.cur)
     }
 }
 

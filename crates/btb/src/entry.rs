@@ -155,48 +155,20 @@ impl BtbEntry {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use elf_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for BtbBranch {
-        fn save(&self, w: &mut SnapWriter) {
-            self.offset.save(w);
-            self.kind.save(w);
-            self.target.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BtbBranch {
-                offset: Snap::load(r)?,
-                kind: Snap::load(r)?,
-                target: Snap::load(r)?,
-            })
-        }
+elf_types::snap_struct!(BtbBranch {
+    offset,
+    kind,
+    target
+});
+elf_types::snap_struct!(BtbEntry { start_pc, inst_count, branches } check |e: &BtbEntry| {
+    if e.inst_count == 0 || usize::from(e.inst_count) > MAX_BLOCK_INSTS {
+        return Err(elf_types::SnapError::mismatch(format!(
+            "btb entry inst_count {} out of range",
+            e.inst_count
+        )));
     }
-
-    impl Snap for BtbEntry {
-        fn save(&self, w: &mut SnapWriter) {
-            self.start_pc.save(w);
-            self.inst_count.save(w);
-            self.branches.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let start_pc: Addr = Snap::load(r)?;
-            let inst_count: u8 = Snap::load(r)?;
-            let branches: [Option<BtbBranch>; MAX_TAKEN_BRANCHES_PER_ENTRY] = Snap::load(r)?;
-            if inst_count == 0 || inst_count as usize > MAX_BLOCK_INSTS {
-                return Err(SnapError::mismatch(format!(
-                    "btb entry inst_count {inst_count} out of range"
-                )));
-            }
-            Ok(BtbEntry {
-                start_pc,
-                inst_count,
-                branches,
-            })
-        }
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -219,51 +219,37 @@ impl BtbHierarchy {
         )
     }
 
-    /// Serializes the full hierarchy (all three levels plus counters).
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.l0.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w);
-        self.stats.save(w);
-    }
-
-    /// Restores state saved by [`BtbHierarchy::save_state`] into a
-    /// hierarchy of the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        self.l0.load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores the full hierarchy (all three levels plus
+    /// counters); loading requires a hierarchy of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or levels of another geometry.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        self.l0.state(io)?;
+        self.l1.state(io)?;
+        self.l2.state(io)?;
+        io.value(&mut self.stats)
     }
 }
 
-impl elf_types::Snap for BtbStats {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.lookups.save(w);
-        self.l0_hits.save(w);
-        self.l1_hits.save(w);
-        self.l2_hits.save(w);
-        self.misses.save(w);
-        self.installs.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(BtbStats {
-            lookups: Snap::load(r)?,
-            l0_hits: Snap::load(r)?,
-            l1_hits: Snap::load(r)?,
-            l2_hits: Snap::load(r)?,
-            misses: Snap::load(r)?,
-            installs: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(BtbStats {
+    lookups,
+    l0_hits,
+    l1_hits,
+    l2_hits,
+    misses,
+    installs
+});
+elf_types::snap_struct!(BtbConfig {
+    l0_entries,
+    l1_entries,
+    l1_ways,
+    l1_latency,
+    l2_entries,
+    l2_ways,
+    l2_latency,
+});
 
 #[cfg(test)]
 mod tests {

@@ -20,6 +20,8 @@ struct Way {
     last_use: u64,
 }
 
+elf_types::snap_struct!(Way { entry, last_use });
+
 impl BtbLevel {
     /// Creates a level with `entries` total entries organized as
     /// `entries / ways` sets (fully associative when `ways >= entries`).
@@ -119,54 +121,21 @@ impl BtbLevel {
         self.sets.len() * self.ways
     }
 
-    /// Serializes the level's content including per-way LRU stamps and the
-    /// exact in-set order (replacement uses `swap_remove`, so order affects
-    /// future evictions and must round-trip bit-exactly).
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        w.u64(self.sets.len() as u64);
-        for set in &self.sets {
-            w.u64(set.len() as u64);
-            for way in set {
-                way.entry.save(w);
-                way.last_use.save(w);
-            }
-        }
-        self.tick.save(w);
-    }
-
-    /// Restores content saved by [`BtbLevel::save_state`] into a level of
-    /// the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let nsets = r.u64("btb set count")? as usize;
-        if nsets != self.sets.len() {
-            return Err(SnapError::mismatch(format!(
-                "btb {} set count {nsets} != {}",
-                self.name,
-                self.sets.len()
-            )));
-        }
+    /// Saves or restores the level's content including per-way LRU stamps
+    /// and the exact in-set order (replacement uses `swap_remove`, so
+    /// order affects future evictions and must round-trip bit-exactly).
+    /// Loading requires a level of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes, another set count or a set
+    /// holding more ways than the level has.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.fixed_len(self.sets.len(), "btb set count")?;
         for set in &mut self.sets {
-            let n = r.u64("btb set size")? as usize;
-            if n > self.ways {
-                return Err(SnapError::mismatch(format!(
-                    "btb {} set holds {n} ways > {}",
-                    self.name, self.ways
-                )));
-            }
-            set.clear();
-            for _ in 0..n {
-                let entry: BtbEntry = Snap::load(r)?;
-                let last_use: u64 = Snap::load(r)?;
-                set.push(Way { entry, last_use });
-            }
+            io.bounded(set, self.ways, "btb set")?;
         }
-        self.tick = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.tick)
     }
 }
 

@@ -58,33 +58,17 @@ impl BoundInst {
     }
 }
 
-impl elf_types::Snap for BoundInst {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.fid.save(w);
-        self.sinst.save(w);
-        self.seq.save(w);
-        self.mode.save(w);
-        self.pred.save(w);
-        self.taken.save(w);
-        self.next_pc.save(w);
-        self.mem_addr.save(w);
-        self.mispredicted.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(BoundInst {
-            fid: Snap::load(r)?,
-            sinst: Snap::load(r)?,
-            seq: Snap::load(r)?,
-            mode: Snap::load(r)?,
-            pred: Snap::load(r)?,
-            taken: Snap::load(r)?,
-            next_pc: Snap::load(r)?,
-            mem_addr: Snap::load(r)?,
-            mispredicted: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(BoundInst {
+    fid,
+    sinst,
+    seq,
+    mode,
+    pred,
+    taken,
+    next_pc,
+    mem_addr,
+    mispredicted,
+});
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecState {
@@ -93,34 +77,11 @@ enum ExecState {
     Done,
 }
 
-impl elf_types::Snap for ExecState {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        match self {
-            ExecState::Waiting => w.u8(0),
-            ExecState::Executing { done } => {
-                w.u8(1);
-                done.save(w);
-            }
-            ExecState::Done => w.u8(2),
-        }
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(match r.u8("exec state tag")? {
-            0 => ExecState::Waiting,
-            1 => ExecState::Executing {
-                done: Snap::load(r)?,
-            },
-            2 => ExecState::Done,
-            tag => {
-                return Err(elf_types::SnapError::BadTag {
-                    what: "exec state tag",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
+elf_types::snap_enum!(ExecState {
+    0 => Waiting,
+    1 => Executing { done },
+    2 => Done,
+});
 
 #[derive(Debug, Clone)]
 struct RobEntry {
@@ -132,25 +93,13 @@ struct RobEntry {
     issued: bool,
 }
 
-impl elf_types::Snap for RobEntry {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.b.save(w);
-        self.state.save(w);
-        self.wait_store_fid.save(w);
-        self.deps_left.save(w);
-        self.issued.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(RobEntry {
-            b: Snap::load(r)?,
-            state: Snap::load(r)?,
-            wait_store_fid: Snap::load(r)?,
-            deps_left: Snap::load(r)?,
-            issued: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(RobEntry {
+    b,
+    state,
+    wait_store_fid,
+    deps_left,
+    issued
+});
 
 /// Why a pipeline flush was requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,28 +112,7 @@ pub enum FlushCause {
     Watchdog,
 }
 
-impl elf_types::Snap for FlushCause {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        w.u8(match self {
-            FlushCause::Mispredict => 0,
-            FlushCause::RawHazard => 1,
-            FlushCause::Watchdog => 2,
-        });
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        Ok(match r.u8("flush cause tag")? {
-            0 => FlushCause::Mispredict,
-            1 => FlushCause::RawHazard,
-            2 => FlushCause::Watchdog,
-            tag => {
-                return Err(elf_types::SnapError::BadTag {
-                    what: "flush cause tag",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
+elf_types::snap_enum!(FlushCause { 0 => Mispredict, 1 => RawHazard, 2 => Watchdog });
 
 #[derive(Debug, Clone, Copy)]
 struct PendingFlush {
@@ -196,27 +124,14 @@ struct PendingFlush {
     raw_pair: Option<(Addr, Addr)>, // (load_pc, store_pc)
 }
 
-impl elf_types::Snap for PendingFlush {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.cause.save(w);
-        self.boundary_fid.save(w);
-        self.restart_pc.save(w);
-        self.cursor_target.save(w);
-        self.apply_at.save(w);
-        self.raw_pair.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(PendingFlush {
-            cause: Snap::load(r)?,
-            boundary_fid: Snap::load(r)?,
-            restart_pc: Snap::load(r)?,
-            cursor_target: Snap::load(r)?,
-            apply_at: Snap::load(r)?,
-            raw_pair: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(PendingFlush {
+    cause,
+    boundary_fid,
+    restart_pc,
+    cursor_target,
+    apply_at,
+    raw_pair,
+});
 
 /// A flush that was just applied; the simulator forwards it to the
 /// front-end (and rewinds its path tracker).
@@ -269,31 +184,16 @@ pub struct BackendStats {
     pub forwards: u64,
 }
 
-impl elf_types::Snap for BackendStats {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.dispatched.save(w);
-        self.retired.save(w);
-        self.squashed.save(w);
-        self.mispredict_flushes.save(w);
-        self.raw_flushes.save(w);
-        self.watchdog_flushes.save(w);
-        self.rob_full_cycles.save(w);
-        self.forwards.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(BackendStats {
-            dispatched: Snap::load(r)?,
-            retired: Snap::load(r)?,
-            squashed: Snap::load(r)?,
-            mispredict_flushes: Snap::load(r)?,
-            raw_flushes: Snap::load(r)?,
-            watchdog_flushes: Snap::load(r)?,
-            rob_full_cycles: Snap::load(r)?,
-            forwards: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(BackendStats {
+    dispatched,
+    retired,
+    squashed,
+    mispredict_flushes,
+    raw_flushes,
+    watchdog_flushes,
+    rob_full_cycles,
+    forwards,
+});
 
 /// A reference to an in-flight instruction: its front-end id and its
 /// absolute ROB position (`rob_front_pos` + index at dispatch). Resolving
@@ -324,6 +224,32 @@ struct LsqEntry {
     qword: Addr,
     bound: bool,
 }
+
+/// The positional scheduler bookkeeping in its fid-keyed, canonical
+/// snapshot form: the rename map as fids, the resource counters, the
+/// ready set oldest-first, the wakeup network as a producer-sorted map
+/// holding only live dependents, and the completion events sorted (stale
+/// ones included — popping them is observable by the idle skipper).
+#[derive(Debug, Default)]
+struct FidKeyed {
+    reg_map: [Option<u64>; 32],
+    prf_used: usize,
+    lsq_used: usize,
+    iq_used: usize,
+    ready: Vec<u64>,
+    wakeup: Vec<(u64, Vec<u64>)>,
+    events: Vec<(Cycle, u64)>,
+}
+
+elf_types::snap_struct!(FidKeyed {
+    reg_map,
+    prf_used,
+    lsq_used,
+    iq_used,
+    ready,
+    wakeup,
+    events
+});
 
 /// What [`Backend::squash_younger`] removed, and the replay material of
 /// the survivors when asked for.
@@ -362,7 +288,7 @@ pub struct Backend {
     wakeup: Vec<Vec<Handle>>,
     /// Completion events, a min-heap on (done cycle, fid, pos). A fid
     /// issues at most once, so (done, fid) is unique and pop order is the
-    /// sorted order; `save_state` sorts the events when serializing.
+    /// sorted order; snapshots write the events sorted.
     exec_events: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
     /// In-flight loads and stores, each in program order: pushed at
     /// dispatch, popped at commit (front) or squash (back).
@@ -1202,33 +1128,55 @@ impl Backend {
         self.rob.len()
     }
 
-    /// Serializes the complete back-end state: ROB, dispatch queue, rename
-    /// map, resource counters, scheduler structures, memory-dependence
-    /// table, pending flush, statistics and the watchdog timer.
+    /// Saves or restores the complete back-end state: ROB, dispatch queue,
+    /// rename map, resource counters, scheduler structures,
+    /// memory-dependence table, pending flush, statistics and the watchdog
+    /// timer.
     ///
-    /// The layout is fid-keyed and canonical: positions are not written,
-    /// the ready set is written oldest-first, the wakeup network as a
-    /// producer-sorted map holding only live dependents, and the
-    /// completion events sorted (stale ones included — popping them is
-    /// observable by the idle skipper). The load/store queues are derived
-    /// from the ROB. The configuration is not written: restore requires a
-    /// back-end built from the same config.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.rob.save(w);
-        self.dispatch_q.save(w);
-        self.reg_map.map(|h| h.map(|h| h.fid)).save(w);
-        self.prf_used.save(w);
-        self.lsq_used().save(w);
-        self.iq_used.save(w);
+    /// The scheduler travels in a fid-keyed, canonical form: positions are
+    /// not written, the ready set is written oldest-first, the wakeup
+    /// network as a producer-sorted map holding only live dependents, and
+    /// the completion events sorted. Loading rebuilds the positional
+    /// handles, per-slot scheduler state and load/store queues from it. The configuration
+    /// is not written: loading requires a back-end built from the same
+    /// config.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or on a state the live back-end
+    /// can never reach: an ROB that does not fit this configuration or
+    /// whose fids are not strictly increasing, resource counters that
+    /// disagree with the ROB, ready or wakeup dependents that are not live
+    /// waiting entries, or wakeup producers that are not live unfinished
+    /// entries.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.bounded(&mut self.rob, self.cfg.rob_entries, "ROB")?;
+        io.value(&mut self.dispatch_q)?;
+        let mut keyed = if io.loading() {
+            FidKeyed::default()
+        } else {
+            self.fid_keyed()
+        };
+        io.value(&mut keyed)?;
+        self.memdep.state(io)?;
+        io.value(&mut self.pending)?;
+        io.value(&mut self.stats)?;
+        io.value(&mut self.head_stuck_since)?;
+        if io.loading() {
+            self.restore_fid_keyed(keyed)?;
+        }
+        Ok(())
+    }
+
+    /// The scheduler bookkeeping in snapshot form.
+    fn fid_keyed(&self) -> FidKeyed {
         let slot_at = |i: usize| self.slot(self.rob_front_pos + i as u64);
         let fid_at = |i: usize| self.rob[i].b.fid;
-        let ready: Vec<u64> = (0..self.rob.len())
+        let ready = (0..self.rob.len())
             .filter(|&i| self.is_ready(slot_at(i)))
             .map(fid_at)
             .collect();
-        ready.save(w);
-        let wakeup: Vec<(u64, Vec<u64>)> = (0..self.rob.len())
+        let wakeup = (0..self.rob.len())
             .filter_map(|i| {
                 let deps: Vec<u64> = self.wakeup[slot_at(i)]
                     .iter()
@@ -1238,62 +1186,41 @@ impl Backend {
                 (!deps.is_empty()).then(|| (fid_at(i), deps))
             })
             .collect();
-        wakeup.save(w);
         let mut events: Vec<(Cycle, u64)> = self
             .exec_events
             .iter()
             .map(|&Reverse((done, fid, _))| (done, fid))
             .collect();
         events.sort_unstable();
-        events.save(w);
-        self.memdep.save_state(w);
-        self.pending.save(w);
-        self.stats.save(w);
-        self.head_stuck_since.save(w);
+        FidKeyed {
+            reg_map: self.reg_map.map(|h| h.map(|h| h.fid)),
+            prf_used: self.prf_used,
+            lsq_used: self.lsq_used(),
+            iq_used: self.iq_used,
+            ready,
+            wakeup,
+            events,
+        }
     }
 
-    /// Restores state saved by [`Backend::save_state`] into a back-end
-    /// built from the same configuration, rebuilding the positional
-    /// handles, per-slot scheduler state and load/store queues.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`elf_types::SnapError`] on truncated bytes or on a state
-    /// the live back-end can never reach: an ROB that does not fit this
-    /// configuration or whose fids are not strictly increasing, resource
-    /// counters that disagree with the ROB, ready or wakeup dependents
-    /// that are not live waiting entries, or wakeup producers that are
-    /// not live unfinished entries.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let rob: VecDeque<RobEntry> = Snap::load(r)?;
-        if rob.len() > self.cfg.rob_entries {
-            return Err(SnapError::mismatch(format!(
-                "ROB holds {} entries > capacity {}",
-                rob.len(),
-                self.cfg.rob_entries
-            )));
-        }
-        if rob
+    /// Rebuilds the positional scheduler state around a just-loaded ROB,
+    /// rejecting bookkeeping the ROB does not imply.
+    fn restore_fid_keyed(&mut self, keyed: FidKeyed) -> Result<(), elf_types::SnapError> {
+        use elf_types::SnapError;
+        if self
+            .rob
             .iter()
-            .zip(rob.iter().skip(1))
+            .zip(self.rob.iter().skip(1))
             .any(|(a, b)| a.b.fid >= b.b.fid)
         {
             return Err(SnapError::mismatch("ROB fids are not strictly increasing"));
         }
         // Positions are not serialized: re-anchor them at the restored
         // ROB's current layout.
-        self.rob = rob;
         self.rob_front_pos = 0;
-        self.dispatch_q = Snap::load(r)?;
-        let reg_fids: [Option<u64>; 32] = Snap::load(r)?;
-        self.reg_map = reg_fids.map(|f| f.map(|f| self.handle_of(f)));
-        self.prf_used = Snap::load(r)?;
-        let lsq_used: usize = Snap::load(r)?;
-        self.iq_used = Snap::load(r)?;
+        self.reg_map = keyed.reg_map.map(|f| f.map(|f| self.handle_of(f)));
+        self.prf_used = keyed.prf_used;
+        self.iq_used = keyed.iq_used;
         let count = |pred: fn(&RobEntry) -> bool| self.rob.iter().filter(|e| pred(e)).count();
         let expected = [
             (
@@ -1301,7 +1228,11 @@ impl Backend {
                 self.prf_used,
                 count(|e| e.b.sinst.dst.is_some()),
             ),
-            ("lsq_used", lsq_used, count(|e| e.b.sinst.class.is_mem())),
+            (
+                "lsq_used",
+                keyed.lsq_used,
+                count(|e| e.b.sinst.class.is_mem()),
+            ),
             ("iq_used", self.iq_used, count(|e| !e.issued)),
         ];
         for (what, got, want) in expected {
@@ -1329,16 +1260,14 @@ impl Backend {
                 })
         };
         self.ready.fill(0);
-        let ready: Vec<u64> = Snap::load(r)?;
-        for fid in ready {
+        for fid in keyed.ready {
             let i = waiting(self, fid, "ready")?;
             self.set_ready(self.slot(i as u64));
         }
         for list in &mut self.wakeup {
             list.clear();
         }
-        let wakeup: Vec<(u64, Vec<u64>)> = Snap::load(r)?;
-        for (producer, deps) in wakeup {
+        for (producer, deps) in keyed.wakeup {
             let p = self
                 .rob_index(producer)
                 .filter(|&i| self.rob[i].state != ExecState::Done)
@@ -1353,15 +1282,11 @@ impl Backend {
                 self.wakeup[ps].push(Handle { fid, pos: d as u64 });
             }
         }
-        let events: Vec<(Cycle, u64)> = Snap::load(r)?;
-        self.exec_events = events
+        self.exec_events = keyed
+            .events
             .into_iter()
             .map(|(done, fid)| Reverse((done, fid, self.handle_of(fid).pos)))
             .collect();
-        self.memdep.load_state(r)?;
-        self.pending = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        self.head_stuck_since = Snap::load(r)?;
         Ok(())
     }
 
@@ -1780,17 +1705,19 @@ mod tests {
         for c in 0..4 {
             be.tick(&mut mem, c);
         }
-        let save = |be: &Backend| {
+        let save = |be: &mut Backend| {
             let mut w = elf_types::SnapWriter::new();
-            be.save_state(&mut w);
+            be.state(&mut w).expect("saving cannot fail");
             w.into_bytes()
         };
-        let load =
-            |bytes: &[u8]| Backend::new(cfg()).load_state(&mut elf_types::SnapReader::new(bytes));
-        assert!(load(&save(&be)).is_ok(), "a real state must load");
+        let load = |bytes: &[u8]| Backend::new(cfg()).state(&mut elf_types::SnapReader::new(bytes));
+        assert!(load(&save(&mut be)).is_ok(), "a real state must load");
         be.iq_used += 1;
         assert!(
-            matches!(load(&save(&be)), Err(elf_types::SnapError::Mismatch { .. })),
+            matches!(
+                load(&save(&mut be)),
+                Err(elf_types::SnapError::Mismatch { .. })
+            ),
             "an issue-queue count the ROB does not imply must be rejected"
         );
     }

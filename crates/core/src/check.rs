@@ -285,37 +285,17 @@ impl Checker {
         self.prev_mode = Some(mode);
     }
 
-    /// Serializes the checker's history (not any recorded violation — see
-    /// the type docs).
-    pub(crate) fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.last_fid.save(w);
-        match self.prev_mode {
-            None => w.u8(0),
-            Some(m) => {
-                w.u8(1);
-                w.u8(m);
-            }
-        }
-    }
-
-    /// Restores history saved by [`Checker::save_state`].
-    pub(crate) fn load_state(
+    /// Saves or restores the checker's history. A recorded violation is
+    /// not state (see the type docs): loading clears it.
+    pub(crate) fn state(
         &mut self,
-        r: &mut elf_types::SnapReader<'_>,
+        io: &mut impl elf_types::StateIo,
     ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        self.last_fid = Snap::load(r)?;
-        self.prev_mode = match r.u8("checker mode tag")? {
-            0 => None,
-            1 => Some(r.u8("checker mode")?),
-            t => {
-                return Err(elf_types::SnapError::mismatch(format!(
-                    "checker mode tag {t} is not 0 or 1"
-                )))
-            }
-        };
-        self.violation = None;
+        io.value(&mut self.last_fid)?;
+        io.value(&mut self.prev_mode)?;
+        if io.loading() {
+            self.violation = None;
+        }
         Ok(())
     }
 }
@@ -376,11 +356,11 @@ mod tests {
         c.observe_delivery(5, 42);
         c.observe_mode(5, 1, true);
         let mut w = elf_types::SnapWriter::new();
-        c.save_state(&mut w);
+        c.state(&mut w).expect("save succeeds");
         let bytes = w.into_bytes();
         let mut r = elf_types::SnapReader::new(&bytes);
         let mut c2 = Checker::new();
-        c2.load_state(&mut r).expect("load succeeds");
+        c2.state(&mut r).expect("load succeeds");
         assert_eq!(r.remaining(), 0);
         assert_eq!(c2.last_fid, 42);
         assert_eq!(c2.prev_mode, Some(1));

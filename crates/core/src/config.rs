@@ -49,6 +49,27 @@ pub struct BackendConfig {
     pub watchdog_cycles: u32,
 }
 
+elf_types::snap_struct!(BackendConfig {
+    rob_entries,
+    iq_entries,
+    lsq_entries,
+    prf_entries,
+    rename_width,
+    dispatch_q_entries,
+    issue_width,
+    commit_width,
+    alu_ports,
+    muldiv_ports,
+    ldst_ports,
+    simd_ports,
+    rename_latency,
+    redirect_latency,
+    mul_latency,
+    div_latency,
+    simd_latency,
+    watchdog_cycles,
+});
+
 impl BackendConfig {
     /// The Table II configuration. With the 5 front-end stages (BP1, BP2,
     /// FAQ, FE, DEC) this yields the paper's 11-cycle minimum BP1→EXE
@@ -135,6 +156,20 @@ pub struct SimConfig {
     /// simulated behaviour — only whether a latent bug aborts the run.
     pub check: bool,
 }
+
+elf_types::snap_struct!(SimConfig {
+    arch,
+    frontend,
+    mem,
+    backend,
+    progress_cap_base,
+    progress_cap_per_inst,
+    fault,
+    idle_skip,
+    recorder_events,
+    metrics,
+    check,
+});
 
 impl SimConfig {
     /// The Table II baseline with the given fetch architecture.

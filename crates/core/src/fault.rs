@@ -89,21 +89,12 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-impl elf_types::Snap for FaultKind {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        w.u8(self.index() as u8);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        let tag = r.u8("fault kind")?;
-        FaultKind::ALL
-            .into_iter()
-            .find(|k| k.index() == usize::from(tag))
-            .ok_or(elf_types::SnapError::BadTag {
-                what: "fault kind",
-                tag: u64::from(tag),
-            })
-    }
-}
+elf_types::snap_enum!(FaultKind {
+    0 => SpuriousFlush,
+    1 => CorruptBtb,
+    2 => EvictIcache,
+    3 => ForceMispredict,
+});
 
 /// A seeded, deterministic fault-injection schedule.
 ///
@@ -116,6 +107,11 @@ pub struct FaultPlan {
     /// Mean injections per 100k cycles, indexed by [`FaultKind::index`].
     pub rate_per_100k: [u32; 4],
 }
+
+elf_types::snap_struct!(FaultPlan {
+    seed,
+    rate_per_100k
+});
 
 impl FaultPlan {
     /// A plan injecting nothing.
@@ -238,28 +234,18 @@ impl FaultInjector {
         self.next_fire.iter().flatten().copied().min()
     }
 
-    /// Serializes the injector's random-stream position, per-kind
+    /// Saves or restores the injector's random-stream position, per-kind
     /// next-fire cycles and injection counts. The plan itself is part of
-    /// the simulator configuration and is not written here.
-    pub(crate) fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.rng.save(w);
-        self.next_fire.save(w);
-        self.counts.save(w);
-    }
-
-    /// Restores state saved by [`FaultInjector::save_state`] into an
-    /// injector built from the same plan, so the post-restore injection
-    /// schedule continues bit-identically.
-    pub(crate) fn load_state(
+    /// the simulator configuration and is not written; loading into an
+    /// injector built from the same plan continues the injection schedule
+    /// bit-identically.
+    pub(crate) fn state(
         &mut self,
-        r: &mut elf_types::SnapReader<'_>,
+        io: &mut impl elf_types::StateIo,
     ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        self.rng = Snap::load(r)?;
-        self.next_fire = Snap::load(r)?;
-        self.counts = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.rng)?;
+        io.value(&mut self.next_fire)?;
+        io.value(&mut self.counts)
     }
 }
 

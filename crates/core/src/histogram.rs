@@ -136,40 +136,17 @@ impl Histogram {
         self.overflow = 0;
     }
 
-    /// Serializes the bucket counts and accumulators.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.buckets.save(w);
-        self.total.save(w);
-        self.sum.save(w);
-        self.overflow.save(w);
-    }
-
-    /// Restores state saved by [`Histogram::save_state`] into a histogram
-    /// with the same bucket count.
+    /// Saves or restores the bucket counts and accumulators; loading
+    /// requires a histogram with the same bucket count.
     ///
     /// # Errors
     ///
-    /// Returns [`elf_types::SnapError`] on truncated bytes or a bucket-count
-    /// mismatch.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let buckets: Vec<u64> = Snap::load(r)?;
-        if buckets.len() != self.buckets.len() {
-            return Err(SnapError::mismatch(format!(
-                "histogram has {} buckets, snapshot carries {}",
-                self.buckets.len(),
-                buckets.len()
-            )));
-        }
-        self.buckets = buckets;
-        self.total = Snap::load(r)?;
-        self.sum = Snap::load(r)?;
-        self.overflow = Snap::load(r)?;
-        Ok(())
+    /// Loading fails on truncated bytes or a bucket-count mismatch.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.buckets, "histogram buckets")?;
+        io.value(&mut self.total)?;
+        io.value(&mut self.sum)?;
+        io.value(&mut self.overflow)
     }
 }
 

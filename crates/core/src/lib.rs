@@ -33,7 +33,6 @@ pub mod recorder;
 pub mod sim;
 pub mod snapshot;
 pub mod stats;
-pub mod throughput;
 
 pub use check::{commit_stream, differential_check, functional_stream, CommitRecord};
 pub use config::{BackendConfig, SimConfig};
@@ -48,4 +47,3 @@ pub use recorder::{FlightRecorder, PipelineEvent, TimedEvent};
 pub use sim::Simulator;
 pub use snapshot::Snapshot;
 pub use stats::SimStats;
-pub use throughput::ThroughputSample;

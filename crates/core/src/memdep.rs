@@ -13,6 +13,12 @@ struct Entry {
     valid: bool,
 }
 
+elf_types::snap_struct!(Entry {
+    load_pc,
+    store_pc,
+    valid
+});
+
 /// The violating-pair table. Direct-mapped on the load PC.
 #[derive(Debug, Clone)]
 pub struct MemDepTable {
@@ -76,46 +82,16 @@ impl MemDepTable {
         (self.trainings, self.hits)
     }
 
-    /// Serializes the violating-pair table and its counters.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        (self.entries.len() as u64).save(w);
-        for e in &self.entries {
-            e.load_pc.save(w);
-            e.store_pc.save(w);
-            e.valid.save(w);
-        }
-        self.trainings.save(w);
-        self.hits.save(w);
-    }
-
-    /// Restores state saved by [`MemDepTable::save_state`] into a table of
-    /// the same geometry.
+    /// Saves or restores the violating-pair table and its counters;
+    /// loading requires a table of the same geometry.
     ///
     /// # Errors
     ///
-    /// Returns [`elf_types::SnapError`] on truncated bytes or a table-size
-    /// mismatch.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let n = r.u64("memdep entry count")?;
-        if n as usize != self.entries.len() {
-            return Err(SnapError::mismatch(format!(
-                "memdep table has {} entries, snapshot carries {n}",
-                self.entries.len()
-            )));
-        }
-        for e in &mut self.entries {
-            e.load_pc = Snap::load(r)?;
-            e.store_pc = Snap::load(r)?;
-            e.valid = Snap::load(r)?;
-        }
-        self.trainings = Snap::load(r)?;
-        self.hits = Snap::load(r)?;
-        Ok(())
+    /// Loading fails on truncated bytes or a table-size mismatch.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.entries, "memdep table")?;
+        io.value(&mut self.trainings)?;
+        io.value(&mut self.hits)
     }
 }
 

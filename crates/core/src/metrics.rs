@@ -186,47 +186,22 @@ impl Metrics {
         self.flush_depth.merge(&other.flush_depth);
     }
 
-    /// Serializes the full registry (accumulators plus the in-progress
-    /// period markers, so a restored run continues bit-identically).
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        for b in &self.fetch_cycles {
-            b.save(w);
-        }
-        for b in &self.mode_cycles {
-            b.save(w);
-        }
-        self.faq_occupancy.save_state(w);
-        self.resync_latency.save_state(w);
-        self.flush_recovery_latency.save_state(w);
-        self.flush_depth.save_state(w);
-        self.coupled_since.save(w);
-        self.flush_since.save(w);
-    }
-
-    /// Restores state saved by [`Metrics::save_state`].
+    /// Saves or restores the full registry (accumulators plus the
+    /// in-progress period markers, so a restored run continues
+    /// bit-identically).
     ///
     /// # Errors
     ///
-    /// Returns [`elf_types::SnapError`] on truncated or mismatched bytes.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        for b in &mut self.fetch_cycles {
-            *b = Snap::load(r)?;
-        }
-        for b in &mut self.mode_cycles {
-            *b = Snap::load(r)?;
-        }
-        self.faq_occupancy.load_state(r)?;
-        self.resync_latency.load_state(r)?;
-        self.flush_recovery_latency.load_state(r)?;
-        self.flush_depth.load_state(r)?;
-        self.coupled_since = Snap::load(r)?;
-        self.flush_since = Snap::load(r)?;
-        Ok(())
+    /// Loading fails on truncated or mismatched bytes.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.value(&mut self.fetch_cycles)?;
+        io.value(&mut self.mode_cycles)?;
+        self.faq_occupancy.state(io)?;
+        self.resync_latency.state(io)?;
+        self.flush_recovery_latency.state(io)?;
+        self.flush_depth.state(io)?;
+        io.value(&mut self.coupled_since)?;
+        io.value(&mut self.flush_since)
     }
 }
 
@@ -495,11 +470,11 @@ mod tests {
         m.note_coupled(true, 3);
         m.note_flush(7, 2);
         let mut w = elf_types::SnapWriter::new();
-        m.save_state(&mut w);
+        m.state(&mut w).expect("save succeeds");
         let bytes = w.into_bytes();
         let mut r = elf_types::SnapReader::new(&bytes);
         let mut m2 = Metrics::new();
-        m2.load_state(&mut r).expect("metrics round-trip");
+        m2.state(&mut r).expect("metrics round-trip");
         assert_eq!(r.remaining(), 0);
         assert_eq!(m, m2);
     }

@@ -86,78 +86,15 @@ impl std::fmt::Display for PipelineEvent {
     }
 }
 
-impl elf_types::Snap for PipelineEvent {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        match self {
-            PipelineEvent::Flush { cause, restart_pc } => {
-                w.u8(0);
-                cause.save(w);
-                restart_pc.save(w);
-            }
-            PipelineEvent::DivergenceSquash { fid } => {
-                w.u8(1);
-                fid.save(w);
-            }
-            PipelineEvent::WatchdogResync { restart_pc, cursor } => {
-                w.u8(2);
-                restart_pc.save(w);
-                cursor.save(w);
-            }
-            PipelineEvent::ModeSwitch { coupled } => {
-                w.u8(3);
-                coupled.save(w);
-            }
-            PipelineEvent::FaqEdge { empty } => {
-                w.u8(4);
-                empty.save(w);
-            }
-            PipelineEvent::WrongPath { got, want } => {
-                w.u8(5);
-                got.save(w);
-                want.save(w);
-            }
-            PipelineEvent::FaultInjected { kind } => {
-                w.u8(6);
-                kind.save(w);
-            }
-        }
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(match r.u8("pipeline event tag")? {
-            0 => PipelineEvent::Flush {
-                cause: Snap::load(r)?,
-                restart_pc: Snap::load(r)?,
-            },
-            1 => PipelineEvent::DivergenceSquash {
-                fid: Snap::load(r)?,
-            },
-            2 => PipelineEvent::WatchdogResync {
-                restart_pc: Snap::load(r)?,
-                cursor: Snap::load(r)?,
-            },
-            3 => PipelineEvent::ModeSwitch {
-                coupled: Snap::load(r)?,
-            },
-            4 => PipelineEvent::FaqEdge {
-                empty: Snap::load(r)?,
-            },
-            5 => PipelineEvent::WrongPath {
-                got: Snap::load(r)?,
-                want: Snap::load(r)?,
-            },
-            6 => PipelineEvent::FaultInjected {
-                kind: Snap::load(r)?,
-            },
-            tag => {
-                return Err(elf_types::SnapError::BadTag {
-                    what: "pipeline event tag",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
-}
+elf_types::snap_enum!(PipelineEvent {
+    0 => Flush { cause, restart_pc },
+    1 => DivergenceSquash { fid },
+    2 => WatchdogResync { restart_pc, cursor },
+    3 => ModeSwitch { coupled },
+    4 => FaqEdge { empty },
+    5 => WrongPath { got, want },
+    6 => FaultInjected { kind },
+});
 
 /// A [`PipelineEvent`] stamped with the cycle it happened on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,19 +111,7 @@ impl std::fmt::Display for TimedEvent {
     }
 }
 
-impl elf_types::Snap for TimedEvent {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.cycle.save(w);
-        self.event.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(TimedEvent {
-            cycle: Snap::load(r)?,
-            event: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(TimedEvent { cycle, event });
 
 /// Fixed-capacity ring buffer of the most recent pipeline events.
 #[derive(Debug, Clone)]
@@ -263,36 +188,16 @@ impl FlightRecorder {
         self.total.saturating_sub(self.buf.len() as u64)
     }
 
-    /// Serializes the retained tail and the total-recorded count.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.buf.save(w);
-        self.total.save(w);
-    }
-
-    /// Restores state saved by [`FlightRecorder::save_state`] into a
-    /// recorder of the same capacity.
+    /// Saves or restores the retained tail and the total-recorded count;
+    /// loading requires a recorder of the same capacity.
     ///
     /// # Errors
     ///
-    /// Returns [`elf_types::SnapError`] on truncated bytes or a tail longer
-    /// than this recorder's capacity.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let buf: std::collections::VecDeque<TimedEvent> = Snap::load(r)?;
-        if buf.len() > self.capacity {
-            return Err(SnapError::mismatch(format!(
-                "flight recorder holds {} events > capacity {}",
-                buf.len(),
-                self.capacity
-            )));
-        }
-        self.buf = buf;
-        self.total = Snap::load(r)?;
-        Ok(())
+    /// Loading fails on truncated bytes or a tail longer than this
+    /// recorder's capacity.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.bounded(&mut self.buf, self.capacity, "flight recorder")?;
+        io.value(&mut self.total)
     }
 }
 

@@ -462,10 +462,13 @@ impl Simulator {
     /// [`crate::snapshot::Snapshot`] (configuration + program + every
     /// dynamic structure). Restoring it — in this process or another —
     /// and running yields a bit-identical continuation of this run.
+    ///
+    /// Saving walks the same `state` visitor that restoring does, hence
+    /// `&mut self`; it does not change the simulator.
     #[must_use]
-    pub fn checkpoint(&self) -> crate::snapshot::Snapshot {
+    pub fn checkpoint(&mut self) -> crate::snapshot::Snapshot {
         let mut w = elf_types::SnapWriter::new();
-        self.save_state(&mut w);
+        self.state(&mut w).expect("saving state cannot fail");
         crate::snapshot::Snapshot {
             version: crate::snapshot::SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
@@ -487,11 +490,11 @@ impl Simulator {
     /// [`SimError::Snapshot`] if the state bytes are truncated, corrupt or
     /// disagree with the configuration's geometry.
     pub fn restore(snap: &crate::snapshot::Snapshot) -> Result<Self, SimError> {
-        // The oracle seed is irrelevant: load_state overwrites the RNG
+        // The oracle seed is irrelevant: loading overwrites the RNG
         // position with the checkpointed one.
         let mut sim = Simulator::try_from_program(snap.cfg.clone(), Arc::clone(&snap.prog), 0)?;
         let mut r = elf_types::SnapReader::new(&snap.state);
-        sim.load_state(&mut r).map_err(|e| SimError::Snapshot {
+        sim.state(&mut r).map_err(|e| SimError::Snapshot {
             reason: e.to_string(),
         })?;
         if r.remaining() != 0 {
@@ -502,129 +505,54 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Serializes every dynamic structure: oracle, front-end (predictors,
-    /// BTBs, FAQ, divergence tracker), back-end, memory system, path
-    /// tracker, fault injector, flight recorder, statistic counters,
-    /// histograms and the invariant checker's history. Environment-derived
-    /// tracing flags, the diagnostics-only `recent` ring and the
-    /// differential harness's commit log are not state and are skipped.
-    fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.oracle.save_state(w);
-        self.fe.save_state(w);
-        self.be.save_state(w);
-        self.mem.save_state(w);
-        self.cycle.save(w);
-        self.cursor.save(w);
-        self.wrong_path.save(w);
-        self.retired_seq.save(w);
-        self.last_progress.save(w);
-        self.recorder.save_state(w);
-        match &self.injector {
-            None => w.u8(0),
-            Some(inj) => {
-                w.u8(1);
-                inj.save_state(w);
-            }
+    /// Saves or restores every dynamic structure: oracle, front-end
+    /// (predictors, BTBs, FAQ, divergence tracker), back-end, memory
+    /// system, path tracker, fault injector, flight recorder, statistic
+    /// counters, histograms and the invariant checker's history. Loading
+    /// requires a simulator built from the same configuration and
+    /// program. Environment-derived tracing flags, the diagnostics-only
+    /// `recent` ring and the differential harness's commit log are not
+    /// state and are skipped (loading clears `recent`).
+    fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        self.oracle.state(io)?;
+        self.fe.state(io)?;
+        self.be.state(io)?;
+        self.mem.state(io)?;
+        io.value(&mut self.cycle)?;
+        io.value(&mut self.cursor)?;
+        io.value(&mut self.wrong_path)?;
+        io.value(&mut self.retired_seq)?;
+        io.value(&mut self.last_progress)?;
+        self.recorder.state(io)?;
+        io.present(self.injector.is_some(), "fault injector")?;
+        if let Some(inj) = &mut self.injector {
+            inj.state(io)?;
         }
-        self.force_misp_pending.save(w);
-        self.prev_coupled.save(w);
-        self.prev_faq_empty.save(w);
-        self.retired.save(w);
-        self.cond_branches.save(w);
-        self.cond_mispredicts.save(w);
-        self.branches.save(w);
-        self.taken_branches.save(w);
-        self.returns.save(w);
-        self.indirect_mispredicts.save(w);
-        self.stat_cycle_base.save(w);
-        self.rob_occupancy.save_state(w);
-        self.delivery_rate.save_state(w);
-        self.skipped_cycles.save(w);
-        match &self.metrics {
-            None => w.u8(0),
-            Some(m) => {
-                w.u8(1);
-                m.save_state(w);
-            }
+        io.value(&mut self.force_misp_pending)?;
+        io.value(&mut self.prev_coupled)?;
+        io.value(&mut self.prev_faq_empty)?;
+        io.value(&mut self.retired)?;
+        io.value(&mut self.cond_branches)?;
+        io.value(&mut self.cond_mispredicts)?;
+        io.value(&mut self.branches)?;
+        io.value(&mut self.taken_branches)?;
+        io.value(&mut self.returns)?;
+        io.value(&mut self.indirect_mispredicts)?;
+        io.value(&mut self.stat_cycle_base)?;
+        self.rob_occupancy.state(io)?;
+        self.delivery_rate.state(io)?;
+        io.value(&mut self.skipped_cycles)?;
+        io.present(self.metrics.is_some(), "metrics")?;
+        if let Some(m) = &mut self.metrics {
+            m.state(io)?;
         }
-        match &self.checker {
-            None => w.u8(0),
-            Some(c) => {
-                w.u8(1);
-                c.save_state(w);
-            }
+        io.present(self.checker.is_some(), "checker")?;
+        if let Some(c) = &mut self.checker {
+            c.state(io)?;
         }
-    }
-
-    /// Restores state saved by `save_state` into a simulator built from
-    /// the same configuration and program.
-    fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        self.oracle.load_state(r)?;
-        self.fe.load_state(r)?;
-        self.be.load_state(r)?;
-        self.mem.load_state(r)?;
-        self.cycle = Snap::load(r)?;
-        self.cursor = Snap::load(r)?;
-        self.wrong_path = Snap::load(r)?;
-        self.retired_seq = Snap::load(r)?;
-        self.last_progress = Snap::load(r)?;
-        self.recorder.load_state(r)?;
-        let inj_tag = r.u8("fault injector tag")?;
-        match (&mut self.injector, inj_tag) {
-            (None, 0) => {}
-            (Some(inj), 1) => inj.load_state(r)?,
-            (inj, tag) => {
-                return Err(SnapError::mismatch(format!(
-                    "snapshot fault-injector presence (tag {tag}) does not match the \
-                     configuration (injector {})",
-                    if inj.is_some() { "present" } else { "absent" }
-                )))
-            }
+        if io.loading() {
+            self.recent.clear();
         }
-        self.force_misp_pending = Snap::load(r)?;
-        self.prev_coupled = Snap::load(r)?;
-        self.prev_faq_empty = Snap::load(r)?;
-        self.retired = Snap::load(r)?;
-        self.cond_branches = Snap::load(r)?;
-        self.cond_mispredicts = Snap::load(r)?;
-        self.branches = Snap::load(r)?;
-        self.taken_branches = Snap::load(r)?;
-        self.returns = Snap::load(r)?;
-        self.indirect_mispredicts = Snap::load(r)?;
-        self.stat_cycle_base = Snap::load(r)?;
-        self.rob_occupancy.load_state(r)?;
-        self.delivery_rate.load_state(r)?;
-        self.skipped_cycles = Snap::load(r)?;
-        let m_tag = r.u8("metrics tag")?;
-        match (&mut self.metrics, m_tag) {
-            (None, 0) => {}
-            (Some(m), 1) => m.load_state(r)?,
-            (m, tag) => {
-                return Err(SnapError::mismatch(format!(
-                    "snapshot metrics presence (tag {tag}) does not match the \
-                     configuration (metrics {})",
-                    if m.is_some() { "on" } else { "off" }
-                )))
-            }
-        }
-        let c_tag = r.u8("checker tag")?;
-        match (&mut self.checker, c_tag) {
-            (None, 0) => {}
-            (Some(c), 1) => c.load_state(r)?,
-            (c, tag) => {
-                return Err(SnapError::mismatch(format!(
-                    "snapshot checker presence (tag {tag}) does not match the \
-                     configuration (check {})",
-                    if c.is_some() { "on" } else { "off" }
-                )))
-            }
-        }
-        self.recent.clear();
         Ok(())
     }
 

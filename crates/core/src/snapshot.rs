@@ -3,10 +3,12 @@
 //! A [`Snapshot`] captures everything a [`crate::sim::Simulator`] needs to
 //! resume bit-identically in a fresh process: the complete [`SimConfig`]
 //! (so the restored machine has the same geometry), the synthesized
-//! [`Program`] image, and an opaque state section written by
-//! `Simulator::save_state` (oracle cursor and RNG, every predictor table,
-//! BTB hierarchy, caches, back-end, statistics, fault-injector position,
-//! flight-recorder tail).
+//! [`Program`] image, and an opaque state section written by the
+//! simulator's single `state` visitor (oracle cursor and RNG, every
+//! predictor table, BTB hierarchy, caches, back-end, statistics,
+//! fault-injector position, flight-recorder tail). The same visitor reads
+//! the section back ([`elf_types::StateIo`]), so the layout is written
+//! once.
 //!
 //! The byte layout is the hand-rolled [`elf_types::snap`] format behind an
 //! 8-byte magic and a `u32` version. Bump [`SNAPSHOT_VERSION`] on *any*
@@ -26,13 +28,8 @@
 //! assert_eq!(resumed.cycle(), sim.cycle());
 //! ```
 
-use crate::config::{BackendConfig, SimConfig};
+use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::fault::FaultPlan;
-use elf_btb::BtbConfig;
-use elf_frontend::{CoupledCondKind, ElfVariant, FetchArch, FrontendConfig};
-use elf_mem::{CacheConfig, MemConfig};
-use elf_predictors::tage::TageConfig;
 use elf_trace::Program;
 use elf_types::{Snap, SnapError, SnapReader, SnapWriter};
 use std::path::Path;
@@ -61,7 +58,8 @@ pub struct Snapshot {
     /// Instructions retired since the last stats reset at checkpoint time
     /// (informational; also inside `state`).
     pub retired: u64,
-    /// Opaque dynamic-state section (`Simulator::save_state` layout).
+    /// Opaque dynamic-state section (the layout of the simulator's `state`
+    /// visitor).
     pub state: Vec<u8>,
 }
 
@@ -72,8 +70,8 @@ impl Snapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.raw(&SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        save_sim_config(&self.cfg, &mut w);
+        SNAPSHOT_VERSION.save(&mut w);
+        self.cfg.save(&mut w);
         self.prog.save(&mut w);
         self.cycle.save(&mut w);
         self.retired.save(&mut w);
@@ -103,13 +101,13 @@ impl Snapshot {
                 "bad magic {magic:02x?} (not an ELF-sim snapshot)"
             )));
         }
-        let version = r.u32("snapshot version")?;
+        let version = u32::load(r)?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapError::mismatch(format!(
                 "snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
             )));
         }
-        let cfg = load_sim_config(r)?;
+        let cfg = SimConfig::load(r)?;
         let prog = Arc::new(Program::load(r)?);
         let cycle = Snap::load(r)?;
         let retired = Snap::load(r)?;
@@ -165,318 +163,18 @@ impl Snapshot {
     }
 }
 
-// --- configuration serialization -------------------------------------------
-//
-// Every config struct is plain public data, so the layout lives here in one
-// place instead of scattering `Snap` impls across the component crates.
-
-fn save_cache_config(c: &CacheConfig, w: &mut SnapWriter) {
-    c.name.to_owned().save(w);
-    c.size_bytes.save(w);
-    c.ways.save(w);
-    c.line_bytes.save(w);
-    c.latency.save(w);
-}
-
-/// Maps a deserialized cache name back to a `&'static str`. The five
-/// canonical names cover every snapshot the simulator itself writes;
-/// exotic hand-built configs fall back to a one-time leak.
-fn intern_cache_name(name: String) -> &'static str {
-    for known in ["L0I", "L1I", "L1D", "L2", "L3"] {
-        if name == known {
-            return known;
-        }
-    }
-    Box::leak(name.into_boxed_str())
-}
-
-fn load_cache_config(r: &mut SnapReader<'_>) -> Result<CacheConfig, SnapError> {
-    Ok(CacheConfig {
-        name: intern_cache_name(Snap::load(r)?),
-        size_bytes: Snap::load(r)?,
-        ways: Snap::load(r)?,
-        line_bytes: Snap::load(r)?,
-        latency: Snap::load(r)?,
-    })
-}
-
-fn save_mem_config(c: &MemConfig, w: &mut SnapWriter) {
-    save_cache_config(&c.l0i, w);
-    save_cache_config(&c.l1i, w);
-    save_cache_config(&c.l1d, w);
-    save_cache_config(&c.l2, w);
-    save_cache_config(&c.l3, w);
-    c.dram_latency.save(w);
-    c.ipf_max_inflight.save(w);
-}
-
-fn load_mem_config(r: &mut SnapReader<'_>) -> Result<MemConfig, SnapError> {
-    Ok(MemConfig {
-        l0i: load_cache_config(r)?,
-        l1i: load_cache_config(r)?,
-        l1d: load_cache_config(r)?,
-        l2: load_cache_config(r)?,
-        l3: load_cache_config(r)?,
-        dram_latency: Snap::load(r)?,
-        ipf_max_inflight: Snap::load(r)?,
-    })
-}
-
-fn save_btb_config(c: &BtbConfig, w: &mut SnapWriter) {
-    c.l0_entries.save(w);
-    c.l1_entries.save(w);
-    c.l1_ways.save(w);
-    c.l1_latency.save(w);
-    c.l2_entries.save(w);
-    c.l2_ways.save(w);
-    c.l2_latency.save(w);
-}
-
-fn load_btb_config(r: &mut SnapReader<'_>) -> Result<BtbConfig, SnapError> {
-    Ok(BtbConfig {
-        l0_entries: Snap::load(r)?,
-        l1_entries: Snap::load(r)?,
-        l1_ways: Snap::load(r)?,
-        l1_latency: Snap::load(r)?,
-        l2_entries: Snap::load(r)?,
-        l2_ways: Snap::load(r)?,
-        l2_latency: Snap::load(r)?,
-    })
-}
-
-fn save_tage_config(c: &TageConfig, w: &mut SnapWriter) {
-    c.table_bits.save(w);
-    c.tag_bits.save(w);
-    c.hist_lens.save(w);
-    c.base_bits.save(w);
-    c.u_reset_period.save(w);
-}
-
-fn load_tage_config(r: &mut SnapReader<'_>) -> Result<TageConfig, SnapError> {
-    Ok(TageConfig {
-        table_bits: Snap::load(r)?,
-        tag_bits: Snap::load(r)?,
-        hist_lens: Snap::load(r)?,
-        base_bits: Snap::load(r)?,
-        u_reset_period: Snap::load(r)?,
-    })
-}
-
-fn save_fetch_arch(a: FetchArch, w: &mut SnapWriter) {
-    match a {
-        FetchArch::NoDcf => w.u8(0),
-        FetchArch::Dcf => w.u8(1),
-        FetchArch::Elf(v) => {
-            w.u8(2);
-            let idx = ElfVariant::ALL
-                .iter()
-                .position(|x| *x == v)
-                .expect("ALL covers every variant");
-            w.u8(idx as u8);
-        }
-    }
-}
-
-fn load_fetch_arch(r: &mut SnapReader<'_>) -> Result<FetchArch, SnapError> {
-    Ok(match r.u8("fetch arch tag")? {
-        0 => FetchArch::NoDcf,
-        1 => FetchArch::Dcf,
-        2 => {
-            let idx = r.u8("ELF variant tag")?;
-            let v = ElfVariant::ALL
-                .get(usize::from(idx))
-                .copied()
-                .ok_or(SnapError::BadTag {
-                    what: "ELF variant tag",
-                    tag: u64::from(idx),
-                })?;
-            FetchArch::Elf(v)
-        }
-        tag => {
-            return Err(SnapError::BadTag {
-                what: "fetch arch tag",
-                tag: u64::from(tag),
-            })
-        }
-    })
-}
-
-fn save_frontend_config(c: &FrontendConfig, w: &mut SnapWriter) {
-    c.fetch_width.save(w);
-    c.faq_entries.save(w);
-    c.bp_to_faq_delay.save(w);
-    c.decode_latency.save(w);
-    c.ittage_bubbles.save(w);
-    save_btb_config(&c.btb, w);
-    save_tage_config(&c.tage, w);
-    c.ras_entries.save(w);
-    c.cpl_bimodal_entries.save(w);
-    c.cpl_bimodal_bits.save(w);
-    c.cpl_btc_entries.save(w);
-    c.cpl_ras_entries.save(w);
-    c.cond_requires_saturation.save(w);
-    match c.cpl_cond_kind {
-        CoupledCondKind::Bimodal => w.u8(0),
-        CoupledCondKind::Gshare { hist_bits } => {
-            w.u8(1);
-            hist_bits.save(w);
-        }
-    }
-    c.bitvec_entries.save(w);
-    c.target_queue_entries.save(w);
-    c.max_inflight_groups.save(w);
-    c.ifetch_prefetch.save(w);
-    c.btb_miss_probe.save(w);
-}
-
-fn load_frontend_config(r: &mut SnapReader<'_>) -> Result<FrontendConfig, SnapError> {
-    Ok(FrontendConfig {
-        fetch_width: Snap::load(r)?,
-        faq_entries: Snap::load(r)?,
-        bp_to_faq_delay: Snap::load(r)?,
-        decode_latency: Snap::load(r)?,
-        ittage_bubbles: Snap::load(r)?,
-        btb: load_btb_config(r)?,
-        tage: load_tage_config(r)?,
-        ras_entries: Snap::load(r)?,
-        cpl_bimodal_entries: Snap::load(r)?,
-        cpl_bimodal_bits: Snap::load(r)?,
-        cpl_btc_entries: Snap::load(r)?,
-        cpl_ras_entries: Snap::load(r)?,
-        cond_requires_saturation: Snap::load(r)?,
-        cpl_cond_kind: match r.u8("coupled cond kind tag")? {
-            0 => CoupledCondKind::Bimodal,
-            1 => CoupledCondKind::Gshare {
-                hist_bits: Snap::load(r)?,
-            },
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "coupled cond kind tag",
-                    tag: u64::from(tag),
-                })
-            }
-        },
-        bitvec_entries: Snap::load(r)?,
-        target_queue_entries: Snap::load(r)?,
-        max_inflight_groups: Snap::load(r)?,
-        ifetch_prefetch: Snap::load(r)?,
-        btb_miss_probe: Snap::load(r)?,
-    })
-}
-
-fn save_backend_config(c: &BackendConfig, w: &mut SnapWriter) {
-    c.rob_entries.save(w);
-    c.iq_entries.save(w);
-    c.lsq_entries.save(w);
-    c.prf_entries.save(w);
-    c.rename_width.save(w);
-    c.dispatch_q_entries.save(w);
-    c.issue_width.save(w);
-    c.commit_width.save(w);
-    c.alu_ports.save(w);
-    c.muldiv_ports.save(w);
-    c.ldst_ports.save(w);
-    c.simd_ports.save(w);
-    c.rename_latency.save(w);
-    c.redirect_latency.save(w);
-    c.mul_latency.save(w);
-    c.div_latency.save(w);
-    c.simd_latency.save(w);
-    c.watchdog_cycles.save(w);
-}
-
-fn load_backend_config(r: &mut SnapReader<'_>) -> Result<BackendConfig, SnapError> {
-    Ok(BackendConfig {
-        rob_entries: Snap::load(r)?,
-        iq_entries: Snap::load(r)?,
-        lsq_entries: Snap::load(r)?,
-        prf_entries: Snap::load(r)?,
-        rename_width: Snap::load(r)?,
-        dispatch_q_entries: Snap::load(r)?,
-        issue_width: Snap::load(r)?,
-        commit_width: Snap::load(r)?,
-        alu_ports: Snap::load(r)?,
-        muldiv_ports: Snap::load(r)?,
-        ldst_ports: Snap::load(r)?,
-        simd_ports: Snap::load(r)?,
-        rename_latency: Snap::load(r)?,
-        redirect_latency: Snap::load(r)?,
-        mul_latency: Snap::load(r)?,
-        div_latency: Snap::load(r)?,
-        simd_latency: Snap::load(r)?,
-        watchdog_cycles: Snap::load(r)?,
-    })
-}
-
-fn save_fault_plan(p: &FaultPlan, w: &mut SnapWriter) {
-    p.seed.save(w);
-    p.rate_per_100k.save(w);
-}
-
-fn load_fault_plan(r: &mut SnapReader<'_>) -> Result<FaultPlan, SnapError> {
-    Ok(FaultPlan {
-        seed: Snap::load(r)?,
-        rate_per_100k: Snap::load(r)?,
-    })
-}
-
-pub(crate) fn save_sim_config(c: &SimConfig, w: &mut SnapWriter) {
-    save_fetch_arch(c.arch, w);
-    save_frontend_config(&c.frontend, w);
-    save_mem_config(&c.mem, w);
-    save_backend_config(&c.backend, w);
-    c.progress_cap_base.save(w);
-    c.progress_cap_per_inst.save(w);
-    match &c.fault {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            save_fault_plan(p, w);
-        }
-    }
-    c.idle_skip.save(w);
-    c.recorder_events.save(w);
-    c.metrics.save(w);
-    c.check.save(w);
-}
-
-pub(crate) fn load_sim_config(r: &mut SnapReader<'_>) -> Result<SimConfig, SnapError> {
-    Ok(SimConfig {
-        arch: load_fetch_arch(r)?,
-        frontend: load_frontend_config(r)?,
-        mem: load_mem_config(r)?,
-        backend: load_backend_config(r)?,
-        progress_cap_base: Snap::load(r)?,
-        progress_cap_per_inst: Snap::load(r)?,
-        fault: match r.u8("fault plan tag")? {
-            0 => None,
-            1 => Some(load_fault_plan(r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "fault plan tag",
-                    tag: u64::from(tag),
-                })
-            }
-        },
-        idle_skip: Snap::load(r)?,
-        recorder_events: Snap::load(r)?,
-        metrics: Snap::load(r)?,
-        check: Snap::load(r)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
-    use elf_frontend::ElfVariant;
+    use crate::fault::{FaultKind, FaultPlan};
+    use elf_frontend::{CoupledCondKind, ElfVariant, FetchArch};
 
     fn roundtrip_cfg(cfg: &SimConfig) -> SimConfig {
         let mut w = SnapWriter::new();
-        save_sim_config(cfg, &mut w);
+        cfg.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let out = load_sim_config(&mut r).expect("config round-trips");
+        let out = SimConfig::load(&mut r).expect("config round-trips");
         assert_eq!(r.remaining(), 0, "config bytes fully consumed");
         out
     }

@@ -155,6 +155,31 @@ pub struct FrontendConfig {
     pub btb_miss_probe: bool,
 }
 
+elf_types::snap_enum!(ElfVariant { 0 => L, 1 => Ret, 2 => Ind, 3 => Cond, 4 => U });
+elf_types::snap_enum!(CoupledCondKind { 0 => Bimodal, 1 => Gshare { hist_bits } });
+elf_types::snap_enum!(FetchArch { 0 => NoDcf, 1 => Dcf, 2 => Elf(variant) });
+elf_types::snap_struct!(FrontendConfig {
+    fetch_width,
+    faq_entries,
+    bp_to_faq_delay,
+    decode_latency,
+    ittage_bubbles,
+    btb,
+    tage,
+    ras_entries,
+    cpl_bimodal_entries,
+    cpl_bimodal_bits,
+    cpl_btc_entries,
+    cpl_ras_entries,
+    cond_requires_saturation,
+    cpl_cond_kind,
+    bitvec_entries,
+    target_queue_entries,
+    max_inflight_groups,
+    ifetch_prefetch,
+    btb_miss_probe,
+});
+
 impl FrontendConfig {
     /// The Table II baseline configuration.
     #[must_use]

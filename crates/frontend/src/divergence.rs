@@ -279,92 +279,39 @@ impl DivergenceTracker {
         None
     }
 
-    /// Serializes both bitvectors, both target queues and the divergence
-    /// counter.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        w.u64(self.coupled_vec.len() as u64);
-        for c in &self.coupled_vec {
-            c.slot.save(w);
-            c.fid.save(w);
-            c.pc.save(w);
-        }
-        w.u64(self.decoupled_vec.len() as u64);
-        for d in &self.decoupled_vec {
-            d.slot.save(w);
-            d.proxy.save(w);
-            d.target.save(w);
-        }
-        self.coupled_tq.save(w);
-        self.decoupled_tq.save(w);
-        self.divergences.save(w);
-    }
-
-    /// Restores state saved by [`DivergenceTracker::save_state`] into a
-    /// tracker with the same capacities.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let nc = r.count("coupled bitvector")?;
-        if nc > self.vec_capacity {
-            return Err(SnapError::mismatch(format!(
-                "coupled bitvector holds {nc} > capacity {}",
-                self.vec_capacity
-            )));
-        }
-        self.coupled_vec.clear();
-        for _ in 0..nc {
-            self.coupled_vec.push_back(CoupledRec {
-                slot: Snap::load(r)?,
-                fid: Snap::load(r)?,
-                pc: Snap::load(r)?,
-            });
-        }
-        let nd = r.count("decoupled bitvector")?;
-        self.decoupled_vec.clear();
-        for _ in 0..nd {
-            self.decoupled_vec.push_back(DecoupledRec {
-                slot: Snap::load(r)?,
-                proxy: Snap::load(r)?,
-                target: Snap::load(r)?,
-            });
-        }
-        self.coupled_tq = Snap::load(r)?;
-        self.decoupled_tq = Snap::load(r)?;
-        self.divergences = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores both bitvectors, both target queues and the
+    /// divergence counter; loading requires a tracker with the same
+    /// capacities.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or a coupled bitvector or target
+    /// queue longer than its capacity.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.bounded(
+            &mut self.coupled_vec,
+            self.vec_capacity,
+            "coupled bitvector",
+        )?;
+        io.value(&mut self.decoupled_vec)?;
+        io.bounded(
+            &mut self.coupled_tq,
+            self.tq_capacity,
+            "coupled target queue",
+        )?;
+        io.value(&mut self.decoupled_tq)?;
+        io.value(&mut self.divergences)
     }
 }
 
-impl elf_types::Snap for VecSlot {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.taken.save(w);
-        self.branch.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(VecSlot {
-            taken: Snap::load(r)?,
-            branch: Snap::load(r)?,
-        })
-    }
-}
-
-impl elf_types::Snap for TargetSlot {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.kind.save(w);
-        self.target.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(TargetSlot {
-            kind: Snap::load(r)?,
-            target: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(VecSlot { taken, branch });
+elf_types::snap_struct!(TargetSlot { kind, target });
+elf_types::snap_struct!(CoupledRec { slot, fid, pc });
+elf_types::snap_struct!(DecoupledRec {
+    slot,
+    proxy,
+    target
+});
 
 #[cfg(test)]
 mod proptests {
@@ -609,5 +556,29 @@ mod tests {
             }),
         );
         assert_eq!(t.compare(), Some(Divergence::TrustFetcher));
+    }
+
+    #[test]
+    fn load_rejects_a_coupled_target_queue_over_capacity() {
+        let mut t = DivergenceTracker::new(64, 8);
+        for i in 0..4 {
+            t.record_coupled(
+                slot(true, true),
+                i,
+                0x100 + i * 4,
+                Some(TargetSlot {
+                    kind: CondDirect,
+                    target: 0x400,
+                }),
+            );
+        }
+        let mut w = elf_types::SnapWriter::new();
+        t.state(&mut w).expect("save succeeds");
+        let bytes = w.into_bytes();
+        let loaded = DivergenceTracker::new(64, 2).state(&mut elf_types::SnapReader::new(&bytes));
+        assert!(
+            matches!(loaded, Err(elf_types::SnapError::Mismatch { .. })),
+            "4 coupled targets must not load into a 2-entry queue: {loaded:?}"
+        );
     }
 }

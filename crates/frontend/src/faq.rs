@@ -182,36 +182,18 @@ impl Faq {
         }
     }
 
-    /// Serializes queued blocks (with visibility cycles), the head
-    /// consumption offset and occupancy accumulators.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.entries.save(w);
-        self.head_consumed.save(w);
-        self.occupancy_sum.save(w);
-        self.occupancy_samples.save(w);
-    }
-
-    /// Restores state saved by [`Faq::save_state`] into a queue of the same
-    /// capacity.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let entries: VecDeque<(FaqEntry, Cycle)> = Snap::load(r)?;
-        if entries.len() > self.capacity {
-            return Err(SnapError::mismatch(format!(
-                "FAQ holds {} blocks > capacity {}",
-                entries.len(),
-                self.capacity
-            )));
-        }
-        self.entries = entries;
-        self.head_consumed = Snap::load(r)?;
-        self.occupancy_sum = Snap::load(r)?;
-        self.occupancy_samples = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores queued blocks (with visibility cycles), the head
+    /// consumption offset and occupancy accumulators; loading requires a
+    /// queue of the same capacity.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or more blocks than the capacity.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.bounded(&mut self.entries, self.capacity, "FAQ")?;
+        io.value(&mut self.head_consumed)?;
+        io.value(&mut self.occupancy_sum)?;
+        io.value(&mut self.occupancy_samples)
     }
 }
 

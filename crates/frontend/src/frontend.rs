@@ -297,6 +297,23 @@ struct StalledBranch {
     static_target: Option<Addr>,
 }
 
+elf_types::snap_struct!(GroupInst {
+    pc,
+    pred,
+    proxy,
+    hist
+});
+elf_types::snap_struct!(FetchGroup {
+    insts,
+    ready_at,
+    mode
+});
+elf_types::snap_struct!(StalledBranch {
+    pc,
+    kind,
+    static_target
+});
+
 /// The front-end. One instance per simulated core.
 #[derive(Debug)]
 pub struct Frontend {
@@ -2061,156 +2078,60 @@ impl Frontend {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Serializes the complete mutable front-end state: every predictor
-    /// table, the BTB hierarchy and builder, speculative/retired history,
-    /// the FAQ, in-flight fetch groups, mode/counter state, the divergence
-    /// tracker and statistics. Configuration (`FrontendConfig`, arch) is
-    /// not written — restore requires a front-end built from the same
+    /// Saves or restores the complete mutable front-end state: every
+    /// predictor table, the BTB hierarchy and builder, speculative/retired
+    /// history, the FAQ, in-flight fetch groups, mode/counter state, the
+    /// divergence tracker and statistics. Configuration (`FrontendConfig`,
+    /// arch) is not written — loading requires a front-end built from the
+    /// same configuration and architecture.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or state that does not fit the
     /// configuration.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.btb.save_state(w);
-        self.btb_builder.save_state(w);
-        self.tage.save_state(w);
-        self.ittage.save_state(w);
-        self.btc.save_state(w);
-        self.ras.save_state(w);
-        self.retire_ras.save_state(w);
-        match &self.cpl_cond {
-            CoupledCond::Bimodal(b) => {
-                w.u8(0);
-                b.save_state(w);
-            }
-            CoupledCond::Gshare(g) => {
-                w.u8(1);
-                g.save_state(w);
-            }
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        self.btb.state(io)?;
+        self.btb_builder.state(io)?;
+        self.tage.state(io)?;
+        self.ittage.state(io)?;
+        self.btc.state(io)?;
+        self.ras.state(io)?;
+        self.retire_ras.state(io)?;
+        // Kind tag: 0 bimodal, 1 gshare; it must match the configuration.
+        let gshare = matches!(self.cpl_cond, CoupledCond::Gshare(_));
+        io.present(gshare, "gshare coupled predictor")?;
+        match &mut self.cpl_cond {
+            CoupledCond::Bimodal(b) => b.state(io)?,
+            CoupledCond::Gshare(g) => g.state(io)?,
         }
-        self.cpl_btc.save_state(w);
-        self.cpl_ras.save_state(w);
-        self.spec_hist.save(w);
-        self.retired_hist.save(w);
-        self.snapshots.save(w);
-        self.dcf_pc.save(w);
-        self.dcf_busy.save(w);
-        self.faq.save_state(w);
-        self.fe_busy.save(w);
-        w.u64(self.groups.len() as u64);
-        for g in &self.groups {
-            w.u64(g.insts.len() as u64);
-            for gi in &g.insts {
-                gi.pc.save(w);
-                gi.pred.save(w);
-                gi.proxy.save(w);
-                gi.hist.save(w);
-            }
-            g.ready_at.save(w);
-            g.mode.save(w);
+        self.cpl_btc.state(io)?;
+        self.cpl_ras.state(io)?;
+        io.value(&mut self.spec_hist)?;
+        io.value(&mut self.retired_hist)?;
+        io.value(&mut self.snapshots)?;
+        io.value(&mut self.dcf_pc)?;
+        io.value(&mut self.dcf_busy)?;
+        self.faq.state(io)?;
+        io.value(&mut self.fe_busy)?;
+        if io.loading() {
+            // Hand the discarded groups' buffers back to the pool.
+            self.clear_groups();
         }
-        self.mode.save(w);
-        self.coupled_pc.save(w);
-        self.cpl_next_pc.save(w);
-        match self.stall {
-            None => w.u8(0),
-            Some(st) => {
-                w.u8(1);
-                st.pc.save(w);
-                st.kind.save(w);
-                st.static_target.save(w);
-            }
-        }
-        self.fcc.save(w);
-        self.dcc.save(w);
-        self.dc.save(w);
-        self.div.save_state(w);
-        self.leftover_preds.save(w);
-        self.fid_next.save(w);
-        self.last_retired_fid.save(w);
-        self.pending_resteer_cycle.save(w);
-        self.pending_decode_resteer.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restores state saved by [`Frontend::save_state`] into a front-end
-    /// built from the same configuration and architecture.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        self.btb.load_state(r)?;
-        self.btb_builder.load_state(r)?;
-        self.tage.load_state(r)?;
-        self.ittage.load_state(r)?;
-        self.btc.load_state(r)?;
-        self.ras.load_state(r)?;
-        self.retire_ras.load_state(r)?;
-        let tag = r.u8("coupled cond kind")?;
-        match (&mut self.cpl_cond, tag) {
-            (CoupledCond::Bimodal(b), 0) => b.load_state(r)?,
-            (CoupledCond::Gshare(g), 1) => g.load_state(r)?,
-            _ => {
-                return Err(SnapError::mismatch(format!(
-                    "coupled predictor kind tag {tag} does not match configuration"
-                )));
-            }
-        }
-        self.cpl_btc.load_state(r)?;
-        self.cpl_ras.load_state(r)?;
-        self.spec_hist = Snap::load(r)?;
-        self.retired_hist = Snap::load(r)?;
-        self.snapshots = Snap::load(r)?;
-        self.dcf_pc = Snap::load(r)?;
-        self.dcf_busy = Snap::load(r)?;
-        self.faq.load_state(r)?;
-        self.fe_busy = Snap::load(r)?;
-        let ngroups = r.count("fetch group count")?;
-        self.clear_groups();
-        for _ in 0..ngroups {
-            let ninsts = r.count("fetch group size")?;
-            let mut insts = Vec::with_capacity(ninsts);
-            for _ in 0..ninsts {
-                insts.push(GroupInst {
-                    pc: Snap::load(r)?,
-                    pred: Snap::load(r)?,
-                    proxy: Snap::load(r)?,
-                    hist: Snap::load(r)?,
-                });
-            }
-            self.groups.push_back(FetchGroup {
-                insts,
-                ready_at: Snap::load(r)?,
-                mode: Snap::load(r)?,
-            });
-        }
-        self.mode = Snap::load(r)?;
-        self.coupled_pc = Snap::load(r)?;
-        self.cpl_next_pc = Snap::load(r)?;
-        self.stall = match r.u8("stalled branch tag")? {
-            0 => None,
-            1 => Some(StalledBranch {
-                pc: Snap::load(r)?,
-                kind: Snap::load(r)?,
-                static_target: Snap::load(r)?,
-            }),
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "stalled branch tag",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        self.fcc = Snap::load(r)?;
-        self.dcc = Snap::load(r)?;
-        self.dc = Snap::load(r)?;
-        self.div.load_state(r)?;
-        self.leftover_preds = Snap::load(r)?;
-        self.fid_next = Snap::load(r)?;
-        self.last_retired_fid = Snap::load(r)?;
-        self.pending_resteer_cycle = Snap::load(r)?;
-        self.pending_decode_resteer = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.groups)?;
+        io.value(&mut self.mode)?;
+        io.value(&mut self.coupled_pc)?;
+        io.value(&mut self.cpl_next_pc)?;
+        io.value(&mut self.stall)?;
+        io.value(&mut self.fcc)?;
+        io.value(&mut self.dcc)?;
+        io.value(&mut self.dc)?;
+        self.div.state(io)?;
+        io.value(&mut self.leftover_preds)?;
+        io.value(&mut self.fid_next)?;
+        io.value(&mut self.last_retired_fid)?;
+        io.value(&mut self.pending_resteer_cycle)?;
+        io.value(&mut self.pending_decode_resteer)?;
+        io.value(&mut self.stats)
     }
 }
 

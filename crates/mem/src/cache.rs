@@ -17,6 +17,26 @@ pub struct CacheConfig {
     pub latency: u32,
 }
 
+elf_types::snap_struct!(CacheConfig {
+    name as String => intern_cache_name,
+    size_bytes,
+    ways,
+    line_bytes,
+    latency,
+});
+
+/// Maps a deserialized cache name back to a `&'static str`. The five
+/// canonical names cover every snapshot the simulator itself writes;
+/// exotic hand-built configs fall back to a one-time leak.
+fn intern_cache_name(name: String) -> &'static str {
+    for known in ["L0I", "L1I", "L1D", "L2", "L3"] {
+        if name == known {
+            return known;
+        }
+    }
+    Box::leak(name.into_boxed_str())
+}
+
 impl CacheConfig {
     /// Number of sets implied by the geometry.
     ///
@@ -51,6 +71,12 @@ struct Line {
     last_use: u64,
     dirty: bool,
 }
+
+elf_types::snap_struct!(Line {
+    tag,
+    last_use,
+    dirty
+});
 
 impl Cache {
     /// Creates an empty cache.
@@ -198,63 +224,24 @@ impl Cache {
         self.sets.iter().map(Vec::len).sum()
     }
 
-    /// Serializes tags, LRU stamps, dirty bits and counters. In-set order
-    /// is preserved exactly: replacement uses `swap_remove`, so order
-    /// affects future evictions.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        w.u64(self.sets.len() as u64);
-        for set in &self.sets {
-            w.u64(set.len() as u64);
-            for l in set {
-                l.tag.save(w);
-                l.last_use.save(w);
-                l.dirty.save(w);
-            }
-        }
-        self.tick.save(w);
-        self.hits.save(w);
-        self.misses.save(w);
-        self.writebacks.save(w);
-    }
-
-    /// Restores content saved by [`Cache::save_state`] into a cache of the
+    /// Saves or restores tags, LRU stamps, dirty bits and counters. In-set
+    /// order is preserved exactly: replacement uses `swap_remove`, so
+    /// order affects future evictions. Loading requires a cache of the
     /// same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let nsets = r.u64("cache set count")? as usize;
-        if nsets != self.sets.len() {
-            return Err(SnapError::mismatch(format!(
-                "cache {} set count {nsets} != {}",
-                self.cfg.name,
-                self.sets.len()
-            )));
-        }
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes, another set count or a set
+    /// holding more ways than the cache has.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.fixed_len(self.sets.len(), "cache set count")?;
         for set in &mut self.sets {
-            let n = r.u64("cache set size")? as usize;
-            if n > self.cfg.ways {
-                return Err(SnapError::mismatch(format!(
-                    "cache {} set holds {n} ways > {}",
-                    self.cfg.name, self.cfg.ways
-                )));
-            }
-            set.clear();
-            for _ in 0..n {
-                set.push(Line {
-                    tag: Snap::load(r)?,
-                    last_use: Snap::load(r)?,
-                    dirty: Snap::load(r)?,
-                });
-            }
+            io.bounded(set, self.cfg.ways, "cache set")?;
         }
-        self.tick = Snap::load(r)?;
-        self.hits = Snap::load(r)?;
-        self.misses = Snap::load(r)?;
-        self.writebacks = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.tick)?;
+        io.value(&mut self.hits)?;
+        io.value(&mut self.misses)?;
+        io.value(&mut self.writebacks)
     }
 }
 

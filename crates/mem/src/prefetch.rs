@@ -11,6 +11,13 @@ struct StrideEntry {
     confidence: u8,
 }
 
+elf_types::snap_struct!(StrideEntry {
+    tag,
+    last_addr,
+    stride,
+    confidence
+});
+
 /// A PC-indexed stride detector. When a load PC exhibits a stable stride,
 /// the prefetcher emits the next `degree` line addresses ahead of the
 /// stream.
@@ -92,43 +99,16 @@ impl StridePrefetcher {
         (self.trains, self.issued)
     }
 
-    /// Serializes the tracking table and counters.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        w.u64(self.table.len() as u64);
-        for e in &self.table {
-            e.tag.save(w);
-            e.last_addr.save(w);
-            e.stride.save(w);
-            e.confidence.save(w);
-        }
-        self.trains.save(w);
-        self.issued.save(w);
-    }
-
-    /// Restores state saved by [`StridePrefetcher::save_state`] into a
-    /// prefetcher of the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let n = r.u64("stride table size")? as usize;
-        if n != self.table.len() {
-            return Err(SnapError::mismatch(format!(
-                "stride table size {n} != {}",
-                self.table.len()
-            )));
-        }
-        for e in &mut self.table {
-            e.tag = Snap::load(r)?;
-            e.last_addr = Snap::load(r)?;
-            e.stride = Snap::load(r)?;
-            e.confidence = Snap::load(r)?;
-        }
-        self.trains = Snap::load(r)?;
-        self.issued = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores the tracking table and counters; loading requires
+    /// a prefetcher of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or a table of another size.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.table, "stride table")?;
+        io.value(&mut self.trains)?;
+        io.value(&mut self.issued)
     }
 }
 

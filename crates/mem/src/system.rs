@@ -346,72 +346,48 @@ impl MemorySystem {
         self.l3.reset_stats();
     }
 
-    /// Serializes all cache contents, the stride prefetcher, in-flight
-    /// instruction prefetches and counters.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.l0i.save_state(w);
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.l3.save_state(w);
-        self.dpf.save_state(w);
-        self.ipf_inflight.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restores state saved by [`MemorySystem::save_state`] into a system
-    /// of the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        self.l0i.load_state(r)?;
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.l3.load_state(r)?;
-        self.dpf.load_state(r)?;
-        self.ipf_inflight = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    /// Saves or restores all cache contents, the stride prefetcher,
+    /// in-flight instruction prefetches and counters; loading requires a
+    /// system of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or structures of another geometry.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        self.l0i.state(io)?;
+        self.l1i.state(io)?;
+        self.l1d.state(io)?;
+        self.l2.state(io)?;
+        self.l3.state(io)?;
+        self.dpf.state(io)?;
+        io.value(&mut self.ipf_inflight)?;
+        io.value(&mut self.stats)
     }
 }
 
-impl elf_types::Snap for MemStats {
-    fn save(&self, w: &mut elf_types::SnapWriter) {
-        self.ifetches.save(w);
-        self.l0i_misses.save(w);
-        self.l1i_misses.save(w);
-        self.loads.save(w);
-        self.l1d_misses.save(w);
-        self.stores.save(w);
-        self.ipf_issued.save(w);
-        self.ipf_dropped.save(w);
-        self.ipf_late_hits.save(w);
-        self.dpf_issued.save(w);
-        self.l1d_writebacks.save(w);
-        self.ipf_peak_inflight.save(w);
-    }
-    fn load(r: &mut elf_types::SnapReader<'_>) -> Result<Self, elf_types::SnapError> {
-        use elf_types::Snap;
-        Ok(MemStats {
-            ifetches: Snap::load(r)?,
-            l0i_misses: Snap::load(r)?,
-            l1i_misses: Snap::load(r)?,
-            loads: Snap::load(r)?,
-            l1d_misses: Snap::load(r)?,
-            stores: Snap::load(r)?,
-            ipf_issued: Snap::load(r)?,
-            ipf_dropped: Snap::load(r)?,
-            ipf_late_hits: Snap::load(r)?,
-            dpf_issued: Snap::load(r)?,
-            l1d_writebacks: Snap::load(r)?,
-            ipf_peak_inflight: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(MemStats {
+    ifetches,
+    l0i_misses,
+    l1i_misses,
+    loads,
+    l1d_misses,
+    stores,
+    ipf_issued,
+    ipf_dropped,
+    ipf_late_hits,
+    dpf_issued,
+    l1d_writebacks,
+    ipf_peak_inflight,
+});
+elf_types::snap_struct!(MemConfig {
+    l0i,
+    l1i,
+    l1d,
+    l2,
+    l3,
+    dram_latency,
+    ipf_max_inflight
+});
 
 #[cfg(test)]
 mod tests {

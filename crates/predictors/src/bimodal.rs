@@ -86,30 +86,14 @@ impl Bimodal {
         self.ctrs.len() * (8 - self.ctr_max.leading_zeros() as usize)
     }
 
-    /// Serializes the counter array (geometry is config-derived and not
-    /// written).
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.ctrs.save(w);
-    }
-
-    /// Restores counters saved by [`Bimodal::save_state`] into a table of
-    /// the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        let ctrs: Vec<u8> = Snap::load(r)?;
-        if ctrs.len() != self.ctrs.len() {
-            return Err(elf_types::SnapError::mismatch(format!(
-                "bimodal size {} != {}",
-                ctrs.len(),
-                self.ctrs.len()
-            )));
-        }
-        self.ctrs = ctrs;
-        Ok(())
+    /// Saves or restores the counter array (geometry is config-derived and
+    /// not written; loading requires a table of the same geometry).
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or a table of another size.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.ctrs, "bimodal table")
     }
 }
 

@@ -76,29 +76,14 @@ impl BranchTargetCache {
         self.entries.len() * (self.tag_bits as usize + 48 + 1)
     }
 
-    /// Serializes the entry array.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.entries.save(w);
-    }
-
-    /// Restores entries saved by [`BranchTargetCache::save_state`] into a
-    /// cache of the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        let entries: Vec<Option<(u16, Addr)>> = Snap::load(r)?;
-        if entries.len() != self.entries.len() {
-            return Err(elf_types::SnapError::mismatch(format!(
-                "btc size {} != {}",
-                entries.len(),
-                self.entries.len()
-            )));
-        }
-        self.entries = entries;
-        Ok(())
+    /// Saves or restores the entry array (loading requires a cache of the
+    /// same geometry).
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or a table of another size.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.entries, "btc table")
     }
 }
 

@@ -10,6 +10,8 @@ pub struct HistoryRegister {
     bits: u128,
 }
 
+elf_types::snap_struct!(HistoryRegister { bits });
+
 impl HistoryRegister {
     /// An empty (all-zero) history.
     #[must_use]

@@ -53,6 +53,13 @@ struct IttageEntry {
     u: u8,    // 0..=3
 }
 
+elf_types::snap_struct!(IttageEntry {
+    tag,
+    target,
+    conf,
+    u
+});
+
 /// The ITTAGE predictor. Keeps separate speculative and retirement
 /// histories (see crate docs).
 #[derive(Debug, Clone)]
@@ -240,68 +247,21 @@ impl Ittage {
         self.tables.len() * (1 << self.cfg.table_bits) * per + (1 << self.cfg.base_bits) * 48
     }
 
-    /// Serializes all mutable state (base table, tagged tables, histories,
-    /// LFSR).
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.base.save(w);
-        w.u64(self.tables.len() as u64);
-        for t in &self.tables {
-            w.u64(t.len() as u64);
-            for e in t {
-                e.tag.save(w);
-                e.target.save(w);
-                e.conf.save(w);
-                e.u.save(w);
-            }
-        }
-        self.spec_hist.bits().save(w);
-        self.retire_hist.bits().save(w);
-        self.lfsr.save(w);
-    }
-
-    /// Restores state saved by [`Ittage::save_state`] into a predictor of
-    /// the same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        let base: Vec<Addr> = Snap::load(r)?;
-        if base.len() != self.base.len() {
-            return Err(SnapError::mismatch(format!(
-                "ittage base size {} != {}",
-                base.len(),
-                self.base.len()
-            )));
-        }
-        self.base = base;
-        let nt = r.u64("ittage table count")? as usize;
-        if nt != self.tables.len() {
-            return Err(SnapError::mismatch(format!(
-                "ittage table count {nt} != {}",
-                self.tables.len()
-            )));
-        }
+    /// Saves or restores all mutable state (base table, tagged tables,
+    /// histories, LFSR); loading requires a predictor of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or tables of another geometry.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.base, "ittage base table")?;
+        io.fixed_len(self.tables.len(), "ittage table count")?;
         for t in &mut self.tables {
-            let n = r.u64("ittage table size")? as usize;
-            if n != t.len() {
-                return Err(SnapError::mismatch(format!(
-                    "ittage table size {n} != {}",
-                    t.len()
-                )));
-            }
-            for e in t.iter_mut() {
-                e.tag = Snap::load(r)?;
-                e.target = Snap::load(r)?;
-                e.conf = Snap::load(r)?;
-                e.u = Snap::load(r)?;
-            }
+            io.table(t, "ittage table")?;
         }
-        self.spec_hist.set(Snap::load(r)?);
-        self.retire_hist.set(Snap::load(r)?);
-        self.lfsr = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.spec_hist)?;
+        io.value(&mut self.retire_hist)?;
+        io.value(&mut self.lfsr)
     }
 }
 

@@ -24,7 +24,6 @@
 
 pub mod bimodal;
 pub mod btc;
-pub mod checkpoint;
 pub mod gshare;
 pub mod history;
 pub mod ittage;
@@ -33,7 +32,6 @@ pub mod tage;
 
 pub use bimodal::Bimodal;
 pub use btc::BranchTargetCache;
-pub use checkpoint::{CheckpointId, CheckpointQueue};
 pub use gshare::Gshare;
 pub use history::HistoryRegister;
 pub use ittage::Ittage;

@@ -132,37 +132,20 @@ impl Ras {
         None
     }
 
-    /// Serializes the stack contents and position counters.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.slots.save(w);
-        self.tos.save(w);
-        self.live.save(w);
-    }
-
-    /// Restores state saved by [`Ras::save_state`] into a stack of the same
-    /// capacity.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::Snap;
-        let slots: Vec<Addr> = Snap::load(r)?;
-        let tos: u64 = Snap::load(r)?;
-        let live: u64 = Snap::load(r)?;
-        if slots.len() != self.slots.len() {
-            return Err(elf_types::SnapError::mismatch(format!(
-                "ras capacity {} != {}",
-                slots.len(),
-                self.slots.len()
-            )));
-        }
-        if live > slots.len() as u64 || tos < live {
+    /// Saves or restores the stack contents and position counters
+    /// (loading requires a stack of the same capacity).
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes, another capacity or inconsistent
+    /// counters.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.table(&mut self.slots, "ras slots")?;
+        io.value(&mut self.tos)?;
+        io.value(&mut self.live)?;
+        if self.live > self.slots.len() as u64 || self.tos < self.live {
             return Err(elf_types::SnapError::mismatch("ras counters inconsistent"));
         }
-        self.slots = slots;
-        self.tos = tos;
-        self.live = live;
         Ok(())
     }
 }

@@ -30,6 +30,14 @@ pub struct TageConfig {
     pub u_reset_period: u64,
 }
 
+elf_types::snap_struct!(TageConfig {
+    table_bits,
+    tag_bits,
+    hist_lens,
+    base_bits,
+    u_reset_period
+});
+
 impl TageConfig {
     /// The 32 KB-class configuration of Table II: 8 tagged tables.
     #[must_use]
@@ -71,6 +79,8 @@ struct TageEntry {
     ctr: i8, // -4..=3, taken when >= 0
     u: u8,   // 0..=3
 }
+
+elf_types::snap_struct!(TageEntry { tag, ctr, u });
 
 /// A TAGE prediction with the side information the DCF timing rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,60 +329,23 @@ impl Tage {
         self.cfg.storage_bits()
     }
 
-    /// Serializes all mutable state (tables, histories, LFSR, aging
-    /// counter). The geometry is config-derived and not written.
-    pub fn save_state(&self, w: &mut elf_types::SnapWriter) {
-        use elf_types::Snap;
-        self.base.save_state(w);
-        w.u64(self.tables.len() as u64);
-        for t in &self.tables {
-            w.u64(t.len() as u64);
-            for e in t {
-                e.tag.save(w);
-                e.ctr.save(w);
-                e.u.save(w);
-            }
-        }
-        self.spec_hist.bits().save(w);
-        self.retire_hist.bits().save(w);
-        self.lfsr.save(w);
-        self.trained.save(w);
-    }
-
-    /// Restores state saved by [`Tage::save_state`] into a predictor of the
-    /// same geometry.
-    pub fn load_state(
-        &mut self,
-        r: &mut elf_types::SnapReader<'_>,
-    ) -> Result<(), elf_types::SnapError> {
-        use elf_types::{Snap, SnapError};
-        self.base.load_state(r)?;
-        let nt = r.u64("tage table count")? as usize;
-        if nt != self.tables.len() {
-            return Err(SnapError::mismatch(format!(
-                "tage table count {nt} != {}",
-                self.tables.len()
-            )));
-        }
+    /// Saves or restores all mutable state (tables, histories, LFSR, aging
+    /// counter). The geometry is config-derived and not written; loading
+    /// requires a predictor of the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or tables of another geometry.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        self.base.state(io)?;
+        io.fixed_len(self.tables.len(), "tage table count")?;
         for t in &mut self.tables {
-            let n = r.u64("tage table size")? as usize;
-            if n != t.len() {
-                return Err(SnapError::mismatch(format!(
-                    "tage table size {n} != {}",
-                    t.len()
-                )));
-            }
-            for e in t.iter_mut() {
-                e.tag = Snap::load(r)?;
-                e.ctr = Snap::load(r)?;
-                e.u = Snap::load(r)?;
-            }
+            io.table(t, "tage table")?;
         }
-        self.spec_hist.set(Snap::load(r)?);
-        self.retire_hist.set(Snap::load(r)?);
-        self.lfsr = Snap::load(r)?;
-        self.trained = Snap::load(r)?;
-        Ok(())
+        io.value(&mut self.spec_hist)?;
+        io.value(&mut self.retire_hist)?;
+        io.value(&mut self.lfsr)?;
+        io.value(&mut self.trained)
     }
 }
 

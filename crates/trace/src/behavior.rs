@@ -271,240 +271,33 @@ pub enum Behavior {
     Mem(AddrModel),
 }
 
-mod snap_impls {
-    use super::*;
-    use elf_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for DirectionModel {
-        fn save(&self, w: &mut SnapWriter) {
-            match *self {
-                DirectionModel::AlwaysTaken => w.u8(0),
-                DirectionModel::Bernoulli { p_taken } => {
-                    w.u8(1);
-                    p_taken.save(w);
-                }
-                DirectionModel::Pattern { bits, len } => {
-                    w.u8(2);
-                    bits.save(w);
-                    len.save(w);
-                }
-                DirectionModel::LoopExit { trip } => {
-                    w.u8(3);
-                    trip.save(w);
-                }
-                DirectionModel::HistoryXor { taps, noise } => {
-                    w.u8(4);
-                    taps.save(w);
-                    noise.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8("direction model")? {
-                0 => DirectionModel::AlwaysTaken,
-                1 => DirectionModel::Bernoulli {
-                    p_taken: Snap::load(r)?,
-                },
-                2 => DirectionModel::Pattern {
-                    bits: Snap::load(r)?,
-                    len: Snap::load(r)?,
-                },
-                3 => DirectionModel::LoopExit {
-                    trip: Snap::load(r)?,
-                },
-                4 => DirectionModel::HistoryXor {
-                    taps: Snap::load(r)?,
-                    noise: Snap::load(r)?,
-                },
-                t => {
-                    return Err(SnapError::BadTag {
-                        what: "direction model",
-                        tag: u64::from(t),
-                    })
-                }
-            })
-        }
-    }
-
-    impl Snap for TargetModel {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                TargetModel::Mono { target } => {
-                    w.u8(0);
-                    target.save(w);
-                }
-                TargetModel::RoundRobin { targets } => {
-                    w.u8(1);
-                    targets.save(w);
-                }
-                TargetModel::HistoryHash { targets, taps } => {
-                    w.u8(2);
-                    targets.save(w);
-                    taps.save(w);
-                }
-                TargetModel::Random { targets } => {
-                    w.u8(3);
-                    targets.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8("target model")? {
-                0 => TargetModel::Mono {
-                    target: Snap::load(r)?,
-                },
-                1 => TargetModel::RoundRobin {
-                    targets: Snap::load(r)?,
-                },
-                2 => TargetModel::HistoryHash {
-                    targets: Snap::load(r)?,
-                    taps: Snap::load(r)?,
-                },
-                3 => TargetModel::Random {
-                    targets: Snap::load(r)?,
-                },
-                t => {
-                    return Err(SnapError::BadTag {
-                        what: "target model",
-                        tag: u64::from(t),
-                    })
-                }
-            })
-        }
-    }
-
-    impl Snap for AddrModel {
-        fn save(&self, w: &mut SnapWriter) {
-            match *self {
-                AddrModel::Stride {
-                    base,
-                    stride,
-                    footprint,
-                } => {
-                    w.u8(0);
-                    base.save(w);
-                    stride.save(w);
-                    footprint.save(w);
-                }
-                AddrModel::Random { base, footprint } => {
-                    w.u8(1);
-                    base.save(w);
-                    footprint.save(w);
-                }
-                AddrModel::Chase { base, footprint } => {
-                    w.u8(2);
-                    base.save(w);
-                    footprint.save(w);
-                }
-                AddrModel::SharedSlot {
-                    pair,
-                    base,
-                    footprint,
-                } => {
-                    w.u8(3);
-                    pair.save(w);
-                    base.save(w);
-                    footprint.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8("addr model")? {
-                0 => AddrModel::Stride {
-                    base: Snap::load(r)?,
-                    stride: Snap::load(r)?,
-                    footprint: Snap::load(r)?,
-                },
-                1 => AddrModel::Random {
-                    base: Snap::load(r)?,
-                    footprint: Snap::load(r)?,
-                },
-                2 => AddrModel::Chase {
-                    base: Snap::load(r)?,
-                    footprint: Snap::load(r)?,
-                },
-                3 => AddrModel::SharedSlot {
-                    pair: Snap::load(r)?,
-                    base: Snap::load(r)?,
-                    footprint: Snap::load(r)?,
-                },
-                t => {
-                    return Err(SnapError::BadTag {
-                        what: "addr model",
-                        tag: u64::from(t),
-                    })
-                }
-            })
-        }
-    }
-
-    impl Snap for Behavior {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Behavior::Dir(m) => {
-                    w.u8(0);
-                    m.save(w);
-                }
-                Behavior::Target(m) => {
-                    w.u8(1);
-                    m.save(w);
-                }
-                Behavior::Mem(m) => {
-                    w.u8(2);
-                    m.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8("behavior")? {
-                0 => Behavior::Dir(Snap::load(r)?),
-                1 => Behavior::Target(Snap::load(r)?),
-                2 => Behavior::Mem(Snap::load(r)?),
-                t => {
-                    return Err(SnapError::BadTag {
-                        what: "behavior",
-                        tag: u64::from(t),
-                    })
-                }
-            })
-        }
-    }
-
-    impl Snap for DirState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.count.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(DirState {
-                count: Snap::load(r)?,
-            })
-        }
-    }
-
-    impl Snap for TgtState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.count.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(TgtState {
-                count: Snap::load(r)?,
-            })
-        }
-    }
-
-    impl Snap for MemState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.count.save(w);
-            self.pos.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MemState {
-                count: Snap::load(r)?,
-                pos: Snap::load(r)?,
-            })
-        }
-    }
-}
+elf_types::snap_enum!(DirectionModel {
+    0 => AlwaysTaken,
+    1 => Bernoulli { p_taken },
+    2 => Pattern { bits, len },
+    3 => LoopExit { trip },
+    4 => HistoryXor { taps, noise },
+});
+elf_types::snap_enum!(TargetModel {
+    0 => Mono { target },
+    1 => RoundRobin { targets },
+    2 => HistoryHash { targets, taps },
+    3 => Random { targets },
+});
+elf_types::snap_enum!(AddrModel {
+    0 => Stride { base, stride, footprint },
+    1 => Random { base, footprint },
+    2 => Chase { base, footprint },
+    3 => SharedSlot { pair, base, footprint },
+});
+elf_types::snap_enum!(Behavior {
+    0 => Dir(model),
+    1 => Target(model),
+    2 => Mem(model),
+});
+elf_types::snap_struct!(DirState { count });
+elf_types::snap_struct!(TgtState { count });
+elf_types::snap_struct!(MemState { count, pos });
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 
 use crate::behavior::{Behavior, DirState, MemState, TgtState};
 use crate::program::Program;
-use elf_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use elf_types::snap::{SnapError, StateIo};
 use elf_types::{Addr, InstClass, SeqNum, INST_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,24 +46,13 @@ impl DynInst {
     }
 }
 
-impl Snap for DynInst {
-    fn save(&self, w: &mut SnapWriter) {
-        self.seq.save(w);
-        self.pc.save(w);
-        self.taken.save(w);
-        self.next_pc.save(w);
-        self.mem_addr.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DynInst {
-            seq: Snap::load(r)?,
-            pc: Snap::load(r)?,
-            taken: Snap::load(r)?,
-            next_pc: Snap::load(r)?,
-            mem_addr: Snap::load(r)?,
-        })
-    }
-}
+elf_types::snap_struct!(DynInst {
+    seq,
+    pc,
+    taken,
+    next_pc,
+    mem_addr
+});
 
 /// The correct-path stream generator.
 ///
@@ -246,62 +235,29 @@ impl Oracle {
         }
     }
 
-    /// Serializes the oracle's dynamic state (not the program — the snapshot
-    /// container carries that separately).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.pc.save(w);
-        self.call_stack.save(w);
-        self.ghist.save(w);
-        self.dir_state.save(w);
-        self.tgt_state.save(w);
-        self.mem_state.save(w);
-        self.slots.save(w);
-        self.rng.state().save(w);
-        self.buf.save(w);
-        self.first.save(w);
-    }
-
-    /// Restores dynamic state saved by [`Oracle::save_state`] into an oracle
-    /// built over the same program.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let pc: Addr = Snap::load(r)?;
-        let call_stack: Vec<Addr> = Snap::load(r)?;
-        let ghist: u64 = Snap::load(r)?;
-        let dir_state: Vec<DirState> = Snap::load(r)?;
-        let tgt_state: Vec<TgtState> = Snap::load(r)?;
-        let mem_state: Vec<MemState> = Snap::load(r)?;
-        let slots: Vec<Addr> = Snap::load(r)?;
-        let rng_state: [u64; 4] = Snap::load(r)?;
-        let buf: VecDeque<DynInst> = Snap::load(r)?;
-        let first: SeqNum = Snap::load(r)?;
-
-        let n = self.prog.behaviors().len();
-        if dir_state.len() != n || tgt_state.len() != n || mem_state.len() != n {
-            return Err(SnapError::mismatch(format!(
-                "oracle behavior-state lengths {}/{}/{} do not match {n} behaviors",
-                dir_state.len(),
-                tgt_state.len(),
-                mem_state.len()
-            )));
+    /// Saves or restores the oracle's dynamic state (not the program — the
+    /// snapshot container carries that separately). Loading requires an
+    /// oracle built over the same program.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or behavior-state and alias-slot
+    /// tables that do not fit the program.
+    pub fn state(&mut self, io: &mut impl StateIo) -> Result<(), SnapError> {
+        io.value(&mut self.pc)?;
+        io.value(&mut self.call_stack)?;
+        io.value(&mut self.ghist)?;
+        io.table(&mut self.dir_state, "oracle direction states")?;
+        io.table(&mut self.tgt_state, "oracle target states")?;
+        io.table(&mut self.mem_state, "oracle address states")?;
+        io.table(&mut self.slots, "oracle alias slots")?;
+        let mut rng = self.rng.state();
+        io.value(&mut rng)?;
+        if io.loading() {
+            self.rng = StdRng::from_state(rng);
         }
-        if slots.len() != self.slots.len() {
-            return Err(SnapError::mismatch(format!(
-                "oracle alias-slot count {} does not match program's {}",
-                slots.len(),
-                self.slots.len()
-            )));
-        }
-        self.pc = pc;
-        self.call_stack = call_stack;
-        self.ghist = ghist;
-        self.dir_state = dir_state;
-        self.tgt_state = tgt_state;
-        self.mem_state = mem_state;
-        self.slots = slots;
-        self.rng = StdRng::from_state(rng_state);
-        self.buf = buf;
-        self.first = first;
-        Ok(())
+        io.value(&mut self.buf)?;
+        io.value(&mut self.first)
     }
 }
 

@@ -156,66 +156,45 @@ impl Program {
     }
 }
 
-mod snap_impls {
-    use super::*;
-    use elf_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+elf_types::snap_struct!(Program { name, base, entry, image, behaviors, alias_slots }
+    check Program::check_loaded);
 
-    impl Snap for Program {
-        fn save(&self, w: &mut SnapWriter) {
-            self.name.save(w);
-            self.base.save(w);
-            self.entry.save(w);
-            self.image.save(w);
-            self.behaviors.save(w);
-            self.alias_slots.save(w);
+impl Program {
+    /// Re-checks the invariants [`Program::new`] asserts on a program
+    /// loaded from a snapshot, so corrupt bytes surface as
+    /// [`elf_types::SnapError`] rather than a panic.
+    fn check_loaded(&self) -> Result<(), elf_types::SnapError> {
+        use elf_types::SnapError;
+        let base = self.base;
+        if self.image.is_empty() {
+            return Err(SnapError::mismatch("program image is empty"));
         }
-
-        /// Reconstructs a program, re-checking the invariants `Program::new`
-        /// asserts so corrupt snapshot bytes surface as [`SnapError`] rather
-        /// than a panic.
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let name: String = Snap::load(r)?;
-            let base: Addr = Snap::load(r)?;
-            let entry: Addr = Snap::load(r)?;
-            let image: Vec<StaticInst> = Snap::load(r)?;
-            let behaviors: Vec<Behavior> = Snap::load(r)?;
-            let alias_slots: usize = Snap::load(r)?;
-            if image.is_empty() {
-                return Err(SnapError::mismatch("program image is empty"));
-            }
-            for (i, inst) in image.iter().enumerate() {
-                if inst.pc != base + i as u64 * INST_BYTES {
-                    return Err(SnapError::mismatch(format!(
-                        "instruction {i} pc {:#x} off its layout position",
-                        inst.pc
-                    )));
-                }
-            }
-            let end = base + image.len() as u64 * INST_BYTES;
-            if entry < base || entry >= end || !entry.is_multiple_of(INST_BYTES) {
+        for (i, inst) in self.image.iter().enumerate() {
+            if inst.pc != base + i as u64 * INST_BYTES {
                 return Err(SnapError::mismatch(format!(
-                    "entry {entry:#x} outside image"
+                    "instruction {i} pc {:#x} off its layout position",
+                    inst.pc
                 )));
             }
-            for inst in &image {
-                if inst.behavior != elf_types::inst::NO_BEHAVIOR
-                    && inst.behavior as usize >= behaviors.len()
-                {
-                    return Err(SnapError::mismatch(format!(
-                        "behavior index {} out of range at {:#x}",
-                        inst.behavior, inst.pc
-                    )));
-                }
-            }
-            Ok(Program {
-                name,
-                base,
-                entry,
-                image,
-                behaviors,
-                alias_slots,
-            })
         }
+        let end = base + self.image.len() as u64 * INST_BYTES;
+        let entry = self.entry;
+        if entry < base || entry >= end || !entry.is_multiple_of(INST_BYTES) {
+            return Err(SnapError::mismatch(format!(
+                "entry {entry:#x} outside image"
+            )));
+        }
+        for inst in &self.image {
+            if inst.behavior != elf_types::inst::NO_BEHAVIOR
+                && inst.behavior as usize >= self.behaviors.len()
+            {
+                return Err(SnapError::mismatch(format!(
+                    "behavior index {} out of range at {:#x}",
+                    inst.behavior, inst.pc
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -20,7 +20,7 @@ pub use fetch::{
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use inst::{BranchKind, InstClass, StaticInst};
-pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapWriter, StateIo};
 
 /// A virtual address. The simulator uses raw `u64` byte addresses throughout.
 pub type Addr = u64;

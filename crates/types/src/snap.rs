@@ -3,8 +3,9 @@
 //! The checkpoint/resume feature (DESIGN.md §14) needs every stateful
 //! component to round-trip through bytes without external dependencies
 //! (the build environment is offline). This module provides the shared
-//! vocabulary: a [`SnapWriter`]/[`SnapReader`] pair over a growable byte
-//! buffer and the [`Snap`] trait implemented by plain-data types.
+//! vocabulary: a [`SnapWriter`]/[`SnapReader`] pair over a byte buffer,
+//! the [`Snap`] trait for plain-data values and the [`StateIo`] visitor
+//! for components.
 //!
 //! Format rules:
 //!
@@ -18,11 +19,18 @@
 //!   layout, which is what the snapshot-file *version* number pins down
 //!   (bump it on any layout change — see `elf_core::snapshot`).
 //!
-//! Components with private state implement `save_state`/`load_state`
-//! methods in their own modules using these primitives; `load_state`
-//! mutates an already-constructed instance (built from the same
-//! configuration) and must verify geometry so corrupt or mismatched bytes
-//! surface as [`SnapError`] instead of panics or silent corruption.
+//! Every type describes its layout once. Plain-data values get their
+//! [`Snap`] impl from a field list ([`snap_struct!`](crate::snap_struct))
+//! or a tagged variant list ([`snap_enum!`](crate::snap_enum)).
+//! Components with private state and configuration-derived geometry
+//! write one `fn state(&mut self, io: &mut impl StateIo)` body: the same
+//! body saves through a [`SnapWriter`] and loads in place through a
+//! [`SnapReader`] into an instance built from the same configuration.
+//! Geometry and presence checks ([`StateIo::fixed_len`],
+//! [`StateIo::bounded_len`], [`StateIo::present`]) pass trivially on
+//! save and make corrupt or mismatched bytes surface as [`SnapError`] on
+//! load instead of panics or silent corruption. Derived state that is
+//! written in a canonical form branches on [`StateIo::loading`].
 
 use std::collections::{HashMap, VecDeque};
 
@@ -92,46 +100,9 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends raw bytes verbatim (no length prefix).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -165,43 +136,10 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, SnapError> {
-        Ok(self.raw(1, what)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, SnapError> {
-        let b = self.raw(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, SnapError> {
-        let b = self.raw(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, SnapError> {
-        let b = self.raw(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self, what: &'static str) -> Result<u128, SnapError> {
-        let b = self.raw(16, what)?;
-        let mut a = [0u8; 16];
-        a.copy_from_slice(b);
-        Ok(u128::from_le_bytes(a))
-    }
-
     /// Reads a `u64` element count, bounded by the remaining bytes so a
     /// corrupt length cannot trigger a huge allocation.
     pub fn count(&mut self, what: &'static str) -> Result<usize, SnapError> {
-        let n = self.u64(what)?;
+        let n = u64::load(self)?;
         // Every element costs at least one byte in this format.
         if n > self.remaining() as u64 {
             return Err(SnapError::Mismatch {
@@ -224,85 +162,243 @@ pub trait Snap: Sized {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
-impl Snap for u8 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(*self);
+/// One direction of a component's snapshot: [`SnapWriter`] saves the
+/// visited state, [`SnapReader`] overwrites it in place. A component's
+/// single `state` body drives either, so its layout is written once.
+pub trait StateIo {
+    /// Whether this visitor loads (restores) rather than saves.
+    fn loading(&self) -> bool;
+
+    /// Saves `*v`, or loads a value into it.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated or corrupt bytes.
+    fn value<T: Snap>(&mut self, v: &mut T) -> Result<(), SnapError>;
+
+    /// Writes the length `n`, or reads a length (bounded by the remaining
+    /// bytes) and returns it.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated bytes or an impossible length.
+    fn len(&mut self, n: usize, what: &'static str) -> Result<usize, SnapError>;
+
+    /// Saves the items of `seq` in order, or rebuilds `seq` from `n`
+    /// loaded items (`n` is the item count when saving).
+    ///
+    /// # Errors
+    ///
+    /// Loading fails on truncated or corrupt bytes.
+    fn items<S: Seq>(&mut self, seq: &mut S, n: usize) -> Result<(), SnapError>;
+
+    /// A length the configuration fixes: loading requires exactly `n`.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails with [`SnapError::Mismatch`] on any other length.
+    fn fixed_len(&mut self, n: usize, what: &'static str) -> Result<(), SnapError> {
+        let got = self.len(n, what)?;
+        if got != n {
+            return Err(SnapError::mismatch(format!(
+                "{what}: snapshot holds {got}, configuration has {n}"
+            )));
+        }
+        Ok(())
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u8("u8")
+
+    /// A length that may not exceed `cap`; returns the visited length.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails with [`SnapError::Mismatch`] above `cap`.
+    fn bounded_len(
+        &mut self,
+        n: usize,
+        cap: usize,
+        what: &'static str,
+    ) -> Result<usize, SnapError> {
+        let got = self.len(n, what)?;
+        if got > cap {
+            return Err(SnapError::mismatch(format!(
+                "{what} holds {got} > capacity {cap}"
+            )));
+        }
+        Ok(got)
+    }
+
+    /// The presence tag (0 absent, 1 present) of optional state whose
+    /// presence the configuration decides.
+    ///
+    /// # Errors
+    ///
+    /// Loading fails with [`SnapError::BadTag`] on a tag other than 0 or
+    /// 1, and with [`SnapError::Mismatch`] when the tag disagrees with
+    /// `present`.
+    fn present(&mut self, present: bool, what: &'static str) -> Result<(), SnapError> {
+        let mut tag = u8::from(present);
+        self.value(&mut tag)?;
+        match tag {
+            0 | 1 if (tag == 1) == present => Ok(()),
+            0 | 1 => Err(SnapError::mismatch(format!(
+                "snapshot {what} presence (tag {tag}) does not match the configuration"
+            ))),
+            t => Err(SnapError::BadTag {
+                what,
+                tag: u64::from(t),
+            }),
+        }
+    }
+
+    /// A sequence whose length the configuration fixes (a table).
+    ///
+    /// # Errors
+    ///
+    /// As [`StateIo::fixed_len`] and [`StateIo::items`].
+    fn table<S: Seq>(&mut self, seq: &mut S, what: &'static str) -> Result<(), SnapError> {
+        let n = seq.item_count();
+        self.fixed_len(n, what)?;
+        self.items(seq, n)
+    }
+
+    /// A sequence holding at most `cap` items (a queue).
+    ///
+    /// # Errors
+    ///
+    /// As [`StateIo::bounded_len`] and [`StateIo::items`].
+    fn bounded<S: Seq>(
+        &mut self,
+        seq: &mut S,
+        cap: usize,
+        what: &'static str,
+    ) -> Result<(), SnapError> {
+        let n = self.bounded_len(seq.item_count(), cap, what)?;
+        self.items(seq, n)
     }
 }
 
-impl Snap for u16 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(*self);
+impl StateIo for SnapWriter {
+    fn loading(&self) -> bool {
+        false
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u16("u16")
+
+    fn value<T: Snap>(&mut self, v: &mut T) -> Result<(), SnapError> {
+        v.save(self);
+        Ok(())
+    }
+
+    fn len(&mut self, n: usize, _what: &'static str) -> Result<usize, SnapError> {
+        n.save(self);
+        Ok(n)
+    }
+
+    fn items<S: Seq>(&mut self, seq: &mut S, n: usize) -> Result<(), SnapError> {
+        debug_assert_eq!(n, seq.item_count(), "saving visits every item");
+        seq.save_items(self);
+        Ok(())
     }
 }
 
-impl Snap for u32 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(*self);
+impl StateIo for SnapReader<'_> {
+    fn loading(&self) -> bool {
+        true
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u32("u32")
+
+    fn value<T: Snap>(&mut self, v: &mut T) -> Result<(), SnapError> {
+        *v = T::load(self)?;
+        Ok(())
+    }
+
+    fn len(&mut self, _n: usize, what: &'static str) -> Result<usize, SnapError> {
+        self.count(what)
+    }
+
+    fn items<S: Seq>(&mut self, seq: &mut S, n: usize) -> Result<(), SnapError> {
+        seq.load_items(self, n)
     }
 }
 
-impl Snap for u64 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(*self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u64("u64")
-    }
+/// A growable sequence [`StateIo::items`] can save item by item or
+/// rebuild from loaded items.
+pub trait Seq {
+    /// Number of items.
+    fn item_count(&self) -> usize;
+    /// Appends every item to `w`, in order.
+    fn save_items(&self, w: &mut SnapWriter);
+    /// Replaces the contents with `n` items read from `r`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated or corrupt bytes.
+    fn load_items(&mut self, r: &mut SnapReader<'_>, n: usize) -> Result<(), SnapError>;
 }
 
-impl Snap for u128 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u128(*self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u128("u128")
-    }
+macro_rules! snap_seq {
+    ($($seq:ident),*) => {$(
+        impl<T: Snap> Seq for $seq<T> {
+            fn item_count(&self) -> usize {
+                self.len()
+            }
+            fn save_items(&self, w: &mut SnapWriter) {
+                for v in self {
+                    v.save(w);
+                }
+            }
+            fn load_items(&mut self, r: &mut SnapReader<'_>, n: usize) -> Result<(), SnapError> {
+                *self = (0..n).map(|_| T::load(r)).collect::<Result<_, _>>()?;
+                Ok(())
+            }
+        }
+
+        impl<T: Snap> Snap for $seq<T> {
+            fn save(&self, w: &mut SnapWriter) {
+                self.len().save(w);
+                self.save_items(w);
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                let n = r.count(stringify!($seq))?;
+                let mut out = $seq::new();
+                out.load_items(r, n)?;
+                Ok(out)
+            }
+        }
+    )*};
 }
 
-impl Snap for i8 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(*self as u8);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.u8("i8")? as i8)
-    }
+snap_seq!(Vec, VecDeque);
+
+macro_rules! snap_int {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            fn save(&self, w: &mut SnapWriter) {
+                w.raw(&self.to_le_bytes());
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                let b = r.raw(size_of::<$t>(), stringify!($t))?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("raw returns the requested length")))
+            }
+        }
+    )*};
 }
 
-impl Snap for i64 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(*self as u64);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.u64("i64")? as i64)
-    }
-}
+snap_int!(u8, u16, u32, u64, u128, i8, i64);
 
 impl Snap for usize {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(*self as u64);
+        (*self as u64).save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let v = r.u64("usize")?;
+        let v = u64::load(r)?;
         usize::try_from(v).map_err(|_| SnapError::mismatch(format!("usize value {v} does not fit")))
     }
 }
 
 impl Snap for bool {
     fn save(&self, w: &mut SnapWriter) {
-        w.u8(u8::from(*self));
+        u8::from(*self).save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("bool")? {
+        match u8::load(r)? {
             0 => Ok(false),
             1 => Ok(true),
             t => Err(SnapError::BadTag {
@@ -315,16 +411,16 @@ impl Snap for bool {
 
 impl Snap for f64 {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.to_bits());
+        self.to_bits().save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(f64::from_bits(r.u64("f64")?))
+        Ok(f64::from_bits(u64::load(r)?))
     }
 }
 
 impl Snap for String {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.len() as u64);
+        self.len().save(w);
         w.raw(self.as_bytes());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -337,16 +433,13 @@ impl Snap for String {
 
 impl<T: Snap> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
-        match self {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                v.save(w);
-            }
+        self.is_some().save(w);
+        if let Some(v) = self {
+            v.save(w);
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("option tag")? {
+        match u8::load(r)? {
             0 => Ok(None),
             1 => Ok(Some(T::load(r)?)),
             t => Err(SnapError::BadTag {
@@ -357,60 +450,20 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
-impl<T: Snap> Snap for Vec<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.len() as u64);
-        for v in self {
-            v.save(w);
+macro_rules! snap_tuple {
+    ($(($($t:ident $i:tt),*)),*) => {$(
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn save(&self, w: &mut SnapWriter) {
+                $(self.$i.save(w);)*
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::load(r)?,)*))
+            }
         }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.count("vec length")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
-    }
+    )*};
 }
 
-impl<T: Snap> Snap for VecDeque<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.len() as u64);
-        for v in self {
-            v.save(w);
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.count("deque length")?;
-        let mut out = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::load(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-        self.2.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
-    }
-}
+snap_tuple!((A 0, B 1), (A 0, B 1, C 2));
 
 impl<T: Snap + Copy + Default, const N: usize> Snap for [T; N] {
     fn save(&self, w: &mut SnapWriter) {
@@ -439,7 +492,7 @@ where
     fn save(&self, w: &mut SnapWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        w.u64(entries.len() as u64);
+        entries.len().save(w);
         for (k, v) in entries {
             k.save(w);
             v.save(w);
@@ -457,6 +510,97 @@ where
     }
 }
 
+/// Implements [`Snap`] for a struct from its field list: fields are saved
+/// in the listed order and loaded back in the same order.
+///
+/// A field written as `name as T => load` travels as `T` (built with
+/// `T::from`) and is converted back with `load`. An optional trailing
+/// `check f` validates the loaded value with
+/// `f(&value) -> Result<(), SnapError>`.
+///
+/// ```
+/// use elf_types::{snap_struct, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Pair {
+///     a: u32,
+///     b: bool,
+/// }
+/// snap_struct!(Pair { a, b });
+///
+/// let mut w = SnapWriter::new();
+/// Pair { a: 7, b: true }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(Pair::load(&mut SnapReader::new(&bytes)).unwrap(), Pair { a: 7, b: true });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (@save $w:ident, $e:expr) => {
+        $crate::snap::Snap::save(&$e, $w)
+    };
+    (@save $w:ident, $e:expr, $t:ty) => {
+        $crate::snap::Snap::save(&<$t>::from($e), $w)
+    };
+    (@load $r:ident) => {
+        $crate::snap::Snap::load($r)?
+    };
+    (@load $r:ident, $t:ty, $conv:expr) => {
+        ($conv)(<$t as $crate::snap::Snap>::load($r)?)
+    };
+    ($ty:ident { $($f:ident $(as $t:ty => $conv:expr)?),* $(,)? } $(check $check:expr)?) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                $($crate::snap_struct!(@save w, self.$f $(, $t)?);)*
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                let v = $ty {
+                    $($f: $crate::snap_struct!(@load r $(, $t, $conv)?),)*
+                };
+                $(($check)(&v)?;)?
+                Ok(v)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum from its variant list: each variant is
+/// a `u8` tag followed by its fields in the listed order. Tuple variants
+/// name their fields positionally (`3 => Branch(kind)`); an unknown tag
+/// loads as [`SnapError::BadTag`].
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident { $($tag:literal => $var:ident $(($($tf:ident),*))? $({$($sf:ident),*})?),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $($ty::$var $(($($tf),*))? $({$($sf),*})? => {
+                        $crate::snap::Snap::save(&($tag as u8), w);
+                        $($($crate::snap::Snap::save($tf, w);)*)?
+                        $($($crate::snap::Snap::save($sf, w);)*)?
+                    })*
+                }
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                match <u8 as $crate::snap::Snap>::load(r)? {
+                    $($tag => {
+                        $($(let $tf = $crate::snap::Snap::load(r)?;)*)?
+                        $($(let $sf = $crate::snap::Snap::load(r)?;)*)?
+                        Ok($ty::$var $(($($tf),*))? $({$($sf),*})?)
+                    })*
+                    t => Err($crate::snap::SnapError::BadTag {
+                        what: stringify!($ty),
+                        tag: u64::from(t),
+                    }),
+                }
+            }
+        }
+    };
+}
+
 // --- Snap impls for this crate's vocabulary types -------------------------
 
 use crate::fetch::{
@@ -464,257 +608,80 @@ use crate::fetch::{
 };
 use crate::inst::{BranchKind, InstClass, StaticInst};
 
-impl Snap for BranchKind {
-    fn save(&self, w: &mut SnapWriter) {
-        let tag: u8 = match self {
-            BranchKind::CondDirect => 0,
-            BranchKind::UncondDirect => 1,
-            BranchKind::Call => 2,
-            BranchKind::Return => 3,
-            BranchKind::IndirectJump => 4,
-            BranchKind::IndirectCall => 5,
-        };
-        w.u8(tag);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8("branch kind")? {
-            0 => BranchKind::CondDirect,
-            1 => BranchKind::UncondDirect,
-            2 => BranchKind::Call,
-            3 => BranchKind::Return,
-            4 => BranchKind::IndirectJump,
-            5 => BranchKind::IndirectCall,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "branch kind",
-                    tag: u64::from(t),
-                })
-            }
-        })
-    }
-}
-
-impl Snap for InstClass {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            InstClass::Alu => w.u8(0),
-            InstClass::Mul => w.u8(1),
-            InstClass::Div => w.u8(2),
-            InstClass::Load => w.u8(3),
-            InstClass::Store => w.u8(4),
-            InstClass::Simd => w.u8(5),
-            InstClass::Nop => w.u8(6),
-            InstClass::Branch(k) => {
-                w.u8(7);
-                k.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8("inst class")? {
-            0 => InstClass::Alu,
-            1 => InstClass::Mul,
-            2 => InstClass::Div,
-            3 => InstClass::Load,
-            4 => InstClass::Store,
-            5 => InstClass::Simd,
-            6 => InstClass::Nop,
-            7 => InstClass::Branch(BranchKind::load(r)?),
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "inst class",
-                    tag: u64::from(t),
-                })
-            }
-        })
-    }
-}
-
-impl Snap for StaticInst {
-    fn save(&self, w: &mut SnapWriter) {
-        self.pc.save(w);
-        self.class.save(w);
-        self.target.save(w);
-        self.dst.save(w);
-        self.srcs.save(w);
-        self.behavior.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(StaticInst {
-            pc: Snap::load(r)?,
-            class: Snap::load(r)?,
-            target: Snap::load(r)?,
-            dst: Snap::load(r)?,
-            srcs: Snap::load(r)?,
-            behavior: Snap::load(r)?,
-        })
-    }
-}
-
-impl Snap for PredSource {
-    fn save(&self, w: &mut SnapWriter) {
-        let tag: u8 = match self {
-            PredSource::Bimodal => 0,
-            PredSource::TageTagged => 1,
-            PredSource::BranchTargetCache => 2,
-            PredSource::Ittage => 3,
-            PredSource::Ras => 4,
-            PredSource::Btb => 5,
-            PredSource::CoupledBimodal => 6,
-            PredSource::CoupledBtc => 7,
-            PredSource::CoupledRas => 8,
-            PredSource::StaticNotTaken => 9,
-            PredSource::DecodedTarget => 10,
-        };
-        w.u8(tag);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8("pred source")? {
-            0 => PredSource::Bimodal,
-            1 => PredSource::TageTagged,
-            2 => PredSource::BranchTargetCache,
-            3 => PredSource::Ittage,
-            4 => PredSource::Ras,
-            5 => PredSource::Btb,
-            6 => PredSource::CoupledBimodal,
-            7 => PredSource::CoupledBtc,
-            8 => PredSource::CoupledRas,
-            9 => PredSource::StaticNotTaken,
-            10 => PredSource::DecodedTarget,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "pred source",
-                    tag: u64::from(t),
-                })
-            }
-        })
-    }
-}
-
-impl Snap for Prediction {
-    fn save(&self, w: &mut SnapWriter) {
-        self.taken.save(w);
-        self.target.save(w);
-        self.source.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Prediction {
-            taken: Snap::load(r)?,
-            target: Snap::load(r)?,
-            source: Snap::load(r)?,
-        })
-    }
-}
-
-impl Snap for FetchMode {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FetchMode::Coupled => 0,
-            FetchMode::Decoupled => 1,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8("fetch mode")? {
-            0 => FetchMode::Coupled,
-            1 => FetchMode::Decoupled,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "fetch mode",
-                    tag: u64::from(t),
-                })
-            }
-        })
-    }
-}
-
-impl Snap for FaqTermination {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            FaqTermination::TakenBranch(k) => {
-                w.u8(0);
-                k.save(w);
-            }
-            FaqTermination::FallThrough => w.u8(1),
-            FaqTermination::BtbMiss => w.u8(2),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8("faq termination")? {
-            0 => FaqTermination::TakenBranch(BranchKind::load(r)?),
-            1 => FaqTermination::FallThrough,
-            2 => FaqTermination::BtbMiss,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "faq termination",
-                    tag: u64::from(t),
-                })
-            }
-        })
-    }
-}
-
-impl Snap for FaqBranch {
-    fn save(&self, w: &mut SnapWriter) {
-        self.offset.save(w);
-        self.kind.save(w);
-        self.pred_taken.save(w);
-        self.pred_target.save(w);
-        self.source.save(w);
-        self.hist.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaqBranch {
-            offset: Snap::load(r)?,
-            kind: Snap::load(r)?,
-            pred_taken: Snap::load(r)?,
-            pred_target: Snap::load(r)?,
-            source: Snap::load(r)?,
-            hist: Snap::load(r)?,
-        })
-    }
-}
-
-impl Snap for FaqEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        self.start_pc.save(w);
-        self.inst_count.save(w);
-        self.term.save(w);
-        self.next_pc.save(w);
-        self.branches.save(w);
-        self.enqueue_cycle.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaqEntry {
-            start_pc: Snap::load(r)?,
-            inst_count: Snap::load(r)?,
-            term: Snap::load(r)?,
-            next_pc: Snap::load(r)?,
-            branches: Snap::load(r)?,
-            enqueue_cycle: Snap::load(r)?,
-        })
-    }
-}
-
-impl Snap for FetchedInst {
-    fn save(&self, w: &mut SnapWriter) {
-        self.sinst.save(w);
-        self.oracle_seq.save(w);
-        self.wrong_path.save(w);
-        self.mode.save(w);
-        self.pred.save(w);
-        self.fetch_cycle.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FetchedInst {
-            sinst: Snap::load(r)?,
-            oracle_seq: Snap::load(r)?,
-            wrong_path: Snap::load(r)?,
-            mode: Snap::load(r)?,
-            pred: Snap::load(r)?,
-            fetch_cycle: Snap::load(r)?,
-        })
-    }
-}
+snap_enum!(BranchKind {
+    0 => CondDirect,
+    1 => UncondDirect,
+    2 => Call,
+    3 => Return,
+    4 => IndirectJump,
+    5 => IndirectCall,
+});
+snap_enum!(InstClass {
+    0 => Alu,
+    1 => Mul,
+    2 => Div,
+    3 => Load,
+    4 => Store,
+    5 => Simd,
+    6 => Nop,
+    7 => Branch(kind),
+});
+snap_struct!(StaticInst {
+    pc,
+    class,
+    target,
+    dst,
+    srcs,
+    behavior
+});
+snap_enum!(PredSource {
+    0 => Bimodal,
+    1 => TageTagged,
+    2 => BranchTargetCache,
+    3 => Ittage,
+    4 => Ras,
+    5 => Btb,
+    6 => CoupledBimodal,
+    7 => CoupledBtc,
+    8 => CoupledRas,
+    9 => StaticNotTaken,
+    10 => DecodedTarget,
+});
+snap_struct!(Prediction {
+    taken,
+    target,
+    source
+});
+snap_enum!(FetchMode { 0 => Coupled, 1 => Decoupled });
+snap_enum!(FaqTermination {
+    0 => TakenBranch(kind),
+    1 => FallThrough,
+    2 => BtbMiss,
+});
+snap_struct!(FaqBranch {
+    offset,
+    kind,
+    pred_taken,
+    pred_target,
+    source,
+    hist
+});
+snap_struct!(FaqEntry {
+    start_pc,
+    inst_count,
+    term,
+    next_pc,
+    branches,
+    enqueue_cycle
+});
+snap_struct!(FetchedInst {
+    sinst,
+    oracle_seq,
+    wrong_path,
+    mode,
+    pred,
+    fetch_cycle
+});
 
 #[cfg(test)]
 mod tests {
@@ -821,9 +788,41 @@ mod tests {
     }
 
     #[test]
+    fn state_io_checks_geometry_and_presence() {
+        let mut w = SnapWriter::new();
+        w.table(&mut vec![1u8, 2, 3], "table").unwrap();
+        w.bounded(&mut VecDeque::from([4u64, 5]), 2, "queue")
+            .unwrap();
+        w.present(true, "extra").unwrap();
+        let bytes = w.into_bytes();
+        let load = |table_len: usize, cap: usize, present: bool| {
+            let mut r = SnapReader::new(&bytes);
+            let mut table = vec![0u8; table_len];
+            let mut queue = VecDeque::<u64>::new();
+            r.table(&mut table, "table")?;
+            r.bounded(&mut queue, cap, "queue")?;
+            r.present(present, "extra")?;
+            Ok::<_, SnapError>((table, queue))
+        };
+        assert_eq!(
+            load(3, 2, true),
+            Ok((vec![1, 2, 3], VecDeque::from([4, 5])))
+        );
+        let mismatch = |res| matches!(res, Err(SnapError::Mismatch { .. }));
+        assert!(mismatch(load(4, 2, true)), "table length must match");
+        assert!(mismatch(load(3, 1, true)), "queue must fit its capacity");
+        assert!(mismatch(load(3, 2, false)), "presence must match");
+        let mut r = SnapReader::new(&[2]);
+        assert!(matches!(
+            r.present(true, "extra"),
+            Err(SnapError::BadTag { tag: 2, .. })
+        ));
+    }
+
+    #[test]
     fn absurd_length_prefix_is_rejected_without_allocation() {
         let mut w = SnapWriter::new();
-        w.u64(u64::MAX);
+        u64::MAX.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(

@@ -79,7 +79,6 @@ fn usage(problem: &str) -> ExitCode {
                        [--metrics] [--metrics-json F]\n\
                 elfsim <workload> --compare [--jobs N] [--retries N] [...]\n\
                 elfsim --resume F [--window N] [--checkpoint-every N] [--checkpoint-file F]\n\
-                elfsim [workload] --bench-json F [--bench-baseline F] [--warmup N] [--window N]\n\
                 elfsim fuzz [--seed N] [--cases N] [--budget N] [--sentinel flip-taken]\n\
                        [--repro-out F] | fuzz --repro F\n\
                 elfsim --list\n\
@@ -90,12 +89,9 @@ fn usage(problem: &str) -> ExitCode {
          every N measured instructions; --resume F continues it to the\n\
          original --window target. --compare --jobs N runs the architectures\n\
          as a supervised grid: one wedged cell cannot sink the others (exit 3\n\
-         flags partial results). --bench-json F times the simulation kernel\n\
-         itself (cycles/sec and MIPS per architecture) and writes the report\n\
-         to F; --bench-baseline F fails the run when any architecture drops\n\
-         below 70% of the baseline report's MIPS. --metrics prints the\n\
-         cycle-attribution table (every cycle charged to exactly one cause);\n\
-         --metrics-json F writes the elfsim-metrics-v2 report to F. Both\n\
+         flags partial results). --metrics prints the cycle-attribution\n\
+         table (every cycle charged to exactly one cause); --metrics-json F\n\
+         writes the elfsim-metrics-v2 report to F. Both\n\
          also work with --compare and --resume (the snapshot must have been\n\
          taken with metrics enabled). elfsim fuzz runs seeded differential\n\
          fuzzing (commit streams vs. the functional oracle, invariant checks\n\
@@ -217,97 +213,6 @@ fn resume(
             ExitCode::from(EXIT_SIM)
         }
     }
-}
-
-/// `elfsim --bench-json F`: times the simulation kernel itself across
-/// every architecture (simulated cycles/sec and MIPS) and writes the
-/// versioned JSON throughput report to `F`. With `--bench-baseline` the
-/// run fails when any architecture drops below 70% of the baseline
-/// report's MIPS — the CI regression gate.
-fn bench(
-    name: &str,
-    warmup: u64,
-    window: u64,
-    json_path: &Path,
-    baseline: Option<&Path>,
-) -> ExitCode {
-    use elf_sim::core::throughput;
-
-    let Some(w) = workloads::by_name(name) else {
-        return usage(&format!("unknown workload {name:?} (try --list)"));
-    };
-    let mut archs = vec![FetchArch::NoDcf, FetchArch::Dcf];
-    archs.extend(ElfVariant::ALL.into_iter().map(FetchArch::Elf));
-
-    println!("{name} — kernel throughput ({warmup} warmup, {window} window per arch):");
-    let mut samples = Vec::new();
-    for arch in archs {
-        match throughput::measure(&w, arch, warmup, window) {
-            Ok(s) => {
-                println!(
-                    "  {:>9}: {:>12.0} cycles/sec  {:>7.3} MIPS  \
-                     ({} cycles, {} insts, {:.3} s)",
-                    s.arch,
-                    s.cycles_per_sec(),
-                    s.mips(),
-                    s.cycles,
-                    s.instructions,
-                    s.wall_seconds
-                );
-                samples.push(s);
-            }
-            Err(e) => {
-                eprintln!("{}: {e}", arch.label());
-                return ExitCode::from(EXIT_SIM);
-            }
-        }
-    }
-
-    let report = throughput::render_report(name, warmup, window, &samples);
-    if let Err(e) = std::fs::write(json_path, &report) {
-        eprintln!("cannot write {}: {e}", json_path.display());
-        return ExitCode::from(EXIT_SIM);
-    }
-    println!();
-    println!("report written to {}", json_path.display());
-
-    if let Some(base_path) = baseline {
-        let raw = match std::fs::read_to_string(base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", base_path.display());
-                return ExitCode::from(EXIT_SIM);
-            }
-        };
-        let Some(base) = throughput::parse_baseline(&raw) else {
-            eprintln!(
-                "{}: not a {} report",
-                base_path.display(),
-                throughput::SCHEMA
-            );
-            return ExitCode::from(EXIT_SIM);
-        };
-        let mut regressed = false;
-        for (arch, base_mips) in base {
-            let Some(s) = samples.iter().find(|s| s.arch == arch) else {
-                continue;
-            };
-            if s.mips() < base_mips * 0.7 {
-                eprintln!(
-                    "throughput regression: {arch} at {:.3} MIPS, below 70% of \
-                     the baseline's {:.3}",
-                    s.mips(),
-                    base_mips
-                );
-                regressed = true;
-            }
-        }
-        if regressed {
-            return ExitCode::from(EXIT_SIM);
-        }
-        println!("baseline check passed against {}", base_path.display());
-    }
-    ExitCode::SUCCESS
 }
 
 /// `elfsim fuzz`: seeded differential fuzzing (see `elf_core::fuzz`).
@@ -459,8 +364,6 @@ fn main() -> ExitCode {
     let mut checkpoint_every = 0u64;
     let mut checkpoint_file: Option<PathBuf> = None;
     let mut resume_from: Option<PathBuf> = None;
-    let mut bench_json: Option<PathBuf> = None;
-    let mut bench_baseline: Option<PathBuf> = None;
     let mut show_metrics = false;
     let mut metrics_json: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
@@ -490,8 +393,7 @@ fn main() -> ExitCode {
                 inject = Some(v.clone());
                 i += 2;
             }
-            "--checkpoint-file" | "--resume" | "--bench-json" | "--bench-baseline"
-            | "--metrics-json" => {
+            "--checkpoint-file" | "--resume" | "--metrics-json" => {
                 let flag = args[i].as_str();
                 let Some(v) = args.get(i + 1) else {
                     return usage(&format!("{flag} needs a file path"));
@@ -499,8 +401,6 @@ fn main() -> ExitCode {
                 let path = PathBuf::from(v);
                 match flag {
                     "--resume" => resume_from = Some(path),
-                    "--bench-json" => bench_json = Some(path),
-                    "--bench-baseline" => bench_baseline = Some(path),
                     "--metrics-json" => metrics_json = Some(path),
                     _ => checkpoint_file = Some(path),
                 }
@@ -525,31 +425,6 @@ fn main() -> ExitCode {
     }
 
     let want_metrics = show_metrics || metrics_json.is_some();
-
-    if let Some(json_path) = &bench_json {
-        if resume_from.is_some()
-            || compare
-            || inject.is_some()
-            || seed.is_some()
-            || jobs.is_some()
-            || checkpoint_every > 0
-            || checkpoint_file.is_some()
-            || want_metrics
-        {
-            return usage(
-                "--bench-json times plain baseline runs: only an optional workload, \
-                 --warmup and --window apply",
-            );
-        }
-        if positionals.len() > 1 {
-            return usage("--bench-json takes at most a workload name");
-        }
-        let name = positionals.first().copied().unwrap_or("641.leela");
-        return bench(name, warmup, window, json_path, bench_baseline.as_deref());
-    }
-    if bench_baseline.is_some() {
-        return usage("--bench-baseline only applies together with --bench-json");
-    }
 
     if let Some(path) = &resume_from {
         if !positionals.is_empty() || compare || inject.is_some() || seed.is_some() {
