@@ -29,10 +29,15 @@ done
 # simbench is its own package outside the workspace; it drives the
 # back-end through its public API, so build and test it here, and require
 # its seed-1 output check (SimStats digests) to pass on a short run.
+# Lint it too, so a change to the public calls it depends on shows up here;
+# smoke the large-image workload as well as leela.
 cargo test --release --offline --manifest-path simbench/Cargo.toml
-cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
-    --workload kernel-leela --seconds 1 --trace 0 >"$tmp/simbench.out"
-grep -q '"correct": true' "$tmp/simbench.out"
+cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
+for workload in kernel-leela kernel-server1; do
+    cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 >"$tmp/simbench.out"
+    grep -q '"correct": true' "$tmp/simbench.out"
+done
 
 # Smoke: a checkpointed run must resume from its snapshot (end-to-end
 # through the CLI; bit-identity is pinned by tests/checkpoint.rs).

@@ -39,17 +39,16 @@ impl BtbBuilder {
 
     /// Feeds one retired instruction. `kind` is `Some` for branches;
     /// `taken` is the resolved direction; `target` the static target for
-    /// direct branches. Returns any entries finalized by this retirement
-    /// (0, 1, or 2).
+    /// direct branches. Appends the entries finalized by this retirement
+    /// (0, 1, or 2) to `out`.
     pub fn on_retire(
         &mut self,
         pc: Addr,
         kind: Option<BranchKind>,
         taken: bool,
         target: Option<Addr>,
-    ) -> Vec<BtbEntry> {
-        let mut out = Vec::new();
-
+        out: &mut Vec<BtbEntry>,
+    ) {
         // Rule 4 (plus defensive restart): the stream moved elsewhere.
         if self.expected_next().is_some_and(|n| n != pc) {
             out.extend(self.cur.take());
@@ -57,16 +56,16 @@ impl BtbBuilder {
 
         match kind {
             None => {
-                self.extend_plain(pc, &mut out);
+                self.extend_plain(pc, out);
             }
             Some(k) if k.is_conditional() && !taken => {
                 // Never-taken-this-time conditional: occupies no slot here;
                 // if it was taken before, install-merge keeps its old slot.
-                self.extend_plain(pc, &mut out);
+                self.extend_plain(pc, out);
             }
             Some(k) if k.is_conditional() => {
                 // Taken conditional: needs a slot.
-                self.extend_plain(pc, &mut out);
+                self.extend_plain(pc, out);
                 let e = self
                     .cur
                     .as_mut()
@@ -88,7 +87,7 @@ impl BtbBuilder {
                         target,
                     });
                     out.push(fresh);
-                    return out;
+                    return;
                 }
                 // The dynamic stream diverges: finalize (merge will grow it
                 // later if a fall-through pass extends the run).
@@ -96,7 +95,7 @@ impl BtbBuilder {
             }
             Some(k) => {
                 // Rule 1: unconditional of any kind terminates the entry.
-                self.extend_plain(pc, &mut out);
+                self.extend_plain(pc, out);
                 let e = self
                     .cur
                     .as_mut()
@@ -122,7 +121,6 @@ impl BtbBuilder {
                 }
             }
         }
-        out
     }
 
     /// Appends `pc` as a plain instruction, finalizing first on rule 3.
@@ -192,7 +190,9 @@ mod proptests {
                 let target = k
                     .filter(|k| k.is_direct())
                     .map(|_| 0x9_0000u64);
-                for e in b.on_retire(pc, k, taken, target) {
+                let mut done = Vec::new();
+                b.on_retire(pc, k, taken, target, &mut done);
+                for e in done {
                     prop_assert!(e.inst_count >= 1);
                     prop_assert!(e.inst_count as usize <= MAX_BLOCK_INSTS);
                     prop_assert!(e.branch_count() <= MAX_TAKEN_BRANCHES_PER_ENTRY);
@@ -215,7 +215,7 @@ mod tests {
     fn feed_seq(b: &mut BtbBuilder, start: Addr, n: usize) -> Vec<BtbEntry> {
         let mut out = Vec::new();
         for i in 0..n {
-            out.extend(b.on_retire(start + i as u64 * 4, None, false, None));
+            b.on_retire(start + i as u64 * 4, None, false, None, &mut out);
         }
         out
     }
@@ -235,7 +235,8 @@ mod tests {
     fn unconditional_terminates_inclusively() {
         let mut b = BtbBuilder::new();
         feed_seq(&mut b, 0x1000, 5);
-        let done = b.on_retire(0x1014, Some(UncondDirect), true, Some(0x2000));
+        let mut done = Vec::new();
+        b.on_retire(0x1014, Some(UncondDirect), true, Some(0x2000), &mut done);
         assert_eq!(done.len(), 1);
         let e = &done[0];
         assert_eq!(e.inst_count, 6);
@@ -247,7 +248,8 @@ mod tests {
     fn taken_conditional_takes_a_slot_and_finalizes() {
         let mut b = BtbBuilder::new();
         feed_seq(&mut b, 0x1000, 3);
-        let done = b.on_retire(0x100c, Some(CondDirect), true, Some(0x3000));
+        let mut done = Vec::new();
+        b.on_retire(0x100c, Some(CondDirect), true, Some(0x3000), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].inst_count, 4);
         assert_eq!(done[0].branch_at(3).unwrap().kind, CondDirect);
@@ -257,7 +259,8 @@ mod tests {
     fn never_taken_conditional_occupies_no_slot() {
         let mut b = BtbBuilder::new();
         feed_seq(&mut b, 0x1000, 3);
-        let none = b.on_retire(0x100c, Some(CondDirect), false, Some(0x3000));
+        let mut none = Vec::new();
+        b.on_retire(0x100c, Some(CondDirect), false, Some(0x3000), &mut none);
         assert!(none.is_empty());
         assert_eq!(b.pending().unwrap().branch_count(), 0);
         assert_eq!(b.pending().unwrap().inst_count, 4);
@@ -276,10 +279,12 @@ mod tests {
         // Manually fill both slots of the pending entry.
         // (The public path to this state is install-merge; the builder
         // still must handle it defensively.)
-        let done1 = b.on_retire(0x1008, Some(CondDirect), true, Some(0x5000));
+        let mut done1 = Vec::new();
+        b.on_retire(0x1008, Some(CondDirect), true, Some(0x5000), &mut done1);
         assert_eq!(done1.len(), 1);
         // Fresh entry; immediately meet an unconditional: takes slot 0.
-        let done2 = b.on_retire(0x100c, Some(Return), true, None);
+        let mut done2 = Vec::new();
+        b.on_retire(0x100c, Some(Return), true, None, &mut done2);
         assert_eq!(done2.len(), 1);
         assert_eq!(done2[0].inst_count, 1);
         assert_eq!(done2[0].branch_at(0).unwrap().kind, Return);
@@ -291,7 +296,8 @@ mod tests {
         feed_seq(&mut b, 0x1000, 4);
         // Retire stream jumps elsewhere (e.g. we were mid-run after a
         // not-taken conditional and an outer taken branch redirected).
-        let done = b.on_retire(0x8000, None, false, None);
+        let mut done = Vec::new();
+        b.on_retire(0x8000, None, false, None, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].start_pc, 0x1000);
         assert_eq!(done[0].inst_count, 4);
@@ -303,7 +309,8 @@ mod tests {
         for kind in [IndirectJump, IndirectCall, Return, Call] {
             let mut b = BtbBuilder::new();
             feed_seq(&mut b, 0x1000, 2);
-            let done = b.on_retire(0x1008, Some(kind), true, None);
+            let mut done = Vec::new();
+            b.on_retire(0x1008, Some(kind), true, None, &mut done);
             assert_eq!(done.len(), 1, "{kind:?} must terminate the entry");
             assert_eq!(done[0].inst_count, 3);
             let tracked = done[0].branch_at(2).unwrap();

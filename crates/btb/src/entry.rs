@@ -73,19 +73,15 @@ impl BtbEntry {
         if !self.has_free_slot() {
             return false;
         }
-        // Insert and sort.
+        // Insert, then sort the slots in place: tracked branches by offset,
+        // free slots last.
         for slot in &mut self.branches {
             if slot.is_none() {
                 *slot = Some(b);
                 break;
             }
         }
-        let mut live: Vec<BtbBranch> = self.branches.iter().flatten().copied().collect();
-        live.sort_by_key(|x| x.offset);
-        self.branches = [None; MAX_TAKEN_BRANCHES_PER_ENTRY];
-        for (i, x) in live.into_iter().enumerate() {
-            self.branches[i] = Some(x);
-        }
+        self.branches.sort_unstable_by_key(slot_order);
         true
     }
 
@@ -125,26 +121,31 @@ impl BtbEntry {
     /// paper §III-A.
     pub fn merge(&mut self, other: &BtbEntry) {
         debug_assert_eq!(self.start_pc, other.start_pc);
-        let mut all: Vec<BtbBranch> = self.branches().copied().collect();
-        for b in other.branches() {
-            if !all.iter().any(|x| x.offset == b.offset) {
-                all.push(*b);
-            }
+        // The union of both slot sets, sorted by offset in a fixed array.
+        let mut all = [None; 2 * MAX_TAKEN_BRANCHES_PER_ENTRY];
+        let mut len = 0;
+        let new = other
+            .branches()
+            .filter(|b| self.branch_at(b.offset).is_none());
+        for b in self.branches().chain(new) {
+            all[len] = Some(*b);
+            len += 1;
         }
-        all.sort_by_key(|b| b.offset);
+        all.sort_unstable_by_key(slot_order);
         let mut count = self.inst_count.max(other.inst_count);
-        if all.len() > MAX_TAKEN_BRANCHES_PER_ENTRY {
+        if len > MAX_TAKEN_BRANCHES_PER_ENTRY {
             // Split: entry ends just before the third tracked branch.
-            count = count.min(all[MAX_TAKEN_BRANCHES_PER_ENTRY].offset);
-            all.truncate(MAX_TAKEN_BRANCHES_PER_ENTRY);
+            let third = all[MAX_TAKEN_BRANCHES_PER_ENTRY].expect("occupied: len counts it");
+            count = count.min(third.offset);
         }
+        let kept = all[..MAX_TAKEN_BRANCHES_PER_ENTRY].iter().flatten();
         // An unconditional tracked branch still terminates the entry.
-        if let Some(u) = all.iter().find(|b| b.kind.is_unconditional()) {
+        if let Some(u) = kept.clone().find(|b| b.kind.is_unconditional()) {
             count = count.min(u.offset + 1);
         }
         let mut branches = [None; MAX_TAKEN_BRANCHES_PER_ENTRY];
         let mut n = 0;
-        for b in all {
+        for &b in kept {
             if (b.offset) < count {
                 branches[n] = Some(b);
                 n += 1;
@@ -153,6 +154,11 @@ impl BtbEntry {
         self.inst_count = count.max(1);
         self.branches = branches;
     }
+}
+
+/// Sort key of a branch slot: occupied slots by offset, free slots last.
+fn slot_order(slot: &Option<BtbBranch>) -> u16 {
+    slot.map_or(u16::MAX, |b| u16::from(b.offset))
 }
 
 elf_types::snap_struct!(BtbBranch {

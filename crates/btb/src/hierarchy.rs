@@ -38,6 +38,21 @@ impl BtbConfig {
             l2_latency: 3,
         }
     }
+
+    /// What makes the geometry unusable, if anything: a level with no
+    /// entries or no ways. The message names the field.
+    #[must_use]
+    pub fn geometry_error(&self) -> Option<&'static str> {
+        [
+            (self.l0_entries, "l0_entries must be at least 1"),
+            (self.l1_entries, "l1_entries must be at least 1"),
+            (self.l1_ways, "l1_ways must be at least 1"),
+            (self.l2_entries, "l2_entries must be at least 1"),
+            (self.l2_ways, "l2_ways must be at least 1"),
+        ]
+        .into_iter()
+        .find_map(|(n, msg)| (n == 0).then_some(msg))
+    }
 }
 
 impl Default for BtbConfig {

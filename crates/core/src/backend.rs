@@ -297,6 +297,10 @@ pub struct Backend {
     /// Scratch flush lists reused by `complete` (cleared per cycle).
     raw_flush_scratch: Vec<PendingFlush>,
     misp_flush_scratch: Vec<PendingFlush>,
+    /// Replay lists of the last applied flush, handed back through
+    /// [`Backend::recycle_flush`] for the next one to fill.
+    spare_hist_replay: Vec<bool>,
+    spare_ras_replay: Vec<elf_frontend::RasOp>,
     memdep: MemDepTable,
     pending: Option<PendingFlush>,
     stats: BackendStats,
@@ -324,6 +328,8 @@ impl Backend {
             stores: VecDeque::with_capacity(cfg.lsq_entries),
             raw_flush_scratch: Vec::new(),
             misp_flush_scratch: Vec::new(),
+            spare_hist_replay: Vec::new(),
+            spare_ras_replay: Vec::new(),
             memdep: MemDepTable::paper(),
             pending: None,
             stats: BackendStats::default(),
@@ -515,6 +521,10 @@ impl Backend {
     /// also collects the flush's history and RAS replay material.
     fn squash_younger(&mut self, boundary_fid: u64, replay: bool) -> Squashed {
         let mut out = Squashed::default();
+        if replay {
+            out.hist_replay = std::mem::take(&mut self.spare_hist_replay);
+            out.ras_replay = std::mem::take(&mut self.spare_ras_replay);
+        }
         let mut note = |seq: Option<SeqNum>| {
             if let Some(s) = seq {
                 out.min_seq = Some(out.min_seq.map_or(s, |m: u64| m.min(s)));
@@ -942,6 +952,20 @@ impl Backend {
         // now, so apply_flush always returns Some here.
         self.apply_flush(now)
             .expect("watchdog flush applies immediately")
+    }
+
+    /// Takes back an applied flush's replay lists once the caller is done
+    /// with them, so the next flush fills them instead of allocating.
+    pub fn recycle_flush(&mut self, flush: AppliedFlush) {
+        let AppliedFlush {
+            mut hist_replay,
+            mut ras_replay,
+            ..
+        } = flush;
+        hist_replay.clear();
+        ras_replay.clear();
+        self.spare_hist_replay = hist_replay;
+        self.spare_ras_replay = ras_replay;
     }
 
     fn apply_flush(&mut self, now: Cycle) -> Option<AppliedFlush> {

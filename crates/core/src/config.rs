@@ -193,34 +193,44 @@ impl SimConfig {
     /// Checks that the configuration describes a runnable machine.
     ///
     /// These are the structural mistakes reachable from the public
-    /// construction API (zero-width pipelines, a cap that can never be
-    /// met); deeper geometry checks stay as asserts inside the components
-    /// that own them.
+    /// construction API: zero-width pipelines, a cap that can never be met,
+    /// and cache or BTB geometries no component could be built from (zero
+    /// sizes or ways, caches smaller than one set, line sizes that are not
+    /// a power of two).
     pub fn validate(&self) -> Result<(), SimError> {
-        let mut problems = Vec::new();
-        if self.frontend.fetch_width == 0 {
-            problems.push("frontend.fetch_width must be at least 1");
-        }
-        if self.backend.rob_entries == 0 {
-            problems.push("backend.rob_entries must be at least 1");
-        }
-        if self.backend.commit_width == 0 {
-            problems.push("backend.commit_width must be at least 1");
-        }
-        if self.backend.rename_width == 0 {
-            problems.push("backend.rename_width must be at least 1");
-        }
-        if self.backend.dispatch_q_entries == 0 {
-            problems.push("backend.dispatch_q_entries must be at least 1");
-        }
-        if self.backend.alu_ports == 0 {
-            problems.push("backend.alu_ports must be at least 1");
-        }
-        if self.backend.ldst_ports == 0 {
-            problems.push("backend.ldst_ports must be at least 1");
-        }
+        let b = &self.backend;
+        let mut problems: Vec<String> = [
+            (self.frontend.fetch_width, "frontend.fetch_width"),
+            (b.rob_entries, "backend.rob_entries"),
+            (b.commit_width, "backend.commit_width"),
+            (b.rename_width, "backend.rename_width"),
+            (b.dispatch_q_entries, "backend.dispatch_q_entries"),
+            (b.alu_ports, "backend.alu_ports"),
+            (b.ldst_ports, "backend.ldst_ports"),
+        ]
+        .into_iter()
+        .filter(|&(n, _)| n == 0)
+        .map(|(_, field)| format!("{field} must be at least 1"))
+        .collect();
         if self.progress_cap_base == 0 && self.progress_cap_per_inst == 0 {
-            problems.push("progress cap is zero: every run would report a wedge immediately");
+            problems.push(
+                "progress cap is zero: every run would report a wedge immediately".to_string(),
+            );
+        }
+        let m = &self.mem;
+        for (name, c) in [
+            ("mem.l0i", &m.l0i),
+            ("mem.l1i", &m.l1i),
+            ("mem.l1d", &m.l1d),
+            ("mem.l2", &m.l2),
+            ("mem.l3", &m.l3),
+        ] {
+            if let Some(e) = c.geometry_error() {
+                problems.push(format!("{name}.{e}"));
+            }
+        }
+        if let Some(e) = self.frontend.btb.geometry_error() {
+            problems.push(format!("frontend.btb.{e}"));
         }
         if problems.is_empty() {
             Ok(())

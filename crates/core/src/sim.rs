@@ -755,6 +755,7 @@ impl Simulator {
                 FlushCause::Mispredict | FlushCause::RawHazard | FlushCause::Watchdog
             ));
             self.last_progress = now;
+            self.be.recycle_flush(f);
         } else if !self.be.has_pending_flush()
             && (self.be.watchdog_tripped(now) || now.saturating_sub(self.last_progress) > 2000)
         {
@@ -869,6 +870,7 @@ impl Simulator {
         if let Some(m) = &mut self.metrics {
             m.note_flush(now, f.squashed);
         }
+        self.be.recycle_flush(f);
         self.wrong_path = false;
         self.last_progress = now;
     }
@@ -1195,6 +1197,53 @@ mod tests {
         let prog = Arc::new(elf_trace::synthesize(&mini_spec(43)));
         let err = Simulator::try_from_program(cfg, prog, 43).expect_err("invalid");
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+    }
+
+    /// `try_from_program` and `restore` of a snapshot carrying the
+    /// configuration both return `InvalidConfig` naming `field`.
+    fn assert_geometry_rejected(field: &str, edit: impl Fn(&mut SimConfig)) {
+        let prog = Arc::new(elf_trace::synthesize(&mini_spec(43)));
+        let mut cfg = SimConfig::baseline(FetchArch::Dcf);
+        edit(&mut cfg);
+        match Simulator::try_from_program(cfg.clone(), Arc::clone(&prog), 43) {
+            Err(SimError::InvalidConfig { reason }) => assert!(reason.contains(field), "{reason}"),
+            Err(e) => panic!("{field}: expected InvalidConfig, got {e}"),
+            Ok(_) => panic!("{field}: degenerate geometry accepted"),
+        }
+        let mut sim = Simulator::from_program(SimConfig::baseline(FetchArch::Dcf), prog, 43);
+        let mut snap = sim.checkpoint();
+        snap.cfg = cfg;
+        let snap = crate::snapshot::Snapshot::from_bytes(&snap.to_bytes()).expect("parses");
+        match Simulator::restore(&snap) {
+            Err(SimError::InvalidConfig { reason }) => assert!(reason.contains(field), "{reason}"),
+            Err(e) => panic!("{field}: expected InvalidConfig on restore, got {e}"),
+            Ok(_) => panic!("{field}: restore accepted a degenerate geometry"),
+        }
+    }
+
+    #[test]
+    fn zero_cache_ways_are_rejected() {
+        assert_geometry_rejected("mem.l1d.ways", |c| c.mem.l1d.ways = 0);
+    }
+
+    #[test]
+    fn zero_cache_line_size_is_rejected() {
+        assert_geometry_rejected("mem.l2.line_bytes", |c| c.mem.l2.line_bytes = 0);
+    }
+
+    #[test]
+    fn non_power_of_two_line_size_is_rejected() {
+        assert_geometry_rejected("mem.l1i.line_bytes", |c| c.mem.l1i.line_bytes = 48);
+    }
+
+    #[test]
+    fn cache_smaller_than_one_set_is_rejected() {
+        assert_geometry_rejected("mem.l1d.size_bytes", |c| c.mem.l1d.size_bytes = 64);
+    }
+
+    #[test]
+    fn zero_btb_ways_are_rejected() {
+        assert_geometry_rejected("frontend.btb.l2_ways", |c| c.frontend.btb.l2_ways = 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The Fetch Address Queue.
 
-use elf_types::{Cycle, FaqEntry};
+use elf_types::{Cycle, FaqBranch, FaqEntry};
 use std::collections::VecDeque;
 
 /// The decoupling queue between branch prediction and fetch (Table II:
@@ -36,6 +36,9 @@ pub struct Faq {
     /// Occupancy integral for statistics.
     occupancy_sum: u64,
     occupancy_samples: u64,
+    /// Emptied branch lists of blocks that left the queue, handed out
+    /// again by [`Faq::branch_buf`] (not state: capacity only).
+    spare: Vec<Vec<FaqBranch>>,
 }
 
 impl Faq {
@@ -53,6 +56,7 @@ impl Faq {
             head_consumed: 0,
             occupancy_sum: 0,
             occupancy_samples: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -72,6 +76,30 @@ impl Faq {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// An empty branch list for a new block: the list of a block that
+    /// already left the queue when there is one, so steady-state block
+    /// generation does not allocate.
+    pub fn branch_buf(&mut self) -> Vec<FaqBranch> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keeps a departing block's branch list for [`Faq::branch_buf`].
+    fn recycle(&mut self, entry: FaqEntry) {
+        let mut branches = entry.branches;
+        if branches.capacity() > 0 {
+            branches.clear();
+            self.spare.push(branches);
+        }
+    }
+
+    /// Removes the head block.
+    fn drop_head(&mut self) {
+        self.head_consumed = 0;
+        if let Some((e, _)) = self.entries.pop_front() {
+            self.recycle(e);
+        }
     }
 
     /// Enqueues a block that becomes visible at `visible_at`.
@@ -121,8 +149,7 @@ impl Faq {
             "overconsumed FAQ head"
         );
         if self.head_consumed >= head.inst_count {
-            self.entries.pop_front();
-            self.head_consumed = 0;
+            self.drop_head();
             return true;
         }
         false
@@ -134,21 +161,21 @@ impl Faq {
         if let Some((head, _)) = self.entries.front() {
             self.head_consumed = n.min(head.inst_count);
             if self.head_consumed >= head.inst_count {
-                self.entries.pop_front();
-                self.head_consumed = 0;
+                self.drop_head();
             }
         }
     }
 
-    /// Pops the head block regardless of consumption (resync case 1/2b).
-    pub fn pop(&mut self) -> Option<FaqEntry> {
-        self.head_consumed = 0;
-        self.entries.pop_front().map(|(e, _)| e)
+    /// Drops the head block regardless of consumption (resync case 1/2b).
+    pub fn pop(&mut self) {
+        self.drop_head();
     }
 
     /// Drops everything (flush).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        while let Some((e, _)) = self.entries.pop_front() {
+            self.recycle(e);
+        }
         self.head_consumed = 0;
     }
 
@@ -240,7 +267,7 @@ mod proptests {
                     }
                     2 => q.amend_head(n),
                     _ => {
-                        let _ = q.pop();
+                        q.pop();
                     }
                 }
                 prop_assert!(q.len() <= 8);

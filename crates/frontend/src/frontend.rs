@@ -385,6 +385,8 @@ pub struct Frontend {
     resync_scratch: FaqEntry,
     /// Reusable candidate list for the prefetch probe stage.
     prefetch_scratch: Vec<Addr>,
+    /// Reusable list of BTB entries finalized by one retirement.
+    btb_done: Vec<BtbEntry>,
 }
 
 impl Frontend {
@@ -442,6 +444,7 @@ impl Frontend {
             group_pool: Vec::new(),
             resync_scratch: FaqEntry::placeholder(),
             prefetch_scratch: Vec::new(),
+            btb_done: Vec::new(),
             cfg,
             arch,
         }
@@ -767,7 +770,7 @@ impl Frontend {
                 return;
             }
         };
-        let mut branches: Vec<FaqBranch> = Vec::new();
+        let mut branches = self.faq.branch_buf();
         // (offset, kind, target, Figure-2 exit class)
         let mut exit: Option<(u8, BranchKind, Option<Addr>, ExitClass)> = None;
 
@@ -2012,10 +2015,14 @@ impl Frontend {
     pub fn retire(&mut self, info: &RetireInfo) {
         self.last_retired_fid = info.fid;
         // BTB establishment at retirement.
-        for entry in self
-            .btb_builder
-            .on_retire(info.pc, info.kind, info.taken, info.static_target)
-        {
+        self.btb_builder.on_retire(
+            info.pc,
+            info.kind,
+            info.taken,
+            info.static_target,
+            &mut self.btb_done,
+        );
+        for entry in self.btb_done.drain(..) {
             self.btb.install(entry);
         }
         let Some(kind) = info.kind else {

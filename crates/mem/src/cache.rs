@@ -38,6 +38,28 @@ fn intern_cache_name(name: String) -> &'static str {
 }
 
 impl CacheConfig {
+    /// What makes the geometry unusable, if anything: a zero size, way
+    /// count or line size, a line size that is not a power of two, or a
+    /// capacity smaller than one set. The message names the field.
+    #[must_use]
+    pub fn geometry_error(&self) -> Option<&'static str> {
+        if self.size_bytes == 0 {
+            Some("size_bytes must be at least 1")
+        } else if self.ways == 0 {
+            Some("ways must be at least 1")
+        } else if !self.line_bytes.is_power_of_two() {
+            Some("line_bytes must be a power of two")
+        } else if self
+            .ways
+            .checked_mul(self.line_bytes)
+            .is_none_or(|set| self.size_bytes < set)
+        {
+            Some("size_bytes is smaller than one set (ways * line_bytes)")
+        } else {
+            None
+        }
+    }
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
@@ -59,6 +81,10 @@ impl CacheConfig {
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -80,11 +106,24 @@ elf_types::snap_struct!(Line {
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`]) or
+    /// the line size is not a power of two.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "cache {} line size {} is not a power of two",
+            cfg.name,
+            cfg.line_bytes
+        );
         Cache {
             sets: vec![Vec::with_capacity(cfg.ways); sets],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             cfg,
             tick: 0,
             hits: 0,
@@ -106,9 +145,9 @@ impl Cache {
     }
 
     fn decompose(&self, addr: Addr) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
+        let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets.len() - 1);
-        let tag = line / self.sets.len() as u64;
+        let tag = line >> self.set_shift;
         (set, tag)
     }
 
@@ -297,6 +336,18 @@ mod tests {
             line_bytes: 64,
             latency: 1,
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn new_rejects_a_line_size_that_is_not_a_power_of_two() {
+        let _ = Cache::new(CacheConfig {
+            name: "T",
+            size_bytes: 1536,
+            ways: 2,
+            line_bytes: 48,
+            latency: 1,
+        });
     }
 
     #[test]

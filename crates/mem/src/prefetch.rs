@@ -27,6 +27,9 @@ pub struct StridePrefetcher {
     degree: usize,
     trains: u64,
     issued: u64,
+    /// The last [`StridePrefetcher::train`] result, reused call to call
+    /// (not state: a snapshot resumes between calls).
+    out: Vec<Addr>,
 }
 
 impl StridePrefetcher {
@@ -44,6 +47,7 @@ impl StridePrefetcher {
             degree,
             trains: 0,
             issued: 0,
+            out: Vec::with_capacity(degree),
         }
     }
 
@@ -55,12 +59,13 @@ impl StridePrefetcher {
 
     /// Trains on a demand load and returns the addresses to prefetch
     /// (empty until the stride is confident).
-    pub fn train(&mut self, load_pc: Addr, addr: Addr) -> Vec<Addr> {
+    pub fn train(&mut self, load_pc: Addr, addr: Addr) -> &[Addr] {
         self.trains += 1;
         let idx = ((load_pc >> 2) as usize) & (self.table.len() - 1);
         let tag = load_pc >> 2;
         let e = &mut self.table[idx];
-        let mut out = Vec::new();
+        let out = &mut self.out;
+        out.clear();
         if e.tag != tag {
             *e = StrideEntry {
                 tag,
@@ -121,7 +126,7 @@ mod tests {
         let mut p = StridePrefetcher::new(16, 2);
         let mut got = Vec::new();
         for i in 0..8u64 {
-            got = p.train(0x100, 0x10_000 + i * 64);
+            got = p.train(0x100, 0x10_000 + i * 64).to_vec();
         }
         assert_eq!(got, vec![0x10_000 + 8 * 64, 0x10_000 + 9 * 64]);
     }
@@ -148,7 +153,7 @@ mod tests {
         assert!(first.is_empty());
         let mut last = Vec::new();
         for i in 1..6u64 {
-            last = p.train(0x300, 0x8000 + i * 128);
+            last = p.train(0x300, 0x8000 + i * 128).to_vec();
         }
         assert_eq!(last, vec![0x8000 + 5 * 128 + 128]);
     }
@@ -160,7 +165,7 @@ mod tests {
             p.train(0x400, 0x1000 + i * 64);
             p.train(0x404, 0x90_000 + i * 256);
         }
-        let a = p.train(0x400, 0x1000 + 6 * 64);
+        let a = p.train(0x400, 0x1000 + 6 * 64).to_vec();
         let b = p.train(0x404, 0x90_000 + 6 * 256);
         assert_eq!(a, vec![0x1000 + 7 * 64]);
         assert_eq!(b, vec![0x90_000 + 7 * 256]);

@@ -279,7 +279,7 @@ impl MemorySystem {
     /// part of the model (paper §VI-B).
     pub fn load(&mut self, pc: Addr, addr: Addr, _now: Cycle) -> u32 {
         self.stats.loads += 1;
-        for a in self.dpf.train(pc, addr) {
+        for &a in self.dpf.train(pc, addr) {
             self.stats.dpf_issued += 1;
             // Data prefetches fill L2 (and L1D) ahead of the stream.
             self.l2.fill(a);

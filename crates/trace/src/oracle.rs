@@ -144,16 +144,17 @@ impl Oracle {
 
     fn step(&mut self) -> DynInst {
         let seq = self.first + self.buf.len() as u64;
-        // Borrow the program through a cloned Arc so behavior references can
-        // coexist with mutable state borrows (no per-instruction clones of
-        // the behavior models — this is the oracle's hot loop).
-        let prog = Arc::clone(&self.prog);
+        // Borrow the program field next to the disjoint mutable state
+        // fields, so behavior models are read in place: this is the
+        // oracle's hot loop, and neither cloning a model nor touching the
+        // `Arc`'s reference count belongs in it.
+        let prog: &Program = &self.prog;
         // Defensive wrap: a well-formed program never walks off the image.
         let inst = match prog.inst_at(self.pc) {
-            Some(i) => *i,
+            Some(i) => i,
             None => {
                 self.pc = prog.entry();
-                *prog.inst_at(self.pc).expect("entry always valid")
+                prog.inst_at(self.pc).expect("entry always valid")
             }
         };
         let pc = self.pc;
@@ -194,7 +195,7 @@ impl Oracle {
                     Call => {
                         taken = true;
                         next = inst.target.expect("call has a target");
-                        self.push_return(pc + INST_BYTES);
+                        push_return(&mut self.call_stack, pc + INST_BYTES);
                     }
                     Return => {
                         taken = true;
@@ -211,7 +212,7 @@ impl Oracle {
                         // targets key off that same history.
                         next = m.next(st, self.ghist, &mut self.rng);
                         if kind == IndirectCall {
-                            self.push_return(pc + INST_BYTES);
+                            push_return(&mut self.call_stack, pc + INST_BYTES);
                         }
                     }
                 }
@@ -226,12 +227,6 @@ impl Oracle {
             taken,
             next_pc: next,
             mem_addr,
-        }
-    }
-
-    fn push_return(&mut self, ra: Addr) {
-        if self.call_stack.len() < MAX_CALL_DEPTH {
-            self.call_stack.push(ra);
         }
     }
 
@@ -258,6 +253,13 @@ impl Oracle {
         }
         io.value(&mut self.buf)?;
         io.value(&mut self.first)
+    }
+}
+
+/// Pushes a return address unless the stack is at [`MAX_CALL_DEPTH`].
+fn push_return(call_stack: &mut Vec<Addr>, ra: Addr) {
+    if call_stack.len() < MAX_CALL_DEPTH {
+        call_stack.push(ra);
     }
 }
 

@@ -19,7 +19,7 @@
 //! RET-ELF shine on the paper's server 2 subtest).
 
 use crate::behavior::{AddrModel, Behavior, DirectionModel, TargetModel};
-use crate::program::{Program, DATA_BASE, DEFAULT_CODE_BASE};
+use crate::program::{ImageBuilder, Program, DATA_BASE, DEFAULT_CODE_BASE};
 use elf_types::inst::NO_REG;
 use elf_types::{Addr, BranchKind, InstClass, StaticInst, INST_BYTES};
 use rand::rngs::StdRng;
@@ -369,8 +369,15 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
     }
 
     // ---- Pass 2: instruction fill ----
-    let mut image: Vec<StaticInst> = Vec::with_capacity(((cursor - base) / INST_BYTES) as usize);
-    let mut behaviors: Vec<Behavior> = Vec::new();
+    // Packed straight into the image: an unpacked copy of a server-sized
+    // image would more than triple the synthesis peak.
+    let len = ((cursor - base) / INST_BYTES) as usize;
+    let mut image = ImageBuilder::new(base, len);
+    // Every instruction adds at most one behavior, and each alias function
+    // one more for its delaying load. Reserving that bound makes the
+    // multi-MB table one allocation instead of a chain of doubling copies;
+    // the tail it never fills costs address space, not resident memory.
+    let mut behaviors: Vec<Behavior> = Vec::with_capacity(len + alias_funcs.len());
     let mut recent_dsts: [u8; 4] = [0, 1, 2, 3];
 
     // Call sites to alias functions want the first instruction of the
@@ -378,11 +385,11 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
     let mut load_fixups: Vec<(Addr, u32)> = Vec::new();
 
     for f in 0..num_funcs {
-        let fclone = funcs[f].clone();
-        for (b, blk) in fclone.blocks.iter().enumerate() {
-            let next_block_start = fclone.blocks.get(b + 1).map(|nb| nb.start);
+        let func = &funcs[f];
+        for (b, blk) in func.blocks.iter().enumerate() {
+            let next_block_start = func.blocks.get(b + 1).map(|nb| nb.start);
             let is_last_body_of_alias_func =
-                fclone.alias_pair.is_some() && b == fclone.blocks.len() - 1;
+                func.alias_pair.is_some() && b == func.blocks.len() - 1;
             for i in 0..blk.body {
                 let pc = blk.start + i as u64 * INST_BYTES;
                 let force_store = is_last_body_of_alias_func && i == blk.body - 1;
@@ -392,22 +399,24 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                     &mut behaviors,
                     &mut recent_dsts,
                     pc,
-                    force_store.then(|| fclone.alias_pair.unwrap()),
+                    force_store.then(|| func.alias_pair.unwrap()),
                 );
                 if force_store && i >= 1 {
                     // Delay the aliasing store behind a fresh load so the
                     // consumer load (in the caller, after the return) can
                     // issue first — the RAW-hazard pathology of §VI-B.
-                    let prev = image.last_mut().expect("body has a predecessor");
-                    prev.class = InstClass::Load;
-                    prev.dst = Some(29);
-                    prev.behavior = push_behavior(
+                    let behavior = push_behavior(
                         &mut behaviors,
                         Behavior::Mem(AddrModel::Random {
                             base: DATA_BASE,
                             footprint: spec.mem.data_footprint.max(1 << 20),
                         }),
                     );
+                    image.update(image.pushed() - 1, |prev| {
+                        prev.class = InstClass::Load;
+                        prev.dst = Some(29);
+                        prev.behavior = behavior;
+                    });
                     inst.srcs = [29, 29];
                 }
                 image.push(inst);
@@ -434,7 +443,7 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                 TermKind::DriverLoop => {
                     let mut inst =
                         StaticInst::simple(term_pc, InstClass::Branch(BranchKind::UncondDirect));
-                    inst.target = Some(fclone.entry);
+                    inst.target = Some(func.entry);
                     image.push(inst);
                 }
                 TermKind::Return => {
@@ -444,7 +453,7 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                     ));
                 }
                 TermKind::Cond => {
-                    let (model, target) = gen_cond(spec, &mut rng, &fclone.blocks, b, term_pc);
+                    let (model, target) = gen_cond(spec, &mut rng, &func.blocks, b, term_pc);
                     let mut inst =
                         StaticInst::simple(term_pc, InstClass::Branch(BranchKind::CondDirect));
                     inst.target = Some(target);
@@ -452,7 +461,7 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                     image.push(inst);
                 }
                 TermKind::Indirect => {
-                    let model = gen_indirect(spec, &mut rng, &fclone.blocks, b);
+                    let model = gen_indirect(spec, &mut rng, &func.blocks, b);
                     let mut inst =
                         StaticInst::simple(term_pc, InstClass::Branch(BranchKind::IndirectJump));
                     inst.behavior = push_behavior(&mut behaviors, Behavior::Target(model));
@@ -492,7 +501,7 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                     );
                     image.push(guard);
                     let mut call = StaticInst::simple(call_pc, InstClass::Branch(BranchKind::Call));
-                    call.target = Some(fclone.entry);
+                    call.target = Some(func.entry);
                     image.push(call);
                 }
             }
@@ -502,11 +511,7 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
     // Apply alias-load fixups: the first instruction of the block following a
     // call to an alias function becomes the paired load.
     for (pc, pair) in load_fixups {
-        let idx = ((pc - base) / INST_BYTES) as usize;
-        let inst = &mut image[idx];
-        inst.class = InstClass::Load;
-        inst.target = None;
-        inst.behavior = push_behavior(
+        let behavior = push_behavior(
             &mut behaviors,
             Behavior::Mem(AddrModel::SharedSlot {
                 pair,
@@ -514,16 +519,14 @@ pub fn synthesize(spec: &ProgramSpec) -> Program {
                 footprint: spec.mem.data_footprint.max(64),
             }),
         );
+        image.update(((pc - base) / INST_BYTES) as usize, |inst| {
+            inst.class = InstClass::Load;
+            inst.target = None;
+            inst.behavior = behavior;
+        });
     }
 
-    Program::new(
-        spec.name.clone(),
-        base,
-        base,
-        image,
-        behaviors,
-        spec.mem.alias_pairs,
-    )
+    image.finish(spec.name.clone(), base, behaviors, spec.mem.alias_pairs)
 }
 
 fn push_behavior(behaviors: &mut Vec<Behavior>, b: Behavior) -> u32 {

@@ -12,7 +12,8 @@ use elf_types::{Addr, BranchKind};
 /// A structural problem found in a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramIssue {
-    /// A direct branch targets an address outside the image.
+    /// A direct branch targets an address that is not an instruction of
+    /// the image (outside it, or unaligned).
     TargetOutsideImage {
         /// Branch address.
         pc: Addr,
@@ -67,7 +68,7 @@ pub fn validate(prog: &Program) -> Vec<ProgramIssue> {
             Some(k) if k.is_direct() => {
                 match inst.target {
                     None => issues.push(ProgramIssue::MissingDirectTarget { pc: inst.pc }),
-                    Some(t) if prog.inst_at(t).is_none() => {
+                    Some(t) if !prog.contains(t) => {
                         issues.push(ProgramIssue::TargetOutsideImage {
                             pc: inst.pc,
                             target: t,
@@ -91,7 +92,7 @@ pub fn validate(prog: &Program) -> Vec<ProgramIssue> {
             Some(_) => match behavior {
                 Some(Behavior::Target(m)) => {
                     for &t in m.targets() {
-                        if prog.inst_at(t).is_none() {
+                        if !prog.contains(t) {
                             issues.push(ProgramIssue::IndirectTargetOutsideImage {
                                 pc: inst.pc,
                                 target: t,
