@@ -39,6 +39,14 @@ for workload in kernel-leela kernel-server1; do
     grep -q '"correct": true' "$tmp/simbench.out"
 done
 
+# Smoke: every paper table and figure through the one supervised grid
+# pass, at tiny windows; all five CSVs must be written.
+rm -f target/elf-results/*.csv
+ELF_BENCH_WARMUP=2000 ELF_BENCH_WINDOW=4000 cargo bench -p elf-bench --offline --bench paper >/dev/null
+for csv in fig6 fig7 fig8 fig9 ablations; do
+    test -s "target/elf-results/$csv.csv"
+done
+
 # Smoke: a checkpointed run must resume from its snapshot (end-to-end
 # through the CLI; bit-identity is pinned by tests/checkpoint.rs).
 ckpt="$tmp/smoke.ckpt"

@@ -1,18 +1,19 @@
-//! Shared harness for the figure/table regeneration benches.
+//! Shared harness for the `paper` bench, which regenerates every table and
+//! figure of the paper.
 //!
-//! Every bench target (`fig6`, `fig7`, `fig8`, `fig9`, `table2`,
-//! `ablations`) is a `harness = false` binary that re-runs the paper
-//! experiment and prints the same rows/series the paper reports, plus a CSV
-//! copy under `target/elf-results/`. Simulation window sizes are
-//! overridable through `ELF_BENCH_WINDOW` / `ELF_BENCH_WARMUP` (instruction
-//! counts), so CI can run quick smoke passes while full runs regenerate the
+//! The bench plans every distinct (workload, configuration, warm-up,
+//! window) cell its sections ask for in a [`Plan`], runs them all in one
+//! supervised [`run_grid`] pass, then renders each section from the
+//! [`Results`]: the same rows/series the paper reports, plus a CSV copy
+//! under `target/elf-results/`. Simulation window sizes are overridable
+//! through `ELF_BENCH_WINDOW` / `ELF_BENCH_WARMUP` (instruction counts), so
+//! CI can run quick smoke passes while full runs regenerate the
 //! EXPERIMENTS.md numbers.
 
 #![warn(missing_docs)]
 
-use elf_core::experiment::{run_one, RunResult};
-use elf_frontend::FetchArch;
-use elf_trace::workloads;
+use elf_core::experiment::{run_grid, GridCell, GridOptions, RunResult};
+use elf_core::SimConfig;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -41,27 +42,95 @@ pub fn params(default_warmup: u64, default_window: u64) -> BenchParams {
     }
 }
 
-/// Runs one benchmark under one architecture with the given parameters.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the Table I registry, or if the simulation
-/// wedges (the registry workloads under paper configurations are known
-/// good, so a wedge here is a harness bug and the diagnostic report is
-/// printed via the panic message).
-#[must_use]
-pub fn measure(name: &str, arch: FetchArch, p: BenchParams) -> RunResult {
-    let w = workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    run_one(&w, arch, p.warmup, p.window)
-        .unwrap_or_else(|e| panic!("bench run {name}/{arch:?} failed:\n{e}"))
+fn same_cell(c: &GridCell, workload: &str, cfg: &SimConfig, p: BenchParams) -> bool {
+    c.workload == workload && c.cfg == *cfg && c.warmup == p.warmup && c.window == p.window
 }
 
-/// Where CSV copies of the regenerated figures land.
+/// The cells an experiment needs, each distinct cell once.
+#[derive(Debug, Default)]
+pub struct Plan {
+    cells: Vec<GridCell>,
+}
+
+impl Plan {
+    /// Requests `workload` under `cfg` with parameters `p`; a request for
+    /// a cell already planned adds nothing.
+    pub fn add(&mut self, workload: &str, cfg: SimConfig, p: BenchParams) {
+        if !self.cells.iter().any(|c| same_cell(c, workload, &cfg, p)) {
+            self.cells.push(GridCell {
+                workload: workload.to_owned(),
+                cfg,
+                warmup: p.warmup,
+                window: p.window,
+            });
+        }
+    }
+
+    /// Runs every planned cell in one [`run_grid`] pass on
+    /// `std::thread::available_parallelism()` workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the grid's failure summary if any cell fails: the
+    /// registry workloads under paper configurations are known good, so a
+    /// failure here is a harness bug.
+    #[must_use]
+    pub fn run(self) -> Results {
+        let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+        eprintln!("(running {} cells on {jobs} worker(s))", self.cells.len());
+        let opts = GridOptions {
+            jobs,
+            ..GridOptions::default()
+        };
+        let report = run_grid(&self.cells, &opts);
+        assert!(
+            report.all_ok(),
+            "bench cells failed:\n{}",
+            report.failure_summary()
+        );
+        Results {
+            cells: self.cells,
+            runs: report.ok,
+        }
+    }
+}
+
+/// The outcome of a [`Plan`]: one result per planned cell.
+#[derive(Debug)]
+pub struct Results {
+    cells: Vec<GridCell>,
+    runs: Vec<RunResult>,
+}
+
+impl Results {
+    /// The result of `workload` under `cfg` with parameters `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that cell was never planned (a harness bug).
+    #[must_use]
+    pub fn get(&self, workload: &str, cfg: &SimConfig, p: BenchParams) -> &RunResult {
+        let i = self
+            .cells
+            .iter()
+            .position(|c| same_cell(c, workload, cfg, p))
+            .unwrap_or_else(|| panic!("cell {workload}/{} was not planned", cfg.arch.label()));
+        &self.runs[i]
+    }
+}
+
+/// Where CSV copies of the regenerated figures land: `elf-results/` in
+/// `CARGO_TARGET_DIR`, or else in the workspace's `target/` (bench
+/// binaries run from the package directory, so a relative `target` would
+/// land under `crates/bench/`).
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_owned()))
-            .join("elf-results");
+    let dir = std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(
+            || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+            PathBuf::from,
+        )
+        .join("elf-results");
     let _ = fs::create_dir_all(&dir);
     dir
 }
@@ -135,6 +204,50 @@ pub fn r1(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elf_frontend::FetchArch;
+
+    #[test]
+    fn plan_runs_each_distinct_cell_once_and_returns_its_result() {
+        let p = BenchParams {
+            warmup: 500,
+            window: 1_000,
+        };
+        let longer = BenchParams { window: 3_000, ..p };
+        let dcf = SimConfig::baseline(FetchArch::Dcf);
+        let mut nodcf = dcf.clone();
+        nodcf.arch = FetchArch::NoDcf;
+        let mut small_faq = dcf.clone();
+        small_faq.frontend.faq_entries = 8;
+
+        let mut plan = Plan::default();
+        plan.add("619.lbm", dcf.clone(), p);
+        plan.add("619.lbm", dcf.clone(), p);
+        assert_eq!(plan.cells.len(), 1, "an identical request adds no cell");
+        plan.add("619.lbm", nodcf.clone(), p);
+        plan.add("619.lbm", small_faq.clone(), p);
+        plan.add("619.lbm", dcf.clone(), longer);
+        plan.add("641.leela", dcf.clone(), p);
+        assert_eq!(
+            plan.cells.len(),
+            5,
+            "one differing field or window is a new cell"
+        );
+
+        let r = plan.run();
+        let base = r.get("619.lbm", &dcf, p);
+        assert_eq!(
+            (base.workload.as_str(), base.arch.as_str()),
+            ("619.lbm", "DCF")
+        );
+        assert!(base.stats.retired < 3_000);
+        assert_eq!(r.get("619.lbm", &nodcf, p).arch, "NoDCF");
+        // An 8-entry FAQ can never average more than 8 entries; the
+        // baseline 32-entry one does on this workload.
+        assert!(r.get("619.lbm", &small_faq, p).stats.faq_occupancy <= 8.0);
+        assert!(base.stats.faq_occupancy > 8.0);
+        assert!(r.get("619.lbm", &dcf, longer).stats.retired >= 3_000);
+        assert_eq!(r.get("641.leela", &dcf, p).workload, "641.leela");
+    }
 
     #[test]
     fn params_defaults_apply() {

@@ -1,5 +1,5 @@
-//! Experiment harness: run grids of (workload × architecture), compute
-//! speedups and geomeans, and format figure/table output.
+//! Experiment harness: run grids of (workload × configuration) cells and
+//! combine their results (geomeans, SimPoint-weighted IPC).
 //!
 //! For unattended sweeps, [`run_grid`] supervises the cells on worker
 //! threads: a panicking or wedging cell is isolated (bounded retries,
@@ -13,6 +13,7 @@ use crate::sim::Simulator;
 use crate::stats::SimStats;
 use elf_frontend::FetchArch;
 use elf_trace::workloads::Workload;
+use elf_types::Cycle;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -37,56 +38,6 @@ impl RunResult {
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
     }
-}
-
-/// Runs one workload under one architecture: `warmup` instructions of
-/// warm-up, then `window` measured instructions.
-///
-/// # Errors
-///
-/// Propagates [`SimError::Wedged`] if either phase exhausts its
-/// forward-progress cap.
-pub fn run_one(
-    w: &Workload,
-    arch: FetchArch,
-    warmup: u64,
-    window: u64,
-) -> Result<RunResult, SimError> {
-    let mut sim = Simulator::try_for_workload(SimConfig::baseline(arch), w)?;
-    sim.warm_up(warmup)?;
-    let stats = sim.run(window)?;
-    let metrics = sim.metrics().cloned();
-    Ok(RunResult {
-        workload: w.name.to_owned(),
-        arch: arch.label().to_owned(),
-        stats,
-        metrics,
-    })
-}
-
-/// Runs one workload under one explicit configuration.
-///
-/// # Errors
-///
-/// Propagates [`SimError::Wedged`] if either phase exhausts its
-/// forward-progress cap.
-pub fn run_config(
-    w: &Workload,
-    cfg: SimConfig,
-    warmup: u64,
-    window: u64,
-) -> Result<RunResult, SimError> {
-    let arch = cfg.arch;
-    let mut sim = Simulator::try_for_workload(cfg, w)?;
-    sim.warm_up(warmup)?;
-    let stats = sim.run(window)?;
-    let metrics = sim.metrics().cloned();
-    Ok(RunResult {
-        workload: w.name.to_owned(),
-        arch: arch.label().to_owned(),
-        stats,
-        metrics,
-    })
 }
 
 /// One cell of a supervised experiment grid: a workload run under one
@@ -130,8 +81,9 @@ pub struct GridOptions {
     /// Directory for per-cell checkpoint files (`cell-<idx>.ckpt`).
     pub checkpoint_dir: Option<PathBuf>,
     /// Supervisor cycle watchdog: fail a cell once it has simulated this
-    /// many cycles (0 disables). Tighter than the per-`run` forward
-    /// progress cap — it bounds total cell cost, not just stalls.
+    /// many cycles, warm-up included (0 disables). Tighter than the
+    /// per-`run` forward progress cap — it bounds total cell cost, not
+    /// just stalls.
     pub cycle_budget: u64,
 }
 
@@ -167,7 +119,10 @@ pub struct CellError {
 }
 
 impl CellError {
-    fn plain(error: String) -> Self {
+    /// A non-retryable failure with no machine state attached (unknown
+    /// workload, rejected configuration, panic).
+    #[must_use]
+    pub fn plain(error: String) -> Self {
         CellError {
             error,
             retryable: false,
@@ -256,16 +211,14 @@ impl GridReport {
     }
 }
 
-/// Runs one grid cell: warm-up, then the measured window in
-/// checkpoint-sized chunks. Chunk milestones are absolute so that
-/// checkpointing does not perturb the run (each `run` call may overshoot
-/// by up to a retire-width; relative chunks would accumulate that into
-/// the stop target).
+/// Runs one grid cell on a simulator built from the registry workload
+/// (see [`run_cell_on`] for the run itself).
 ///
 /// # Errors
 ///
-/// Returns a [`CellError`] carrying the failure description, the flight
-/// recorder tail and the nearest prior checkpoint.
+/// Returns a non-retryable [`CellError`] for an unknown workload or a
+/// configuration the simulator rejects, and otherwise whatever
+/// [`run_cell_on`] returns.
 pub fn run_cell(index: usize, cell: &GridCell, opts: &GridOptions) -> Result<RunResult, CellError> {
     let Some(w) = elf_trace::workloads::by_name(&cell.workload) else {
         return Err(CellError::plain(format!(
@@ -273,21 +226,62 @@ pub fn run_cell(index: usize, cell: &GridCell, opts: &GridOptions) -> Result<Run
             cell.workload
         )));
     };
-    let arch = cell.cfg.arch;
-    let mut sim = Simulator::try_for_workload(cell.cfg.clone(), &w)
+    let sim = Simulator::try_for_workload(cell.cfg.clone(), &w)
         .map_err(|e| CellError::plain(e.to_string()))?;
+    run_cell_on(index, cell, opts, sim)
+}
 
+/// Runs one grid cell on an already-built simulator (so a runner can bring
+/// its own program): warm-up, then the measured window in checkpoint-sized
+/// chunks. Chunk milestones are absolute so that checkpointing does not
+/// perturb the run (each `run` call may overshoot by up to a retire-width;
+/// relative chunks would accumulate that into the stop target).
+///
+/// [`GridOptions::cycle_budget`] is enforced inside every run, warm-up
+/// included: the simulator stops at the budget cycle rather than after
+/// the chunk that crossed it.
+///
+/// # Errors
+///
+/// Returns a [`CellError`] carrying the failure description, the flight
+/// recorder tail and the nearest prior checkpoint.
+pub fn run_cell_on(
+    index: usize,
+    cell: &GridCell,
+    opts: &GridOptions,
+    mut sim: Simulator,
+) -> Result<RunResult, CellError> {
+    let arch = cell.cfg.arch;
+    let limit = match opts.cycle_budget {
+        0 => Cycle::MAX,
+        budget => budget,
+    };
     let mut checkpoint = None;
-    let fail = |sim: &Simulator, e: SimError, ckpt: &Option<PathBuf>| CellError {
-        error: e.to_string(),
-        retryable: matches!(e, SimError::Wedged(_)),
-        report: e.report().cloned().map(Box::new),
-        events: sim.recorder().snapshot(),
-        checkpoint: ckpt.clone(),
+    let fail = |sim: &Simulator, e: SimError, ckpt: &Option<PathBuf>| {
+        let wedged = matches!(e, SimError::Wedged(_));
+        let error = if wedged && sim.cycle() >= limit {
+            format!(
+                "cycle budget exhausted: {} cycles simulated (budget {}), {} of {} retired",
+                sim.cycle(),
+                opts.cycle_budget,
+                sim.retired(),
+                cell.window
+            )
+        } else {
+            e.to_string()
+        };
+        CellError {
+            error,
+            retryable: wedged,
+            report: e.report().cloned().map(Box::new),
+            events: sim.recorder().snapshot(),
+            checkpoint: ckpt.clone(),
+        }
     };
 
-    sim.warm_up(cell.warmup)
+    sim.run_within(cell.warmup, limit)
         .map_err(|e| fail(&sim, e, &checkpoint))?;
+    sim.reset_stats();
 
     let step = match opts.checkpoint_every {
         0 => cell.window.max(1),
@@ -297,24 +291,8 @@ pub fn run_cell(index: usize, cell: &GridCell, opts: &GridOptions) -> Result<Run
     let stats = loop {
         milestone = (milestone + step).min(cell.window);
         let s = sim
-            .run(milestone.saturating_sub(sim.retired()))
+            .run_within(milestone.saturating_sub(sim.retired()), limit)
             .map_err(|e| fail(&sim, e, &checkpoint))?;
-        if opts.cycle_budget > 0 && sim.cycle() >= opts.cycle_budget {
-            let report = sim.diagnostic_report(cell.window);
-            return Err(CellError {
-                error: format!(
-                    "cycle budget exhausted: {} cycles simulated (budget {}), {} of {} retired",
-                    sim.cycle(),
-                    opts.cycle_budget,
-                    sim.retired(),
-                    cell.window
-                ),
-                retryable: true,
-                report: Some(Box::new(report)),
-                events: sim.recorder().snapshot(),
-                checkpoint: checkpoint.clone(),
-            });
-        }
         if let Some(dir) = &opts.checkpoint_dir {
             if opts.checkpoint_every > 0 {
                 let path = dir.join(format!("cell-{index}.ckpt"));
@@ -512,88 +490,19 @@ fn validate_simpoints(
 /// reporting 0 IPC, say) has no meaningful geomean contribution, and
 /// silently clamping it would poison the suite mean invisibly. Debug
 /// builds assert on such inputs; release builds still clamp to `1e-12`
-/// for backward compatibility. Callers that may legitimately see
-/// non-positive values should use [`geomean_positive`], which filters
-/// them and reports how many were dropped.
+/// for backward compatibility.
 #[must_use]
 pub fn geomean(xs: &[f64]) -> f64 {
     debug_assert!(
         xs.iter().all(|&x| x > 0.0),
         "geomean over non-positive values {xs:?}: a zero-IPC (wedged?) run \
-         would silently poison the mean; filter with geomean_positive"
+         would silently poison the mean"
     );
     if xs.is_empty() {
         return 1.0;
     }
     let log_sum: f64 = xs.iter().map(|&x| x.max(1e-12).ln()).sum();
     (log_sum / xs.len() as f64).exp()
-}
-
-/// Geometric mean of the positive values in `xs`, plus how many
-/// non-positive values were dropped. Use this instead of [`geomean`] when
-/// the inputs may contain zero-IPC (wedged) runs: the dropped count makes
-/// the exclusion visible so a report can flag it rather than averaging a
-/// clamped near-zero into the suite number.
-#[must_use]
-pub fn geomean_positive(xs: &[f64]) -> (f64, usize) {
-    let kept: Vec<f64> = xs.iter().copied().filter(|&x| x > 0.0).collect();
-    let dropped = xs.len() - kept.len();
-    (geomean(&kept), dropped)
-}
-
-/// Relative IPC (speedup) of `test` over `baseline`.
-#[must_use]
-pub fn speedup(test: &RunResult, baseline: &RunResult) -> f64 {
-    test.ipc() / baseline.ipc().max(1e-12)
-}
-
-/// Formats a fixed-width table row. Cells beyond `widths` are rendered at
-/// their natural width rather than dropped, so a ragged row is visible in
-/// the output instead of silently truncated.
-#[must_use]
-pub fn fmt_row(cells: &[String], widths: &[usize]) -> String {
-    let mut s = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        let w = widths.get(i).copied().unwrap_or(0);
-        s.push_str(&format!("{c:>w$} "));
-    }
-    s.trim_end().to_owned()
-}
-
-/// Renders a simple aligned table (header + rows) for bench output.
-/// Column widths are sized from the content of *every* row as well as the
-/// header, so a cell longer than its header (a long workload name) widens
-/// its column instead of shifting every later column out of alignment.
-#[must_use]
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = header
-        .len()
-        .max(rows.iter().map(Vec::len).max().unwrap_or(0));
-    let mut widths = vec![0usize; ncols];
-    for (i, h) in header.iter().enumerate() {
-        widths[i] = h.len();
-    }
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            widths[i] = widths[i].max(c.len());
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&fmt_row(
-        &header.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>(),
-        &widths,
-    ));
-    out.push('\n');
-    out.push_str(&fmt_row(
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-        &widths,
-    ));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&fmt_row(r, &widths));
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -607,18 +516,6 @@ mod tests {
         assert!((geomean(&[]) - 1.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_positive_surfaces_dropped_values() {
-        // A wedged run reporting 0 IPC must not poison the suite mean: the
-        // filtered variant excludes it and says so.
-        let (g, dropped) = geomean_positive(&[2.0, 0.0, 8.0, -1.0]);
-        assert!((g - 4.0).abs() < 1e-9);
-        assert_eq!(dropped, 2);
-        let (g, dropped) = geomean_positive(&[2.0, 8.0]);
-        assert!((g - 4.0).abs() < 1e-9);
-        assert_eq!(dropped, 0);
     }
 
     #[test]
@@ -654,13 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_ipc_ratio() {
-        let w = workloads::by_name("619.lbm").unwrap();
-        let base = run_one(&w, FetchArch::Dcf, 5_000, 10_000).expect("clean run");
-        assert!((speedup(&base, &base) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn simpoint_ipc_approximates_the_full_run() {
         let w = workloads::by_name("641.leela").unwrap();
         let (weighted, full) =
@@ -668,54 +558,5 @@ mod tests {
         assert!(weighted > 0.0 && full > 0.0);
         let err = (weighted - full).abs() / full;
         assert!(err < 0.25, "simpoint estimate off by {:.0}%", err * 100.0);
-    }
-
-    #[test]
-    fn render_table_aligns() {
-        let t = render_table(
-            &["name", "ipc"],
-            &[
-                vec!["a".into(), "1.00".into()],
-                vec!["longer".into(), "2.5".into()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("name"));
-        assert!(lines[3].contains("longer"));
-    }
-
-    #[test]
-    fn long_cells_widen_their_column_instead_of_shifting_later_ones() {
-        // The second column's cells are longer than its header: every
-        // column must still end at the same offset on every line.
-        let t = render_table(
-            &["arch", "wl", "ipc"],
-            &[
-                vec!["DCF".into(), "astar_very_long_name".into(), "1.00".into()],
-                vec!["U-ELF".into(), "mcf".into(), "2.5".into()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        let end_of = |line: &str, cell: &str| line.find(cell).unwrap() + cell.len();
-        assert_eq!(
-            end_of(lines[0], "wl"),
-            end_of(lines[2], "astar_very_long_name")
-        );
-        assert_eq!(
-            end_of(lines[2], "astar_very_long_name"),
-            end_of(lines[3], "mcf")
-        );
-        assert_eq!(end_of(lines[0], "ipc"), end_of(lines[3], "2.5"));
-    }
-
-    #[test]
-    fn ragged_rows_render_every_cell() {
-        // Rows wider than the header used to lose their extra cells.
-        let t = render_table(&["a"], &[vec!["1".into(), "extra".into()]]);
-        assert!(t.contains("extra"), "{t}");
-        // And fmt_row itself must not drop cells beyond the width list.
-        let row = fmt_row(&["x".into(), "y".into()], &[3]);
-        assert!(row.contains('y'), "{row}");
     }
 }

@@ -41,10 +41,6 @@ pub struct Simulator {
     retired_seq: SeqNum,
     /// Cycle of the last correct-path delivery (no-progress safety net).
     last_progress: Cycle,
-    /// Recent deliveries ring (diagnostics, populated when `trace_gaps`).
-    recent: std::collections::VecDeque<(u64, u64, bool)>,
-    trace_gaps: bool,
-    trace_watchdogs: bool,
     /// Always-on ring of recent pipeline events (serialized into
     /// diagnostic reports on error).
     recorder: FlightRecorder,
@@ -153,9 +149,6 @@ impl Simulator {
             wrong_path: false,
             retired_seq: 0,
             last_progress: 0,
-            recent: std::collections::VecDeque::new(),
-            trace_gaps: std::env::var("ELF_TRACE_GAP").is_ok(),
-            trace_watchdogs: std::env::var("ELF_TRACE_WD").is_ok(),
             rob_occupancy: Histogram::new(cfg.backend.rob_entries),
             delivery_rate: Histogram::new(cfg.frontend.fetch_width * 2),
             skipped_cycles: 0,
@@ -237,11 +230,20 @@ impl Simulator {
     /// flight recorder's event tail. The simulator is left intact for
     /// inspection.
     pub fn run(&mut self, n: u64) -> Result<SimStats, SimError> {
+        self.run_within(n, Cycle::MAX)
+    }
+
+    /// [`Simulator::run`] that also stops, with the same
+    /// [`SimError::Wedged`], once the absolute cycle count reaches
+    /// `cycle_limit` (a supervisor's budget). The limit folds into the
+    /// forward-progress cap, so it costs the tick loop nothing.
+    pub fn run_within(&mut self, n: u64, cycle_limit: Cycle) -> Result<SimStats, SimError> {
         let target = self.retired + n;
         let cap = self
             .cycle
             .saturating_add(self.cap_base)
-            .saturating_add(n.saturating_mul(self.cap_per_inst));
+            .saturating_add(n.saturating_mul(self.cap_per_inst))
+            .min(cycle_limit);
         while self.retired < target {
             if self.cycle >= cap {
                 return Err(SimError::Wedged(Box::new(self.diagnostic_report(target))));
@@ -510,9 +512,8 @@ impl Simulator {
     /// system, path tracker, fault injector, flight recorder, statistic
     /// counters, histograms and the invariant checker's history. Loading
     /// requires a simulator built from the same configuration and
-    /// program. Environment-derived tracing flags, the diagnostics-only
-    /// `recent` ring and the differential harness's commit log are not
-    /// state and are skipped (loading clears `recent`).
+    /// program. The differential harness's commit log is not state and is
+    /// skipped.
     fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
         self.oracle.state(io)?;
         self.fe.state(io)?;
@@ -549,9 +550,6 @@ impl Simulator {
         io.present(self.checker.is_some(), "checker")?;
         if let Some(c) = &mut self.checker {
             c.state(io)?;
-        }
-        if io.loading() {
-            self.recent.clear();
         }
         Ok(())
     }
@@ -618,22 +616,11 @@ impl Simulator {
         }
 
         // Path tracking: bind delivered instructions against the oracle.
-        let tracing = self.trace_gaps;
         for d in &out.delivered {
             if let Some(ck) = &mut self.checker {
                 ck.observe_delivery(now, d.fid);
             }
             let sinst = d.inst.sinst;
-            if tracing {
-                self.recent.push_back((
-                    d.fid,
-                    sinst.pc,
-                    d.inst.mode == elf_types::FetchMode::Coupled,
-                ));
-                if self.recent.len() > 6 {
-                    self.recent.pop_front();
-                }
-            }
             let mut b = BoundInst {
                 fid: d.fid,
                 sinst,
@@ -675,13 +662,6 @@ impl Simulator {
                         }
                     }
                 } else {
-                    if tracing {
-                        eprintln!(
-                            "GAP c{} fid={} mode={:?} got={:#x} want={:#x} (seq {}) recent={:x?} | {}",
-                            now, d.fid, d.inst.mode, sinst.pc, e.pc, self.cursor,
-                            self.recent, self.fe.debug_state()
-                        );
-                    }
                     self.recorder.record(
                         now,
                         PipelineEvent::WrongPath {
@@ -762,16 +742,6 @@ impl Simulator {
             // Safety net: the delivered stream left the correct path without
             // a resolving branch (divergence gap). Squash the whole pipeline
             // and resync at the oldest unbound point.
-            if self.trace_watchdogs {
-                eprintln!(
-                    "WD c{} cursor={} wp={} | {} | {}",
-                    now,
-                    self.cursor,
-                    self.wrong_path,
-                    self.fe.debug_state(),
-                    self.be.debug_head()
-                );
-            }
             self.force_resync(now);
         }
 

@@ -5,8 +5,8 @@
 //! elfsim 641.leela                       # DCF baseline
 //! elfsim 641.leela u-elf                 # arch: nodcf|dcf|l|ret|ind|cond|u
 //! elfsim 641.leela u-elf --warmup 500000 --window 1000000
-//! elfsim 641.leela --compare             # all architectures side by side
-//! elfsim 641.leela --compare --jobs 4    # supervised grid, partial results
+//! elfsim 641.leela --compare             # all architectures, supervised grid
+//! elfsim 641.leela --compare --jobs 4 --seed 7   # 4 workers, reseeded program
 //! elfsim 641.leela u-elf --inject flush=50,btb=20 --seed 7
 //! elfsim 641.leela u-elf --checkpoint-every 100000 --checkpoint-file run.ckpt
 //! elfsim --resume run.ckpt               # continue an interrupted run
@@ -18,12 +18,14 @@
 //!
 //! Exit codes: 0 success, 1 simulation error (wedge / malformed program /
 //! unreadable checkpoint, with a diagnostic report on stderr), 2 usage
-//! error, 3 supervised grid finished with at least one failed cell
-//! (partial results were still printed).
+//! error, 3 `--compare` finished with at least one failed cell (results
+//! for the healthy cells were still printed).
 
+use elf_sim::core::check::ALL_ARCHS;
+use elf_sim::core::experiment::{run_cell_on, run_grid_with};
 use elf_sim::core::{
-    metrics, FaultKind, FaultPlan, GridCell, GridOptions, Metrics, MetricsRun, SimConfig, SimError,
-    SimStats, Simulator, Snapshot,
+    metrics, CellError, FaultKind, FaultPlan, GridCell, GridOptions, Metrics, MetricsRun,
+    RunResult, SimConfig, SimError, SimStats, Simulator, Snapshot,
 };
 use elf_sim::frontend::{ElfVariant, FetchArch, FetchCycleCause};
 use elf_sim::trace::{synthesize, workloads};
@@ -35,8 +37,8 @@ use std::sync::Arc;
 const EXIT_USAGE: u8 = 2;
 /// The simulation itself failed (wedge, malformed program).
 const EXIT_SIM: u8 = 1;
-/// A supervised grid (`--compare --jobs N`) had at least one failed cell;
-/// results for the healthy cells were still printed.
+/// `--compare` (a supervised grid) had at least one failed cell; results
+/// for the healthy cells were still printed.
 const EXIT_GRID: u8 = 3;
 
 fn parse_arch(s: &str) -> Option<FetchArch> {
@@ -87,9 +89,11 @@ fn usage(problem: &str) -> ExitCode {
          (RATE per 100k cycles)\n\
          --checkpoint-every N writes a resumable snapshot to --checkpoint-file\n\
          every N measured instructions; --resume F continues it to the\n\
-         original --window target. --compare --jobs N runs the architectures\n\
-         as a supervised grid: one wedged cell cannot sink the others (exit 3\n\
-         flags partial results). --metrics prints the cycle-attribution\n\
+         original --window target. --compare runs every architecture as a\n\
+         supervised grid on --jobs N workers (default 1): a wedged cell cannot\n\
+         sink the others, --retries N re-attempts it, and exit 3 flags partial\n\
+         results. --seed N reseeds the synthesized program (and --inject), for\n\
+         single runs and --compare alike. --metrics prints the cycle-attribution\n\
          table (every cycle charged to exactly one cause); --metrics-json F\n\
          writes the elfsim-metrics-v2 report to F. Both\n\
          also work with --compare and --resume (the snapshot must have been\n\
@@ -127,7 +131,7 @@ fn run_window_chunked(
 
 /// Emits the requested metrics output: the human table (`--metrics`)
 /// and/or the versioned JSON report (`--metrics-json F`). Shared by the
-/// single-run, resume, serial-compare and grid paths.
+/// single-run, resume and `--compare` paths.
 fn emit_metrics(
     workload: &str,
     runs: &[MetricsRun],
@@ -366,7 +370,7 @@ fn main() -> ExitCode {
     let mut resume_from: Option<PathBuf> = None;
     let mut show_metrics = false;
     let mut metrics_json: Option<PathBuf> = None;
-    let mut jobs: Option<usize> = None;
+    let mut jobs = 1usize;
     let mut retries = 0u32;
     let mut i = 0;
     while i < args.len() {
@@ -380,7 +384,7 @@ fn main() -> ExitCode {
                     "--warmup" => warmup = v,
                     "--window" => window = v,
                     "--checkpoint-every" => checkpoint_every = v,
-                    "--jobs" => jobs = Some(v.max(1) as usize),
+                    "--jobs" => jobs = v.max(1) as usize,
                     "--retries" => retries = v.min(u64::from(u32::MAX)) as u32,
                     _ => seed = Some(v),
                 }
@@ -476,143 +480,91 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Synthesize once and validate up front: a malformed image is reported
-    // as a structured error before any cycles are burned.
+    // Synthesize once; every run below (each --compare cell included)
+    // builds from this program, so --seed applies everywhere.
     let prog = Arc::new(synthesize(&spec));
-    let run = |arch: FetchArch| -> Result<(SimStats, Option<Metrics>), SimError> {
+    let config = |arch: FetchArch| {
         let mut cfg = SimConfig::baseline(arch);
         cfg.fault = fault;
         cfg.metrics = want_metrics;
-        let mut sim = Simulator::try_from_program(cfg, Arc::clone(&prog), spec.seed)?;
-        sim.warm_up(warmup)?;
-        let stats = sim.run(window)?;
-        Ok((stats, sim.metrics().cloned()))
+        cfg
     };
     let injected = inject
         .as_ref()
         .map_or_else(String::new, |s| format!(", injecting {s}"));
 
     if compare {
-        let mut archs = vec![FetchArch::NoDcf, FetchArch::Dcf];
-        archs.extend(ElfVariant::ALL.into_iter().map(FetchArch::Elf));
-
-        if let Some(jobs) = jobs {
-            // Supervised grid: cells run in parallel behind catch_unwind;
-            // a wedged or panicking cell is reported and the rest of the
-            // results still come back (exit code 3 flags the partial set).
-            if seed.is_some() {
-                return usage(
-                    "--seed is not supported with --jobs (grid cells use registry seeds)",
-                );
-            }
-            println!(
-                "{} — supervised grid, {jobs} worker(s), {retries} retr(ies) \
-                 ({warmup} warmup, {window} window{injected}):",
-                workload.name
-            );
-            let cells: Vec<GridCell> = archs
-                .iter()
-                .map(|&a| {
-                    let mut cfg = SimConfig::baseline(a);
-                    cfg.fault = fault;
-                    cfg.metrics = want_metrics;
-                    GridCell {
-                        workload: workload.name.to_owned(),
-                        cfg,
-                        warmup,
-                        window,
-                    }
-                })
-                .collect();
-            let opts = GridOptions {
-                jobs,
-                retries,
-                ..GridOptions::default()
-            };
-            let report = elf_sim::core::run_grid(&cells, &opts);
-            let base = report
-                .ok
-                .iter()
-                .find(|r| r.arch == FetchArch::Dcf.label())
-                .map(elf_sim::core::RunResult::ipc);
-            for r in &report.ok {
-                let rel = base.map_or_else(String::new, |b| {
-                    format!(" ({:+.2}% vs DCF)", (r.ipc() / b - 1.0) * 100.0)
-                });
-                println!("  {:>9}: IPC {:.3}{rel}", r.arch, r.ipc());
-            }
-            if want_metrics {
-                let runs: Vec<MetricsRun> = report
-                    .ok
-                    .iter()
-                    .filter_map(|r| {
-                        r.metrics.clone().map(|m| MetricsRun {
-                            arch: r.arch.clone(),
-                            stats: r.stats.clone(),
-                            metrics: m,
-                        })
-                    })
-                    .collect();
-                if let Some(agg) = report.merged_metrics() {
-                    println!(
-                        "  grid aggregate: {} cycles attributed across {} cell(s), \
-                         {:.1}% useful fetch",
-                        agg.total_fetch_cycles(),
-                        runs.len(),
-                        agg.fetch_cycles[FetchCycleCause::UsefulFetch.index()] as f64 * 100.0
-                            / agg.total_fetch_cycles().max(1) as f64,
-                    );
-                }
-                if let Err(code) =
-                    emit_metrics(workload.name, &runs, show_metrics, metrics_json.as_deref())
-                {
-                    return code;
-                }
-            }
-            if report.all_ok() {
-                return ExitCode::SUCCESS;
-            }
-            eprint!("{}", report.failure_summary());
-            return ExitCode::from(EXIT_GRID);
-        }
-
+        // Supervised grid: cells run behind catch_unwind; a wedged or
+        // panicking cell is reported and the rest of the results still
+        // come back (exit code 3 flags the partial set).
         println!(
-            "{} — all architectures ({warmup} warmup, {window} window{injected}):",
+            "{} — supervised grid, {jobs} worker(s), {retries} retr(ies) \
+             ({warmup} warmup, {window} window{injected}):",
             workload.name
         );
-        let mut base = None;
-        let mut mruns: Vec<MetricsRun> = Vec::new();
-        for a in archs {
-            let (s, m) = match run(a) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{}: {e}", a.label());
-                    return ExitCode::from(EXIT_SIM);
-                }
-            };
-            if a == FetchArch::Dcf {
-                base = Some(s.ipc());
-            }
+        let cells: Vec<GridCell> = ALL_ARCHS
+            .into_iter()
+            .map(|a| GridCell {
+                workload: workload.name.to_owned(),
+                cfg: config(a),
+                warmup,
+                window,
+            })
+            .collect();
+        let opts = GridOptions {
+            jobs,
+            retries,
+            ..GridOptions::default()
+        };
+        let report = run_grid_with(&cells, &opts, |i, cell| {
+            let sim = Simulator::try_from_program(cell.cfg.clone(), Arc::clone(&prog), spec.seed)
+                .map_err(|e| CellError::plain(e.to_string()))?;
+            run_cell_on(i, cell, &opts, sim)
+        });
+        let base = report
+            .ok
+            .iter()
+            .find(|r| r.arch == FetchArch::Dcf.label())
+            .map(RunResult::ipc);
+        for r in &report.ok {
             let rel = base.map_or_else(String::new, |b| {
-                format!(" ({:+.2}% vs DCF)", (s.ipc() / b - 1.0) * 100.0)
+                format!(" ({:+.2}% vs DCF)", (r.ipc() / b - 1.0) * 100.0)
             });
-            println!("  {:>9}: IPC {:.3}{rel}", a.label(), s.ipc());
-            if let Some(m) = m {
-                mruns.push(MetricsRun {
-                    arch: a.label().to_owned(),
-                    stats: s,
-                    metrics: m,
-                });
-            }
+            println!("  {:>9}: IPC {:.3}{rel}", r.arch, r.ipc());
         }
         if want_metrics {
+            let runs: Vec<MetricsRun> = report
+                .ok
+                .iter()
+                .filter_map(|r| {
+                    r.metrics.clone().map(|m| MetricsRun {
+                        arch: r.arch.clone(),
+                        stats: r.stats.clone(),
+                        metrics: m,
+                    })
+                })
+                .collect();
+            if let Some(agg) = report.merged_metrics() {
+                println!(
+                    "  grid aggregate: {} cycles attributed across {} cell(s), \
+                     {:.1}% useful fetch",
+                    agg.total_fetch_cycles(),
+                    runs.len(),
+                    agg.fetch_cycles[FetchCycleCause::UsefulFetch.index()] as f64 * 100.0
+                        / agg.total_fetch_cycles().max(1) as f64,
+                );
+            }
             if let Err(code) =
-                emit_metrics(workload.name, &mruns, show_metrics, metrics_json.as_deref())
+                emit_metrics(workload.name, &runs, show_metrics, metrics_json.as_deref())
             {
                 return code;
             }
         }
-        return ExitCode::SUCCESS;
+        if report.all_ok() {
+            return ExitCode::SUCCESS;
+        }
+        eprint!("{}", report.failure_summary());
+        return ExitCode::from(EXIT_GRID);
     }
 
     println!(
@@ -622,10 +574,7 @@ fn main() -> ExitCode {
     );
     println!();
     let result = (|| -> Result<(SimStats, Option<Metrics>), SimError> {
-        let mut cfg = SimConfig::baseline(arch);
-        cfg.fault = fault;
-        cfg.metrics = want_metrics;
-        let mut sim = Simulator::try_from_program(cfg, Arc::clone(&prog), spec.seed)?;
+        let mut sim = Simulator::try_from_program(config(arch), Arc::clone(&prog), spec.seed)?;
         sim.warm_up(warmup)?;
         let stats = run_window_chunked(
             &mut sim,

@@ -127,9 +127,10 @@ fn cycle_budget_watchdog_trips_with_diagnostics() {
         0,
         1_000_000,
     )];
+    let budget = 20_000;
     let opts = GridOptions {
         retries: 1,
-        cycle_budget: 20_000,
+        cycle_budget: budget,
         ..GridOptions::default()
     };
     let report = run_grid(&cells, &opts);
@@ -141,7 +142,15 @@ fn cycle_budget_watchdog_trips_with_diagnostics() {
         f.error
     );
     assert_eq!(f.attempts, 2, "budget trips are retryable");
-    assert!(f.report.is_some(), "budget trip carries machine state");
+    let report = f
+        .report
+        .as_ref()
+        .expect("budget trip carries machine state");
+    assert!(
+        report.cycle <= budget,
+        "the budget bounds the run from inside: stopped at cycle {}",
+        report.cycle
+    );
 }
 
 #[test]
