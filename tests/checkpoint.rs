@@ -349,3 +349,37 @@ fn optional_state_snapshot_bytes_are_pinned() {
         );
     }
 }
+
+/// FNV-1a/64 digests of the same three checkpoints of `641.leela` for
+/// every arch, with the front-end extension switches flipped from their
+/// Table II defaults: the Boomerang-style BTB-miss probe on (pre-decoded
+/// blocks in `dcf_generate`) and FAQ-driven instruction prefetch off.
+const PINNED_FRONTEND_EXTENSION_DIGESTS: [[u64; 3]; 7] = [
+    [0x2ba2ae34cafd932e, 0x31897dcac263067a, 0x4d548d9088aa329c],
+    [0x5c1c5d41312a4f57, 0xcce337861d19cd15, 0xceda46f7a20e4fe1],
+    [0x4babd00a449fc721, 0xc09b95f8b233be4a, 0x575114e440ea596b],
+    [0x107c25c2052c12e8, 0xad5327e393d11816, 0x5c83241d5af4dab2],
+    [0xfdde96fe9aefdd9a, 0xeae8111cbf9710d8, 0x68e4bfd85684ecb3],
+    [0xfa5dfe88ece9830f, 0xd6d1bf7b33e8f3e2, 0xf137a8832f98beb4],
+    [0x0782ed77fd07c993, 0xfaeea83bad801b35, 0x1e51a048c14c9381],
+];
+
+#[test]
+fn frontend_extension_snapshot_bytes_are_pinned() {
+    // Neither table above runs the BTB-miss pre-decode path or the
+    // prefetch-off gate.
+    let got = snapshot_digests("641.leela", |arch| {
+        let mut cfg = SimConfig::baseline(arch);
+        cfg.frontend.btb_miss_probe = true;
+        cfg.frontend.ifetch_prefetch = false;
+        cfg
+    });
+    for ((arch, want), got) in ARCHS.iter().zip(PINNED_FRONTEND_EXTENSION_DIGESTS).zip(got) {
+        assert_eq!(
+            want,
+            got,
+            "front-end extension snapshot bytes changed ({})",
+            arch.label()
+        );
+    }
+}
