@@ -571,11 +571,8 @@ impl Backend {
             // History replay: resolved outcomes of surviving unretired
             // bound branches, oldest first — the speculative history is
             // rebuilt as retired-history + these bits (exact repair).
-            out.hist_replay.extend(elf_frontend::Frontend::history_bit(
-                k,
-                e.b.taken,
-                e.b.next_pc,
-            ));
+            out.hist_replay
+                .extend(elf_frontend::Frontend::history_bit(k, e.b.taken));
             // RAS replay: surviving unretired call/return operations.
             if k.is_call() {
                 out.ras_replay
@@ -615,23 +612,9 @@ impl Backend {
         }
     }
 
-    /// One back-end cycle. Returns retired instructions and, at most, one
-    /// applied flush. Allocating convenience wrapper around
-    /// [`Backend::tick_into`] for tests and tools; the simulator's hot
-    /// loop passes a reusable retire buffer instead.
-    pub fn tick(
-        &mut self,
-        mem: &mut MemorySystem,
-        now: Cycle,
-    ) -> (Vec<RetiredInst>, Option<AppliedFlush>) {
-        let mut retired = Vec::new();
-        let flush = self.tick_into(mem, now, &mut retired);
-        (retired, flush)
-    }
-
     /// One back-end cycle, appending this cycle's retirements to `retired`
-    /// (cleared first). The caller owns the buffer so steady-state ticks
-    /// allocate nothing.
+    /// (cleared first) and returning the applied flush, if any. The caller
+    /// owns the buffer so steady-state ticks allocate nothing.
     pub fn tick_into(
         &mut self,
         mem: &mut MemorySystem,
@@ -1365,14 +1348,28 @@ mod tests {
 
     fn run_until_empty(be: &mut Backend, mem: &mut MemorySystem) -> (u64, Vec<RetiredInst>) {
         let mut all = Vec::new();
+        let mut retired = Vec::new();
         let mut cycle = 0;
         while !be.is_empty() {
-            let (r, _) = be.tick(mem, cycle);
-            all.extend(r);
+            be.tick_into(mem, cycle, &mut retired);
+            all.append(&mut retired);
             cycle += 1;
             assert!(cycle < 10_000, "backend wedged");
         }
         (cycle, all)
+    }
+
+    /// Ticks `be` once per cycle of `cycles`, discarding retirements, and
+    /// stops after the first cycle that applies a flush (returned).
+    fn run_cycles(
+        be: &mut Backend,
+        mem: &mut MemorySystem,
+        cycles: impl IntoIterator<Item = Cycle>,
+    ) -> Option<AppliedFlush> {
+        let mut retired = Vec::new();
+        cycles
+            .into_iter()
+            .find_map(|c| be.tick_into(mem, c, &mut retired))
     }
 
     #[test]
@@ -1453,14 +1450,7 @@ mod tests {
             w.seq = None; // wrong path
             be.accept(w, 0);
         }
-        let mut flush = None;
-        for c in 0..50 {
-            let (_, f) = be.tick(&mut mem, c);
-            if let Some(f) = f {
-                flush = Some(f);
-                break;
-            }
-        }
+        let flush = run_cycles(&mut be, &mut mem, 0..50);
         let f = flush.expect("mispredict must flush");
         assert_eq!(f.cause, FlushCause::Mispredict);
         assert_eq!(f.boundary_fid, 1);
@@ -1490,14 +1480,7 @@ mod tests {
         ld.mem_addr = Some(0x9_0000);
         be.accept(ld, 0);
 
-        let mut flush = None;
-        for c in 0..100 {
-            let (_, f) = be.tick(&mut mem, c);
-            if let Some(f) = f {
-                flush = Some(f);
-                break;
-            }
-        }
+        let flush = run_cycles(&mut be, &mut mem, 0..100);
         let f = flush.expect("RAW hazard must flush");
         assert_eq!(f.cause, FlushCause::RawHazard);
         assert_eq!(f.restart_pc, 0x5008, "restart at the load");
@@ -1523,8 +1506,9 @@ mod tests {
         ld.mem_addr = Some(0xa_0000);
         be.accept(ld, 0);
 
+        let mut retired = Vec::new();
         for c in 0..200 {
-            let (_, f) = be.tick(&mut mem, c);
+            let f = be.tick_into(&mut mem, c, &mut retired);
             assert!(
                 f.is_none(),
                 "predicted dependence must prevent the violation"
@@ -1569,9 +1553,10 @@ mod tests {
         let mut w = alu(1, 0x8000, None, [NO_REG, NO_REG]);
         w.seq = None;
         be.accept(w, 0);
+        let mut retired = Vec::new();
         for c in 0..50 {
-            let (r, _) = be.tick(&mut mem, c);
-            assert!(r.is_empty());
+            be.tick_into(&mut mem, c, &mut retired);
+            assert!(retired.is_empty());
         }
         assert!(
             be.watchdog_tripped(300),
@@ -1628,9 +1613,7 @@ mod tests {
                 0,
             );
         }
-        for c in 0..4 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..4);
         assert!(
             be.rob_len() <= 4,
             "at most PRF-many writers may be in flight: {}",
@@ -1649,9 +1632,10 @@ mod tests {
         }
         let mut max_per_cycle = 0;
         let mut cycle = 0;
+        let mut retired = Vec::new();
         while !be.is_empty() {
-            let (r, _) = be.tick(&mut mem, cycle);
-            max_per_cycle = max_per_cycle.max(r.len());
+            be.tick_into(&mut mem, cycle, &mut retired);
+            max_per_cycle = max_per_cycle.max(retired.len());
             cycle += 1;
             assert!(cycle < 1000);
         }
@@ -1669,9 +1653,7 @@ mod tests {
         for i in 0..6 {
             be.accept(alu(1 + i, 0xd000 + i * 4, None, [NO_REG, NO_REG]), 0);
         }
-        be.tick(&mut mem, 0);
-        be.tick(&mut mem, 1);
-        be.tick(&mut mem, 2);
+        run_cycles(&mut be, &mut mem, 0..3);
         // Squash everything younger than fid 3: fids 4..6 are bound with
         // seqs 4..6 (the helper binds seq = fid), so the oldest squashed
         // bound sequence is 4.
@@ -1698,9 +1680,7 @@ mod tests {
         for i in 0..20 {
             be.accept(alu(2 + i, 0x9004 + i * 4, None, [1, NO_REG]), 0);
         }
-        for c in 0..4 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..4);
         assert!(be.rob_len() <= 8);
         assert!(be.stats().rob_full_cycles > 0);
     }
@@ -1726,9 +1706,7 @@ mod tests {
         for i in 0..6 {
             be.accept(alu(2 + i, 0xe004 + i * 4, Some(2), [1, NO_REG]), 0);
         }
-        for c in 0..4 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..4);
         let save = |be: &mut Backend| {
             let mut w = elf_types::SnapWriter::new();
             be.state(&mut w).expect("saving cannot fail");
@@ -1758,16 +1736,12 @@ mod tests {
             0,
         );
         be.accept(alu(3, 0xf008, None, [5, NO_REG]), 0);
-        for c in 0..=3 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..=3);
         assert_eq!(be.rob_len(), 3);
         // Squash fid 3; fid 4, waiting on the load, takes its position.
         assert_eq!(be.squash_after_returning_seq(2), Some(3));
         be.accept(alu(4, 0xf00c, None, [20, NO_REG]), 3);
-        for c in 4..30 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 4..30);
         assert_eq!(be.rob[0].b.fid, 2, "the divide completed and retired");
         let e = &be.rob[1];
         assert_eq!(e.b.fid, 4);
@@ -1799,9 +1773,7 @@ mod tests {
             mem_op(3, 0x1_0008, InstClass::Store, [NO_REG, NO_REG], 0xd_0004),
             0,
         );
-        for c in 0..6 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..6);
         assert!(be.rob[2].issued && !be.rob[1].issued);
         let (cycles, retired) = run_until_empty(&mut be, &mut mem);
         assert_eq!(retired.len(), 3);
@@ -1837,13 +1809,7 @@ mod tests {
             mem_op(4, 0x1_100c, InstClass::Load, [NO_REG, NO_REG], 0xe_0000),
             0,
         );
-        let mut flush = None;
-        for c in 0..100 {
-            if let (_, Some(f)) = be.tick(&mut mem, c) {
-                flush = Some(f);
-                break;
-            }
-        }
+        let flush = run_cycles(&mut be, &mut mem, 0..100);
         let f = flush.expect("the bound load must raise a RAW flush");
         assert_eq!(f.cause, FlushCause::RawHazard);
         assert_eq!(
@@ -1881,9 +1847,7 @@ mod tests {
             mem_op(5, 0x1_200c, InstClass::Load, [NO_REG, NO_REG], 0xf_0018),
             0,
         );
-        for c in 0..=2 {
-            be.tick(&mut mem, c);
-        }
+        run_cycles(&mut be, &mut mem, 0..=2);
         let ld = &be.rob[4];
         assert_eq!(ld.b.fid, 5);
         assert_eq!(ld.wait_store_fid, Some(3));
@@ -1914,7 +1878,7 @@ mod tests {
                     }
                 }
                 wrapped_choice |= above && below;
-                be.tick(mem, *cycle);
+                run_cycles(be, mem, [*cycle]);
                 *cycle += 1;
                 assert!(*cycle < 10_000, "backend wedged");
                 if check {

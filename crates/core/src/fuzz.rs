@@ -23,7 +23,7 @@
 use crate::check::{commit_stream, first_divergence, functional_stream};
 use crate::config::SimConfig;
 use crate::fault::FaultPlan;
-use elf_frontend::{ElfVariant, FetchArch};
+use elf_frontend::FetchArch;
 use elf_trace::synth::RecursionSpec;
 use elf_trace::{synthesize, ProgramSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -231,7 +231,10 @@ impl FuzzCase {
         s.push_str(REPRO_FORMAT);
         s.push('\n');
         s.push_str(&format!("seed=0x{:016x}\n", self.seed));
-        s.push_str(&format!("arch={}\n", arch_key(self.arch)));
+        s.push_str(&format!(
+            "arch={}\n",
+            self.arch.label().to_ascii_lowercase()
+        ));
         s.push_str(&format!("idle_skip={}\n", self.idle_skip));
         s.push_str(&format!("split={}\n", self.split));
         s.push_str(&format!("window={}\n", self.window));
@@ -285,10 +288,7 @@ impl FuzzCase {
             }
             match key {
                 "seed" => case.seed = parse_u64(val)?,
-                "arch" => {
-                    case.arch =
-                        arch_from_key(val).ok_or_else(|| format!("unknown arch {val:?}"))?;
-                }
+                "arch" => case.arch = val.trim().parse()?,
                 "idle_skip" => case.idle_skip = parse_bool(val)?,
                 "split" => case.split = parse_bool(val)?,
                 "window" => case.window = parse_u64(val)?,
@@ -380,24 +380,6 @@ fn parse_range(s: &str) -> Result<(usize, usize), String> {
     Ok((lo, hi))
 }
 
-fn arch_key(a: FetchArch) -> &'static str {
-    match a {
-        FetchArch::NoDcf => "nodcf",
-        FetchArch::Dcf => "dcf",
-        FetchArch::Elf(ElfVariant::L) => "l-elf",
-        FetchArch::Elf(ElfVariant::Ret) => "ret-elf",
-        FetchArch::Elf(ElfVariant::Ind) => "ind-elf",
-        FetchArch::Elf(ElfVariant::Cond) => "cond-elf",
-        FetchArch::Elf(ElfVariant::U) => "u-elf",
-    }
-}
-
-fn arch_from_key(s: &str) -> Option<FetchArch> {
-    crate::check::ALL_ARCHS
-        .into_iter()
-        .find(|&a| arch_key(a) == s.trim())
-}
-
 /// Runs one case end to end. `None` means the case passed; `Some`
 /// describes the failure (commit-stream divergence, simulator error,
 /// invariant violation or panic). Panics inside the simulator are caught
@@ -431,7 +413,8 @@ fn run_case_inner(case: &FuzzCase) -> Option<String> {
             r.taken = !r.taken;
         }
     }
-    first_divergence("functional replay", &expected, arch_key(case.arch), &actual)
+    let label = case.arch.label().to_ascii_lowercase();
+    first_divergence("functional replay", &expected, &label, &actual)
 }
 
 /// Shrinks a failing case: repeatedly resets one knob toward
@@ -578,6 +561,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elf_frontend::ElfVariant;
 
     #[test]
     fn generation_is_deterministic() {
@@ -647,8 +631,20 @@ mod tests {
     #[test]
     fn arch_keys_round_trip() {
         for a in crate::check::ALL_ARCHS {
-            assert_eq!(arch_from_key(arch_key(a)), Some(a));
+            let case = FuzzCase {
+                arch: a,
+                ..FuzzCase::base(1)
+            };
+            let text = case.to_repro();
+            assert!(
+                text.contains(&format!("\narch={}\n", a.label().to_ascii_lowercase())),
+                "{text}"
+            );
+            assert_eq!(FuzzCase::from_repro(&text).expect("repro parses").arch, a);
         }
-        assert_eq!(arch_from_key("vliw"), None);
+        let base = FuzzCase::base(1);
+        let key = format!("arch={}", base.arch.label().to_ascii_lowercase());
+        let bad = base.to_repro().replace(&key, "arch=vliw");
+        assert!(FuzzCase::from_repro(&bad).is_err());
     }
 }

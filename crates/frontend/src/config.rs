@@ -106,6 +106,26 @@ impl FetchArch {
     }
 }
 
+impl std::str::FromStr for FetchArch {
+    type Err = String;
+
+    /// Parses a figure label in any case (`u-elf`, `NoDCF`) or an ELF
+    /// variant's short form (`u`, `l`, `ret`, `ind`, `cond`).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [FetchArch::NoDcf, FetchArch::Dcf]
+            .into_iter()
+            .chain(ElfVariant::ALL.map(FetchArch::Elf))
+            .find(|a| {
+                let label = a.label();
+                label.eq_ignore_ascii_case(s)
+                    || label
+                        .strip_suffix("-ELF")
+                        .is_some_and(|short| short.eq_ignore_ascii_case(s))
+            })
+            .ok_or_else(|| format!("unknown architecture {s:?}"))
+    }
+}
+
 /// All front-end parameters (defaults = Table II).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendConfig {
@@ -234,6 +254,24 @@ mod tests {
         assert_eq!(FetchArch::NoDcf.label(), "NoDCF");
         assert_eq!(FetchArch::Elf(ElfVariant::U).label(), "U-ELF");
         assert_eq!(FetchArch::Elf(ElfVariant::Cond).label(), "COND-ELF");
+    }
+
+    #[test]
+    fn arch_parser_takes_labels_in_any_case_and_short_forms() {
+        for arch in [FetchArch::NoDcf, FetchArch::Dcf]
+            .into_iter()
+            .chain(ElfVariant::ALL.map(FetchArch::Elf))
+        {
+            assert_eq!(arch.label().parse(), Ok(arch));
+            assert_eq!(arch.label().to_ascii_lowercase().parse(), Ok(arch));
+        }
+        assert_eq!("nodcf".parse(), Ok(FetchArch::NoDcf));
+        assert_eq!("U".parse(), Ok(FetchArch::Elf(ElfVariant::U)));
+        assert_eq!("ret".parse(), Ok(FetchArch::Elf(ElfVariant::Ret)));
+        assert_eq!("cond".parse(), Ok(FetchArch::Elf(ElfVariant::Cond)));
+        for bad in ["vliw", "", "elf", "-elf", "dcf-elf", "u-elf "] {
+            assert!(bad.parse::<FetchArch>().is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

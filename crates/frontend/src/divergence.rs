@@ -17,21 +17,31 @@
 //!   **trust the fetcher**.
 //!
 //! Recording convention: both sides record one slot per instruction of
-//! their stream, with `(taken, branch) = (1, 1)` only for *taken-predicted*
-//! branches — not-taken predictions and non-branches record `(0, 0)`. This
-//! keeps the two streams positionally aligned up to the first divergent
-//! control-flow decision, which is exactly where a mismatching pair appears.
+//! their stream, passing a target exactly for *taken-predicted* branches.
+//! The slot's `(taken, branch)` bits are `(1, 1)` for those and `(0, 0)`
+//! for not-taken predictions and non-branches. This keeps the two streams
+//! positionally aligned up to the first divergent control-flow decision,
+//! which is exactly where a mismatching pair appears.
 
 use elf_types::{Addr, BranchKind};
 use std::collections::VecDeque;
 
-/// One bitvector slot: `(taken, is_branch)` per instruction.
+/// One bitvector slot: `(taken, is_branch)` per instruction. Both bits are
+/// set together, for taken-predicted branches only; the pair is kept as
+/// two bits because that is the snapshot layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VecSlot {
-    /// Taken bit (0 for non-branches and not-taken-predicted branches).
-    pub taken: bool,
-    /// Branch bit (set for taken-predicted branches).
-    pub branch: bool,
+struct VecSlot {
+    taken: bool,
+    branch: bool,
+}
+
+impl VecSlot {
+    fn of(taken: Option<TargetSlot>) -> VecSlot {
+        VecSlot {
+            taken: taken.is_some(),
+            branch: taken.is_some(),
+        }
+    }
 }
 
 /// One target-queue slot.
@@ -115,23 +125,26 @@ impl DivergenceTracker {
         self.coupled_vec.len() < self.vec_capacity && self.coupled_tq.len() < self.tq_capacity
     }
 
-    /// Records one coupled-stream instruction (populated after Decode).
-    pub fn record_coupled(&mut self, slot: VecSlot, fid: u64, pc: u64, target: Option<TargetSlot>) {
+    /// Records one coupled-stream instruction (populated after Decode);
+    /// `taken` is the target of a taken-predicted branch, `None` otherwise.
+    pub fn record_coupled(&mut self, fid: u64, pc: u64, taken: Option<TargetSlot>) {
+        let slot = VecSlot::of(taken);
         self.coupled_vec.push_back(CoupledRec { slot, fid, pc });
-        if let Some(t) = target {
+        if let Some(t) = taken {
             self.coupled_tq.push_back((t, fid));
         }
     }
 
     /// Records one decoupled-stream instruction (populated at Fetch from a
-    /// FAQ block; `proxy` marks BTB-miss proxy blocks).
-    pub fn record_decoupled(&mut self, slot: VecSlot, proxy: bool, target: Option<TargetSlot>) {
+    /// FAQ block; `proxy` marks BTB-miss proxy blocks); `taken` as for
+    /// [`DivergenceTracker::record_coupled`].
+    pub fn record_decoupled(&mut self, proxy: bool, taken: Option<TargetSlot>) {
         self.decoupled_vec.push_back(DecoupledRec {
-            slot,
+            slot: VecSlot::of(taken),
             proxy,
-            target: target.map(|t| t.target),
+            target: taken.map(|t| t.target),
         });
-        if let Some(t) = target {
+        if let Some(t) = taken {
             self.decoupled_tq.push_back(t);
         }
     }
@@ -330,13 +343,12 @@ mod proptests {
         ) {
             let mut t = DivergenceTracker::new(64, 64);
             for (i, &(taken, tgt)) in slots.iter().enumerate() {
-                let slot = VecSlot { taken, branch: taken };
                 let tq = taken.then_some(TargetSlot {
                     kind: BranchKind::CondDirect,
                     target: tgt,
                 });
-                t.record_coupled(slot, i as u64, 0x1000 + i as u64 * 4, tq);
-                t.record_decoupled(slot, false, tq);
+                t.record_coupled(i as u64, 0x1000 + i as u64 * 4, tq);
+                t.record_decoupled(false, tq);
             }
             prop_assert_eq!(t.compare(), None);
             prop_assert!(t.fully_drained());
@@ -353,17 +365,15 @@ mod proptests {
             let flip = flip % len;
             let mut t = DivergenceTracker::new(64, 64);
             for i in 0..len {
-                let cpl_taken = i == flip;
                 t.record_coupled(
-                    VecSlot { taken: cpl_taken, branch: cpl_taken },
                     i as u64,
                     0x2000 + i as u64 * 4,
-                    cpl_taken.then_some(TargetSlot {
+                    (i == flip).then_some(TargetSlot {
                         kind: BranchKind::CondDirect,
                         target: 0x40,
                     }),
                 );
-                t.record_decoupled(VecSlot { taken: false, branch: false }, false, None);
+                t.record_decoupled(false, None);
             }
             match t.compare() {
                 Some(Divergence::TrustDcf { fid, .. }) => prop_assert_eq!(fid, flip as u64),
@@ -378,8 +388,9 @@ mod tests {
     use super::*;
     use elf_types::BranchKind::*;
 
-    fn slot(taken: bool, branch: bool) -> VecSlot {
-        VecSlot { taken, branch }
+    /// A taken-predicted branch of `kind` to `target`.
+    fn taken(kind: BranchKind, target: u64) -> Option<TargetSlot> {
+        Some(TargetSlot { kind, target })
     }
 
     fn tracker() -> DivergenceTracker {
@@ -390,26 +401,11 @@ mod tests {
     fn matching_streams_drain() {
         let mut t = tracker();
         for i in 0..10 {
-            t.record_coupled(slot(false, false), i, 0x100 + i * 4, None);
-            t.record_decoupled(slot(false, false), false, None);
+            t.record_coupled(i, 0x100 + i * 4, None);
+            t.record_decoupled(false, None);
         }
-        t.record_coupled(
-            slot(true, true),
-            10,
-            0x128,
-            Some(TargetSlot {
-                kind: CondDirect,
-                target: 0x100,
-            }),
-        );
-        t.record_decoupled(
-            slot(true, true),
-            false,
-            Some(TargetSlot {
-                kind: CondDirect,
-                target: 0x100,
-            }),
-        );
+        t.record_coupled(10, 0x128, taken(CondDirect, 0x100));
+        t.record_decoupled(false, taken(CondDirect, 0x100));
         assert_eq!(t.compare(), None);
         assert!(t.fully_drained());
         assert_eq!(t.divergences(), 0);
@@ -419,8 +415,8 @@ mod tests {
     fn direction_mismatch_trusts_dcf_and_names_the_fid() {
         let mut t = tracker();
         // Coupled bimodal said taken; DCF's TAGE said not-taken.
-        t.record_coupled(slot(true, true), 42, 0x800, None);
-        t.record_decoupled(slot(false, false), false, None);
+        t.record_coupled(42, 0x800, taken(CondDirect, 0x900));
+        t.record_decoupled(false, None);
         assert_eq!(
             t.compare(),
             Some(Divergence::TrustDcf {
@@ -437,31 +433,16 @@ mod tests {
         // Paper §IV-C2 case 1: on a BTB miss the DCF streams sequential
         // slots while the fetcher decodes a taken unconditional.
         let mut t = tracker();
-        t.record_coupled(slot(true, true), 7, 0x900, None);
-        t.record_decoupled(slot(false, false), true, None);
+        t.record_coupled(7, 0x900, taken(UncondDirect, 0xa00));
+        t.record_decoupled(true, None);
         assert_eq!(t.compare(), Some(Divergence::TrustFetcher));
     }
 
     #[test]
     fn indirect_target_mismatch_trusts_dcf() {
         let mut t = tracker();
-        t.record_coupled(
-            slot(true, true),
-            3,
-            0xa00,
-            Some(TargetSlot {
-                kind: IndirectJump,
-                target: 0x1000,
-            }),
-        );
-        t.record_decoupled(
-            slot(true, true),
-            false,
-            Some(TargetSlot {
-                kind: IndirectJump,
-                target: 0x2000,
-            }),
-        );
+        t.record_coupled(3, 0xa00, taken(IndirectJump, 0x1000));
+        t.record_decoupled(false, taken(IndirectJump, 0x2000));
         assert_eq!(
             t.compare(),
             Some(Divergence::TrustDcf {
@@ -478,35 +459,20 @@ mod tests {
         // Stale BTB target (self-modifying code): the fetcher decoded the
         // true target from the instruction word.
         let mut t = tracker();
-        t.record_coupled(
-            slot(true, true),
-            1,
-            0xb00,
-            Some(TargetSlot {
-                kind: UncondDirect,
-                target: 0x3000,
-            }),
-        );
-        t.record_decoupled(
-            slot(true, true),
-            false,
-            Some(TargetSlot {
-                kind: UncondDirect,
-                target: 0x4000,
-            }),
-        );
+        t.record_coupled(1, 0xb00, taken(UncondDirect, 0x3000));
+        t.record_decoupled(false, taken(UncondDirect, 0x4000));
         assert_eq!(t.compare(), Some(Divergence::TrustFetcher));
     }
 
     #[test]
     fn comparison_waits_for_the_slower_stream() {
         let mut t = tracker();
-        t.record_coupled(slot(false, false), 0, 0xc00, None);
-        t.record_coupled(slot(true, true), 1, 0xc04, None);
+        t.record_coupled(0, 0xc00, None);
+        t.record_coupled(1, 0xc04, taken(CondDirect, 0xc40));
         assert_eq!(t.compare(), None, "decoupled stream not there yet");
         assert!(!t.fully_drained());
-        t.record_decoupled(slot(false, false), false, None);
-        t.record_decoupled(slot(true, true), false, None);
+        t.record_decoupled(false, None);
+        t.record_decoupled(false, taken(CondDirect, 0xc40));
         assert_eq!(t.compare(), None);
         assert!(t.fully_drained());
     }
@@ -514,23 +480,15 @@ mod tests {
     #[test]
     fn capacity_limits_reported() {
         let mut t = DivergenceTracker::new(2, 1);
-        t.record_coupled(slot(false, false), 0, 0xd00, None);
-        t.record_coupled(slot(false, false), 1, 0xd04, None);
+        t.record_coupled(0, 0xd00, None);
+        t.record_coupled(1, 0xd04, None);
         assert!(!t.coupled_has_room());
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut t = tracker();
-        t.record_coupled(
-            slot(true, true),
-            0,
-            0xe00,
-            Some(TargetSlot {
-                kind: Return,
-                target: 0x10,
-            }),
-        );
+        t.record_coupled(0, 0xe00, taken(Return, 0x10));
         t.reset();
         assert!(t.fully_drained());
     }
@@ -538,23 +496,8 @@ mod tests {
     #[test]
     fn kind_mismatch_in_target_queue_trusts_fetcher() {
         let mut t = tracker();
-        t.record_coupled(
-            slot(true, true),
-            0,
-            0xf00,
-            Some(TargetSlot {
-                kind: Return,
-                target: 0x10,
-            }),
-        );
-        t.record_decoupled(
-            slot(true, true),
-            false,
-            Some(TargetSlot {
-                kind: IndirectJump,
-                target: 0x10,
-            }),
-        );
+        t.record_coupled(0, 0xf00, taken(Return, 0x10));
+        t.record_decoupled(false, taken(IndirectJump, 0x10));
         assert_eq!(t.compare(), Some(Divergence::TrustFetcher));
     }
 
@@ -562,15 +505,7 @@ mod tests {
     fn load_rejects_a_coupled_target_queue_over_capacity() {
         let mut t = DivergenceTracker::new(64, 8);
         for i in 0..4 {
-            t.record_coupled(
-                slot(true, true),
-                i,
-                0x100 + i * 4,
-                Some(TargetSlot {
-                    kind: CondDirect,
-                    target: 0x400,
-                }),
-            );
+            t.record_coupled(i, 0x100 + i * 4, taken(CondDirect, 0x400));
         }
         let mut w = elf_types::SnapWriter::new();
         t.state(&mut w).expect("save succeeds");

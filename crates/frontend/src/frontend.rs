@@ -5,9 +5,19 @@
 //! image (including down wrong paths — the back-end resolves truth at
 //! execute), delivers decoded instructions, and reacts to back-end flushes
 //! through [`Frontend::flush`] and retirements through [`Frontend::retire`].
+//!
+//! There are two fetchers. The coupled fetcher probes the I-cache
+//! sequentially from its own PC and leaves every control-flow decision to
+//! Decode: NoDCF runs it always, with Decode consulting the main predictors,
+//! and ELF runs it after a flush or misfetch, with Decode consulting the
+//! variant's coupled predictors. The decoupled fetcher (DCF, and ELF in
+//! steady state) takes its instructions from the FAQ. Both issue fetch
+//! groups through one path: the group's L0I latency (one access per cache
+//! line it touches) holds the fetch engine, and the group is queued for
+//! Decode.
 
 use crate::config::{CoupledCondKind, ElfVariant, FetchArch, FrontendConfig};
-use crate::divergence::{Divergence, DivergenceTracker, TargetSlot, VecSlot};
+use crate::divergence::{Divergence, DivergenceTracker, TargetSlot};
 use crate::faq::Faq;
 use crate::stats::FrontendStats;
 use crate::timing::{generation_bubbles, ExitClass};
@@ -666,22 +676,13 @@ impl Frontend {
     /// outcomes only (the standard TAGE GHR design — unconditional branches
     /// contribute nothing, keeping history positions path-stable).
     #[must_use]
-    pub fn history_bit(kind: BranchKind, taken: bool, target: Addr) -> Option<bool> {
-        let _ = target;
+    pub fn history_bit(kind: BranchKind, taken: bool) -> Option<bool> {
         kind.is_conditional().then_some(taken)
     }
 
     // ------------------------------------------------------------------
     // Tick
     // ------------------------------------------------------------------
-
-    /// Advances the front-end by one cycle. Allocating convenience wrapper
-    /// around [`Frontend::tick_into`] for tests and examples.
-    pub fn tick(&mut self, prog: &Program, mem: &mut MemorySystem, cycle: Cycle) -> TickOutput {
-        let mut out = TickOutput::default();
-        self.tick_into(prog, mem, cycle, &mut out);
-        out
-    }
 
     /// Advances the front-end by one cycle, writing results into a
     /// caller-owned output buffer (cleared first). The hot simulation loop
@@ -703,27 +704,21 @@ impl Frontend {
             }
         }
 
-        match self.arch {
-            FetchArch::NoDcf => {
-                self.decode_stage(prog, cycle, out);
-                self.fetch_stage_nodcf(mem, cycle);
+        self.decode_stage(prog, cycle, out);
+        if self.elf_variant().is_some() {
+            // Bitvector/target-queue comparison runs every cycle, including
+            // after the mode switch until the coupled stream fully drains
+            // (paper §IV-C3).
+            self.check_divergence(prog, cycle, out);
+            if self.mode == FetchMode::Coupled {
+                self.resync_stage(prog, cycle, out);
             }
-            FetchArch::Dcf | FetchArch::Elf(_) => {
-                self.decode_stage(prog, cycle, out);
-                if matches!(self.arch, FetchArch::Elf(_)) {
-                    // Bitvector/target-queue comparison runs every cycle,
-                    // including after the mode switch until the coupled
-                    // stream fully drains (paper §IV-C3).
-                    self.check_divergence(prog, cycle, out);
-                }
-                if self.mode == FetchMode::Coupled {
-                    self.resync_stage(prog, cycle, out);
-                }
-                self.fetch_stage(prog, mem, cycle);
-                self.dcf_generate(prog, mem, cycle);
-                if self.cfg.ifetch_prefetch {
-                    self.issue_prefetches(mem, cycle);
-                }
+        }
+        self.fetch_stage(mem, cycle);
+        if self.arch.has_dcf() {
+            self.dcf_generate(prog, mem, cycle);
+            if self.cfg.ifetch_prefetch {
+                self.issue_prefetches(mem, cycle);
             }
         }
     }
@@ -905,7 +900,6 @@ impl Frontend {
             },
             visible,
         );
-        let _ = prog;
         self.dcf_pc = next;
         self.dcf_busy = cycle + 1 + u64::from(bubbles);
     }
@@ -993,17 +987,12 @@ impl Frontend {
                     .branches
                     .iter()
                     .find(|b| b.offset == off)
-                    .map(|b| Prediction {
-                        taken: b.pred_taken,
-                        target: b.pred_target,
-                        source: b.source,
-                    })
-                    .unwrap_or_else(Prediction::not_taken);
+                    .map_or_else(Prediction::not_taken, FaqBranch::prediction);
                 self.record_decoupled_prefix(head_clone, off + 1);
                 self.deliver_one(prog, st.pc, Some(pred), FetchMode::Coupled, cycle, out);
-                self.record_coupled_for_pred(prog, st.pc, &pred, out);
+                self.record_coupled_for_pred(st.pc, st.kind, &pred);
                 self.stall = None;
-                self.switch_to_decoupled(head_clone, off + 1);
+                self.switch_to_decoupled(off + 1);
                 return false;
             }
             if self.dc + head_count <= self.dcc {
@@ -1032,14 +1021,10 @@ impl Frontend {
                     .branches
                     .iter()
                     .find(|b| b.offset == off)
-                    .map(|b| Prediction {
-                        taken: b.pred_taken,
-                        target: b.pred_target,
-                        source: b.source,
-                    });
+                    .map(FaqBranch::prediction);
                 self.leftover_preds.push_back(p);
             }
-            self.switch_to_decoupled(head_clone, amend);
+            self.switch_to_decoupled(amend);
             return false;
         }
         // Pop test: fetcher already decoded past this whole block.
@@ -1077,31 +1062,20 @@ impl Frontend {
     fn record_decoupled_prefix(&mut self, entry: &FaqEntry, n: u8) {
         let proxy = entry.term == FaqTermination::BtbMiss;
         for off in 0..n.min(entry.inst_count) {
-            let fb = entry.branches.iter().find(|b| b.offset == off);
-            let (slot, tq) = match fb {
-                Some(b) if b.pred_taken => (
-                    VecSlot {
-                        taken: true,
-                        branch: true,
-                    },
-                    Some(TargetSlot {
-                        kind: b.kind,
-                        target: b.pred_target.unwrap_or(0),
-                    }),
-                ),
-                _ => (
-                    VecSlot {
-                        taken: false,
-                        branch: false,
-                    },
-                    None,
-                ),
-            };
-            self.div.record_decoupled(slot, proxy, tq);
+            let taken = entry
+                .branches
+                .iter()
+                .find(|b| b.offset == off)
+                .filter(|b| b.pred_taken)
+                .map(|b| TargetSlot {
+                    kind: b.kind,
+                    target: b.pred_target.unwrap_or(0),
+                });
+            self.div.record_decoupled(proxy, taken);
         }
     }
 
-    fn switch_to_decoupled(&mut self, _head: &FaqEntry, consumed: u8) {
+    fn switch_to_decoupled(&mut self, consumed: u8) {
         self.faq.amend_head(consumed);
         self.mode = FetchMode::Decoupled;
         self.stall = None;
@@ -1112,7 +1086,7 @@ impl Frontend {
         // are validated against the recorded prefix (paper Fig. 5 cycle 2).
     }
 
-    fn enter_coupled(&mut self, pc: Addr, cycle: Cycle) {
+    fn enter_coupled(&mut self, pc: Addr) {
         self.mode = FetchMode::Coupled;
         self.coupled_pc = pc;
         self.stall = None;
@@ -1122,7 +1096,6 @@ impl Frontend {
         self.div.reset();
         self.leftover_preds.clear();
         self.stats.coupled_periods += 1;
-        let _ = cycle;
     }
 
     fn check_divergence(&mut self, prog: &Program, cycle: Cycle, out: &mut TickOutput) {
@@ -1188,59 +1161,38 @@ impl Frontend {
     // Fetch stage
     // ------------------------------------------------------------------
 
-    fn fetch_stage(&mut self, prog: &Program, mem: &mut MemorySystem, cycle: Cycle) {
+    fn fetch_stage(&mut self, mem: &mut MemorySystem, cycle: Cycle) {
         if cycle < self.fe_busy || self.groups.len() >= self.cfg.max_inflight_groups {
             return;
         }
         match self.mode {
             FetchMode::Decoupled => self.fetch_decoupled(mem, cycle),
-            FetchMode::Coupled => self.fetch_coupled(prog, mem, cycle),
+            FetchMode::Coupled => self.fetch_coupled(mem, cycle),
         }
     }
 
     fn fetch_decoupled(&mut self, mem: &mut MemorySystem, cycle: Cycle) {
         // The head is read in place (no clone): the instruction buffer is a
         // pooled local, so building it only borrows `self.faq` immutably.
-        let mut insts: Vec<GroupInst> = self.group_pool.pop().unwrap_or_default();
+        let mut insts = self.take_insts();
         let (take, first_pc, term_taken) = {
             let Some(head) = self.faq.head(cycle) else {
                 self.group_pool.push(insts);
                 return;
             };
             let start_off = self.faq.head_consumed();
-            let avail = head.inst_count - start_off;
-            let take = (self.cfg.fetch_width as u8).min(avail);
+            let take = (self.cfg.fetch_width as u8).min(head.inst_count - start_off);
+            Self::push_block_insts(&mut insts, head, start_off, take);
             let first_pc = seq_pc(head.start_pc, start_off as usize);
-            let proxy = head.term == FaqTermination::BtbMiss;
-            for i in 0..take {
-                let off = start_off + i;
-                let pc = seq_pc(head.start_pc, off as usize);
-                let fb = head.branches.iter().find(|b| b.offset == off);
-                insts.push(GroupInst {
-                    pc,
-                    pred: fb.map(|b| Prediction {
-                        taken: b.pred_taken,
-                        target: b.pred_target,
-                        source: b.source,
-                    }),
-                    proxy,
-                    hist: fb.map(|b| b.hist),
-                });
-            }
             (take, first_pc, head.term.is_taken())
         };
         let popped = self.faq.consume(take);
-
-        // Latency: the L0I access(es) for the line(s) the group touches.
-        let mut latency = mem.fetch(first_pc, cycle);
-        let last_pc = seq_pc(first_pc, take as usize - 1);
-        if last_pc / 64 != first_pc / 64 {
-            latency = latency.max(mem.fetch(last_pc, cycle));
-        }
+        let latency = Self::group_latency(mem, first_pc, take as usize, cycle);
 
         // Fetch across a taken branch in the same cycle when the target
         // maps to the other L0I interleave and its block is ready (§VI-A).
         if popped && term_taken && (take as usize) < self.cfg.fetch_width {
+            let last_pc = seq_pc(first_pc, take as usize - 1);
             let mut extra = 0u8;
             if let Some(next) = self.faq.head(cycle) {
                 if self.faq.head_consumed() == 0
@@ -1249,20 +1201,7 @@ impl Frontend {
                 {
                     extra =
                         (self.cfg.fetch_width - take as usize).min(next.inst_count as usize) as u8;
-                    for i in 0..extra {
-                        let pc = seq_pc(next.start_pc, i as usize);
-                        let fb = next.branches.iter().find(|b| b.offset == i);
-                        insts.push(GroupInst {
-                            pc,
-                            pred: fb.map(|b| Prediction {
-                                taken: b.pred_taken,
-                                target: b.pred_target,
-                                source: b.source,
-                            }),
-                            proxy: next.term == FaqTermination::BtbMiss,
-                            hist: fb.map(|b| b.hist),
-                        });
-                    }
+                    Self::push_block_insts(&mut insts, next, 0, extra);
                 }
             }
             if extra > 0 {
@@ -1270,78 +1209,70 @@ impl Frontend {
                 self.stats.interleaved_taken_fetches += 1;
             }
         }
-
-        self.fe_busy = cycle + u64::from(latency.max(1));
-        let ready = cycle + u64::from(latency.max(1)) - 1 + u64::from(self.cfg.decode_latency);
-        self.groups.push_back(FetchGroup {
-            insts,
-            ready_at: ready,
-            mode: FetchMode::Decoupled,
-        });
+        self.issue_group(insts, latency, FetchMode::Decoupled, cycle);
     }
 
-    fn fetch_coupled(&mut self, prog: &Program, mem: &mut MemorySystem, cycle: Cycle) {
-        if self.stall.is_some() {
-            return;
-        }
-        if self.elf_variant().is_some() && !self.div.coupled_has_room() {
+    /// Coupled fetch (ELF after a flush or misfetch, and NoDCF always):
+    /// probes the I-cache sequentially from the fetcher's own PC, leaving
+    /// every control-flow decision to Decode.
+    fn fetch_coupled(&mut self, mem: &mut MemorySystem, cycle: Cycle) {
+        let elf = self.elf_variant().is_some();
+        if self.stall.is_some() || (elf && !self.div.coupled_has_room()) {
             return;
         }
         let width = self.cfg.fetch_width;
         let first_pc = self.coupled_pc;
         let mut insts = self.take_insts();
-        for i in 0..width {
-            insts.push(GroupInst {
-                pc: seq_pc(first_pc, i),
-                pred: None,
-                proxy: true,
-                hist: None,
-            });
-        }
-        let mut latency = mem.fetch(first_pc, cycle);
-        let last_pc = seq_pc(first_pc, width - 1);
-        if last_pc / 64 != first_pc / 64 {
-            latency = latency.max(mem.fetch(last_pc, cycle));
-        }
+        insts.extend((0..width).map(|i| GroupInst {
+            pc: seq_pc(first_pc, i),
+            pred: None,
+            proxy: true,
+            hist: None,
+        }));
+        let latency = Self::group_latency(mem, first_pc, width, cycle);
         self.coupled_pc = seq_pc(first_pc, width);
-        self.fcc += width as u64;
-        self.fe_busy = cycle + u64::from(latency.max(1));
-        let ready = cycle + u64::from(latency.max(1)) - 1 + u64::from(self.cfg.decode_latency);
-        self.groups.push_back(FetchGroup {
-            insts,
-            ready_at: ready,
-            mode: FetchMode::Coupled,
-        });
-        let _ = prog;
+        if elf {
+            self.fcc += width as u64;
+        }
+        self.issue_group(insts, latency, FetchMode::Coupled, cycle);
     }
 
-    fn fetch_stage_nodcf(&mut self, mem: &mut MemorySystem, cycle: Cycle) {
-        if cycle < self.fe_busy || self.groups.len() >= self.cfg.max_inflight_groups {
-            return;
-        }
-        let width = self.cfg.fetch_width;
-        let first_pc = self.coupled_pc;
-        let mut insts = self.take_insts();
-        for i in 0..width {
+    /// Appends instructions `from..from + n` of a FAQ block to a fetch
+    /// group, each with the BP1 prediction and history snapshot the block
+    /// carries for it.
+    fn push_block_insts(insts: &mut Vec<GroupInst>, block: &FaqEntry, from: u8, n: u8) {
+        let proxy = block.term == FaqTermination::BtbMiss;
+        for off in from..from + n {
+            let fb = block.branches.iter().find(|b| b.offset == off);
             insts.push(GroupInst {
-                pc: seq_pc(first_pc, i),
-                pred: None,
-                proxy: true,
-                hist: None,
+                pc: seq_pc(block.start_pc, off as usize),
+                pred: fb.map(FaqBranch::prediction),
+                proxy,
+                hist: fb.map(|b| b.hist),
             });
         }
+    }
+
+    /// L0I latency of a group of `n` sequential instructions starting at
+    /// `first_pc`: one access per cache line the group touches.
+    fn group_latency(mem: &mut MemorySystem, first_pc: Addr, n: usize, cycle: Cycle) -> u32 {
         let mut latency = mem.fetch(first_pc, cycle);
-        let last_pc = seq_pc(first_pc, width - 1);
+        let last_pc = seq_pc(first_pc, n - 1);
         if last_pc / 64 != first_pc / 64 {
             latency = latency.max(mem.fetch(last_pc, cycle));
         }
-        self.coupled_pc = seq_pc(first_pc, width);
-        self.fe_busy = cycle + u64::from(latency.max(1));
-        let ready = cycle + u64::from(latency.max(1)) - 1 + u64::from(self.cfg.decode_latency);
+        latency
+    }
+
+    /// Holds the fetch engine for the group's L0I latency and queues the
+    /// group for Decode.
+    fn issue_group(&mut self, insts: Vec<GroupInst>, latency: u32, mode: FetchMode, cycle: Cycle) {
+        let busy = u64::from(latency.max(1));
+        self.fe_busy = cycle + busy;
         self.groups.push_back(FetchGroup {
             insts,
-            ready_at: ready,
-            mode: FetchMode::Coupled,
+            ready_at: cycle + busy - 1 + u64::from(self.cfg.decode_latency),
+            mode,
         });
     }
 
@@ -1410,10 +1341,10 @@ impl Frontend {
                 // Tracked by the BTB: prediction came from BP1; train later
                 // with the exact predict-time history snapshot.
                 if let Some(h) = gi.hist {
-                    self.stash_snapshot(h);
+                    self.snapshots.insert(self.fid_next + 1, h);
                 }
                 // Maintain the coupled RAS in decoupled mode too (§IV-D2).
-                self.update_cpl_ras(kind, gi.pc, p.target);
+                self.update_cpl_ras(kind, gi.pc);
                 self.deliver_one(prog, gi.pc, Some(p), FetchMode::Decoupled, cycle, out);
                 continue;
             }
@@ -1421,13 +1352,13 @@ impl Frontend {
                 // Inside a BTB-covered block but untracked: a never-taken
                 // conditional (no slot, §III-A). Static not-taken.
                 let p = Prediction::not_taken();
-                self.update_cpl_ras(kind, gi.pc, None);
+                self.update_cpl_ras(kind, gi.pc);
                 self.deliver_one(prog, gi.pc, Some(p), FetchMode::Decoupled, cycle, out);
                 continue;
             }
             // Proxy block: Decode makes the call and resteers (misfetch).
             let (pred, extra) = self.consult_main_predictors(gi.pc, kind, sinst.target);
-            self.update_cpl_ras(kind, gi.pc, pred.target);
+            self.update_cpl_ras(kind, gi.pc);
             self.deliver_one(prog, gi.pc, Some(pred), FetchMode::Decoupled, cycle, out);
             if pred.taken {
                 if let Some(t) = pred.target {
@@ -1459,19 +1390,11 @@ impl Frontend {
             let sinst = prog.inst_or_nop(gi.pc);
             let Some(kind) = sinst.branch_kind() else {
                 if self.mode == FetchMode::Decoupled {
-                    let _ = self.leftover_preds.pop_front();
+                    self.leftover_preds.pop_front();
                 }
                 self.deliver_one(prog, gi.pc, None, FetchMode::Coupled, cycle, out);
                 self.dcc += 1;
-                self.div.record_coupled(
-                    VecSlot {
-                        taken: false,
-                        branch: false,
-                    },
-                    self.fid_next,
-                    gi.pc,
-                    None,
-                );
+                self.div.record_coupled(self.fid_next, gi.pc, None);
                 continue;
             };
 
@@ -1483,9 +1406,9 @@ impl Frontend {
                     .pop_front()
                     .flatten()
                     .unwrap_or_else(Prediction::not_taken);
-                self.update_cpl_ras(kind, gi.pc, pred.target);
+                self.update_cpl_ras(kind, gi.pc);
                 self.deliver_one(prog, gi.pc, Some(pred), FetchMode::Coupled, cycle, out);
-                self.record_coupled_for_pred(prog, gi.pc, &pred, out);
+                self.record_coupled_for_pred(gi.pc, kind, &pred);
                 if pred.taken {
                     // The rest of this group — and any following coupled
                     // groups — are sequential overshoot past a taken branch.
@@ -1518,10 +1441,10 @@ impl Frontend {
                     return;
                 }
                 CoupledDecision::Deliver(pred) => {
-                    self.update_cpl_ras(kind, gi.pc, pred.target);
+                    self.update_cpl_ras(kind, gi.pc);
                     self.deliver_one(prog, gi.pc, Some(pred), FetchMode::Coupled, cycle, out);
                     self.dcc += 1;
-                    self.record_coupled_for_pred(prog, gi.pc, &pred, out);
+                    self.record_coupled_for_pred(gi.pc, kind, &pred);
                     if pred.taken {
                         if let Some(t) = pred.target {
                             // Resteer coupled fetch; discard overshoot.
@@ -1557,35 +1480,12 @@ impl Frontend {
     }
 
     /// Records the coupled-side divergence slot for a just-delivered branch.
-    fn record_coupled_for_pred(
-        &mut self,
-        prog: &Program,
-        pc: Addr,
-        pred: &Prediction,
-        _out: &mut TickOutput,
-    ) {
-        let kind = prog.inst_or_nop(pc).branch_kind();
-        let (slot, tq) = if pred.taken {
-            (
-                VecSlot {
-                    taken: true,
-                    branch: true,
-                },
-                kind.map(|k| TargetSlot {
-                    kind: k,
-                    target: pred.target.unwrap_or(0),
-                }),
-            )
-        } else {
-            (
-                VecSlot {
-                    taken: false,
-                    branch: false,
-                },
-                None,
-            )
-        };
-        self.div.record_coupled(slot, self.fid_next, pc, tq);
+    fn record_coupled_for_pred(&mut self, pc: Addr, kind: BranchKind, pred: &Prediction) {
+        let taken = pred.taken.then(|| TargetSlot {
+            kind,
+            target: pred.target.unwrap_or(0),
+        });
+        self.div.record_coupled(self.fid_next, pc, taken);
     }
 
     /// The coupled fetcher's decision for a decoded branch (paper §IV-C1).
@@ -1737,14 +1637,13 @@ impl Frontend {
         }
     }
 
-    fn update_cpl_ras(&mut self, kind: BranchKind, pc: Addr, pred_target: Option<Addr>) {
+    fn update_cpl_ras(&mut self, kind: BranchKind, pc: Addr) {
         // The coupled RAS is updated in both modes (§IV-D2).
         if kind.is_call() {
             self.cpl_ras.push(pc + INST_BYTES);
         } else if kind.is_return() {
-            let _ = self.cpl_ras.pop();
+            self.cpl_ras.pop();
         }
-        let _ = pred_target;
     }
 
     fn deliver_one(
@@ -1789,12 +1688,6 @@ impl Frontend {
         });
     }
 
-    /// Stores the FAQ-carried predict-time history snapshot for a tracked
-    /// branch about to be delivered.
-    fn stash_snapshot(&mut self, hist: u128) {
-        self.snapshots.insert(self.fid_next + 1, hist);
-    }
-
     fn resteer_fetch_nodcf(&mut self, target: Addr, cycle: Cycle, extra_bubbles: u32) {
         self.clear_groups();
         self.coupled_pc = target;
@@ -1812,7 +1705,7 @@ impl Frontend {
         self.dcf_busy = cycle + 1 + u64::from(extra_bubbles);
         self.fe_busy = self.fe_busy.max(cycle + 1 + u64::from(extra_bubbles));
         match self.arch {
-            FetchArch::Elf(_) => self.enter_coupled(target, cycle),
+            FetchArch::Elf(_) => self.enter_coupled(target),
             _ => {
                 self.mode = FetchMode::Decoupled;
             }
@@ -1891,48 +1784,37 @@ impl Frontend {
             None => {}
         }
 
-        match self.arch {
-            FetchArch::NoDcf => {
-                // Fetch probes the I-cache whenever the engine is free and
-                // a group slot is open.
-                if self.groups.len() < self.cfg.max_inflight_groups {
-                    if self.fe_busy <= now {
-                        return None;
-                    }
-                    until = until.min(self.fe_busy);
-                }
+        let elf = self.elf_variant().is_some();
+        if self.arch.has_dcf() {
+            // Anything queued in the FAQ feeds fetch, resynchronization and
+            // prefetch probes — too intertwined to prove idle.
+            if !self.faq.is_empty() {
+                return None;
             }
-            FetchArch::Dcf | FetchArch::Elf(_) => {
-                // Anything queued in the FAQ feeds fetch, resynchronization
-                // and prefetch probes — too intertwined to prove idle.
-                if !self.faq.is_empty() {
-                    return None;
-                }
-                // The ELF divergence comparison must be a structural no-op.
-                if matches!(self.arch, FetchArch::Elf(_)) && !self.div.compare_is_noop() {
-                    return None;
-                }
-                // The DCF emits a block the moment it is free (the FAQ is
-                // empty, so there is always room).
-                if self.dcf_busy <= now {
-                    return None;
-                }
-                until = until.min(self.dcf_busy);
-                // Coupled fetch touches the I-cache whenever the engine is
-                // free, no stall is pending, and there is room.
-                if self.mode == FetchMode::Coupled
-                    && self.stall.is_none()
-                    && self.groups.len() < self.cfg.max_inflight_groups
-                    && (!matches!(self.arch, FetchArch::Elf(_)) || self.div.coupled_has_room())
-                {
-                    if self.fe_busy <= now {
-                        return None;
-                    }
-                    until = until.min(self.fe_busy);
-                }
-                // Decoupled fetch on an empty FAQ is a pure no-op; no
-                // wake-up candidate needed for it.
+            // The ELF divergence comparison must be a structural no-op.
+            if elf && !self.div.compare_is_noop() {
+                return None;
             }
+            // The DCF emits a block the moment it is free (the FAQ is
+            // empty, so there is always room).
+            if self.dcf_busy <= now {
+                return None;
+            }
+            until = until.min(self.dcf_busy);
+        }
+        // Coupled fetch (NoDCF always) touches the I-cache whenever the
+        // engine is free, no stall is pending, and there is room. Decoupled
+        // fetch on an empty FAQ is a pure no-op; no wake-up candidate needed
+        // for it.
+        if self.mode == FetchMode::Coupled
+            && self.stall.is_none()
+            && self.groups.len() < self.cfg.max_inflight_groups
+            && (!elf || self.div.coupled_has_room())
+        {
+            if self.fe_busy <= now {
+                return None;
+            }
+            until = until.min(self.fe_busy);
         }
         (until > now).then_some(until)
     }
@@ -1988,8 +1870,8 @@ impl Frontend {
                     self.cpl_ras.push(ra);
                 }
                 RasOp::Pop => {
-                    let _ = self.ras.pop();
-                    let _ = self.cpl_ras.pop();
+                    self.ras.pop();
+                    self.cpl_ras.pop();
                 }
             }
         }
@@ -2005,7 +1887,7 @@ impl Frontend {
                 self.mode = FetchMode::Decoupled;
             }
             FetchArch::Elf(_) => {
-                self.enter_coupled(ctx.restart_pc, cycle);
+                self.enter_coupled(ctx.restart_pc);
             }
         }
     }
@@ -2068,9 +1950,9 @@ impl Frontend {
         if kind.is_call() {
             self.retire_ras.push(info.pc + INST_BYTES);
         } else if kind.is_return() {
-            let _ = self.retire_ras.pop();
+            self.retire_ras.pop();
         }
-        if let Some(bit) = Self::history_bit(kind, info.taken, info.next_pc) {
+        if let Some(bit) = Self::history_bit(kind, info.taken) {
             self.retired_hist = (self.retired_hist << 1) | u128::from(bit);
         }
 

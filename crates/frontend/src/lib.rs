@@ -9,9 +9,9 @@
 //!
 //! Three fetch architectures are selectable via [`config::FetchArch`]:
 //!
-//! * **NoDCF** — fetch generates its own addresses; predictions are
-//!   attributed in parallel with Decode, so every predicted-taken branch
-//!   costs at least one bubble;
+//! * **NoDCF** — ELF's coupled fetcher, permanently: fetch generates its
+//!   own addresses; predictions are attributed in parallel with Decode, so
+//!   every predicted-taken branch costs at least one bubble;
 //! * **DCF** — the baseline decoupled fetcher: BP1/BP2 walk the BTB ahead of
 //!   fetch, enqueue blocks in the FAQ ([`faq::Faq`]), hide taken-branch
 //!   bubbles, and drive instruction prefetch — at the price of 3 extra

@@ -2,7 +2,7 @@
 //! programs, using a minimal "perfect back-end" driver that retires every
 //! delivered correct-path instruction and flushes on mispredictions.
 
-use elf_frontend::{FetchArch, FlushCtx, Frontend, FrontendConfig, RetireInfo};
+use elf_frontend::{FetchArch, FlushCtx, Frontend, FrontendConfig, RetireInfo, TickOutput};
 use elf_mem::MemorySystem;
 use elf_trace::program::Program;
 use elf_trace::{synthesize, Oracle, ProgramSpec};
@@ -59,9 +59,11 @@ impl MiniDriver {
     /// Runs until `n` instructions retire (or a cycle cap trips).
     fn run(&mut self, n: usize) {
         let cap = self.cycle + 40_000 + n as u64 * 40;
+        let mut out = TickOutput::default();
         while self.retired.len() < n {
             assert!(self.cycle < cap, "driver wedged at cycle {}", self.cycle);
-            let out = self.fe.tick(&self.prog, &mut self.mem, self.cycle);
+            self.fe
+                .tick_into(&self.prog, &mut self.mem, self.cycle, &mut out);
             let mut flush_to: Option<(Addr, u64)> = None;
             for d in &out.delivered {
                 if self.wrong_path || flush_to.is_some() {
@@ -235,8 +237,9 @@ fn dcf_streams_proxy_blocks_on_cold_btb() {
     let mut fe = Frontend::new(FrontendConfig::paper(), FetchArch::Dcf, prog.entry());
     let mut mem = MemorySystem::paper();
     // Generous cycle budget: the first fetches pay cold DRAM latency.
+    let mut out = TickOutput::default();
     for c in 0..2000 {
-        let _ = fe.tick(&prog_arc, &mut mem, c);
+        fe.tick_into(&prog_arc, &mut mem, c, &mut out);
     }
     assert!(
         fe.stats().btb_miss_blocks > 0,
@@ -281,9 +284,10 @@ fn delivered_instructions_have_monotonic_fids_and_modes() {
     );
     let mut mem = MemorySystem::paper();
     let mut last_fid = 0;
+    let mut out = TickOutput::default();
     for c in 0..2000 {
-        let out = fe.tick(&prog, &mut mem, c);
-        for d in out.delivered {
+        fe.tick_into(&prog, &mut mem, c, &mut out);
+        for d in &out.delivered {
             assert!(d.fid > last_fid, "fids must increase monotonically");
             last_fid = d.fid;
             assert!(matches!(

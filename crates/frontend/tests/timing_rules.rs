@@ -1,7 +1,7 @@
 //! Tests of the paper's timing rules (Fig. 2) and the resynchronization
 //! walkthrough (Fig. 5), driven against hand-built programs.
 
-use elf_frontend::{ElfVariant, FetchArch, Frontend, FrontendConfig, RetireInfo};
+use elf_frontend::{ElfVariant, FetchArch, Frontend, FrontendConfig, RetireInfo, TickOutput};
 use elf_mem::MemorySystem;
 use elf_trace::program::Program;
 use elf_types::{Addr, BranchKind, FetchMode, InstClass, StaticInst};
@@ -43,10 +43,11 @@ fn drive(
     cycles: u64,
 ) -> u64 {
     let mut delivered = 0;
+    let mut out = TickOutput::default();
     for _ in 0..cycles {
         let c = *clock;
         *clock += 1;
-        let out = fe.tick(prog, mem, c);
+        fe.tick_into(prog, mem, c, &mut out);
         for d in &out.delivered {
             delivered += 1;
             let kind = d.inst.sinst.branch_kind();
@@ -161,8 +162,9 @@ fn figure5_walkthrough_coupled_then_resync() {
 
     // Collect the delivered stream while the resync plays out.
     let mut delivered: Vec<(Addr, FetchMode)> = Vec::new();
+    let mut out = TickOutput::default();
     for c in 3_001..3_120 {
-        let out = fe.tick(&prog, &mut mem, c);
+        fe.tick_into(&prog, &mut mem, c, &mut out);
         for d in &out.delivered {
             delivered.push((d.inst.sinst.pc, d.inst.mode));
             let kind = d.inst.sinst.branch_kind();
@@ -214,15 +216,12 @@ fn boomerang_probe_recovers_btb_misses_from_resident_lines() {
         cfg.btb_miss_probe = probe;
         let mut fe = Frontend::new(cfg, FetchArch::Dcf, prog.entry());
         let mut mem = MemorySystem::paper();
-        let mut clock = 0;
-        // Touch the code once so lines are resident, then throw the BTB
-        // away by... the BTB only fills at retirement, so simply NOT
-        // retiring keeps it cold while the caches warm.
+        // The BTB only fills at retirement, so NOT retiring keeps it cold
+        // while the code's lines become resident in the caches.
+        let mut out = TickOutput::default();
         for c in 0..800 {
-            clock = c + 1;
-            let _ = fe.tick(&prog, &mut mem, c);
+            fe.tick_into(&prog, &mut mem, c, &mut out);
         }
-        let _ = clock;
         (fe.stats().btb_miss_blocks, fe.stats().boomerang_blocks)
     };
     let (proxies_off, boom_off) = run(false);
@@ -302,10 +301,11 @@ fn stale_btb_direct_target_divergence_trusts_the_fetcher() {
     );
     fe.reset_stats();
     let mut delivered: Vec<Addr> = Vec::new();
+    let mut out = TickOutput::default();
     for _ in 0..200 {
         let c = clock;
         clock += 1;
-        let out = fe.tick(&prog, &mut mem, c);
+        fe.tick_into(&prog, &mut mem, c, &mut out);
         for d in &out.delivered {
             delivered.push(d.inst.sinst.pc);
             let kind = d.inst.sinst.branch_kind();

@@ -105,6 +105,18 @@ pub struct FaqBranch {
     pub hist: u128,
 }
 
+impl FaqBranch {
+    /// The BP1 prediction this branch carries to Fetch and Decode.
+    #[must_use]
+    pub fn prediction(&self) -> Prediction {
+        Prediction {
+            taken: self.pred_taken,
+            target: self.pred_target,
+            source: self.source,
+        }
+    }
+}
+
 /// One entry of the Fetch Address Queue: a block of sequential instructions
 /// plus the control-flow decision that ended it.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! cargo run --release --example frontend_trace
 //! ```
 
-use elf_sim::frontend::{ElfVariant, FetchArch, Frontend, FrontendConfig, RetireInfo};
+use elf_sim::frontend::{ElfVariant, FetchArch, Frontend, FrontendConfig, RetireInfo, TickOutput};
 use elf_sim::mem::MemorySystem;
 use elf_sim::trace::program::Program;
 use elf_sim::types::{BranchKind, InstClass, StaticInst};
@@ -29,8 +29,9 @@ fn trace(arch: FetchArch, cycles: u64) {
     let prog = tiny_loop();
     let mut fe = Frontend::new(FrontendConfig::paper(), arch, prog.entry());
     let mut mem = MemorySystem::paper();
+    let mut out = TickOutput::default();
     for cycle in 0..cycles {
-        let out = fe.tick(&prog, &mut mem, cycle);
+        fe.tick_into(&prog, &mut mem, cycle, &mut out);
         if out.delivered.is_empty() {
             continue;
         }

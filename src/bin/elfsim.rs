@@ -27,7 +27,7 @@ use elf_sim::core::{
     metrics, CellError, FaultKind, FaultPlan, GridCell, GridOptions, Metrics, MetricsRun,
     RunResult, SimConfig, SimError, SimStats, Simulator, Snapshot,
 };
-use elf_sim::frontend::{ElfVariant, FetchArch, FetchCycleCause};
+use elf_sim::frontend::{FetchArch, FetchCycleCause};
 use elf_sim::trace::{synthesize, workloads};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -40,19 +40,6 @@ const EXIT_SIM: u8 = 1;
 /// `--compare` (a supervised grid) had at least one failed cell; results
 /// for the healthy cells were still printed.
 const EXIT_GRID: u8 = 3;
-
-fn parse_arch(s: &str) -> Option<FetchArch> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "nodcf" => FetchArch::NoDcf,
-        "dcf" => FetchArch::Dcf,
-        "l" | "l-elf" => FetchArch::Elf(ElfVariant::L),
-        "ret" | "ret-elf" => FetchArch::Elf(ElfVariant::Ret),
-        "ind" | "ind-elf" => FetchArch::Elf(ElfVariant::Ind),
-        "cond" | "cond-elf" => FetchArch::Elf(ElfVariant::Cond),
-        "u" | "u-elf" => FetchArch::Elf(ElfVariant::U),
-        _ => return None,
-    })
-}
 
 /// Parses `--inject` specs like `flush=50`, `btb=20,icache=10` or `all=40`
 /// (rates are injections per 100k cycles).
@@ -456,9 +443,9 @@ fn main() -> ExitCode {
     let (name, arch) = match positionals.as_slice() {
         [] => return usage("missing workload name (try --list)"),
         [name] => (*name, FetchArch::Dcf),
-        [name, arch] => match parse_arch(arch) {
-            Some(a) => (*name, a),
-            None => return usage(&format!("unknown architecture {arch:?}")),
+        [name, arch] => match arch.parse::<FetchArch>() {
+            Ok(a) => (*name, a),
+            Err(e) => return usage(&e),
         },
         [_, _, junk, ..] => {
             return usage(&format!("unexpected trailing argument {junk:?}"));
