@@ -30,10 +30,12 @@ done
 # back-end through its public API, so build and test it here, and require
 # its seed-1 output check (SimStats digests) to pass on a short run.
 # Lint it too, so a change to the public calls it depends on shows up here;
-# smoke the large-image workload as well as leela.
+# smoke every workload it declares: compute-bound leela, the large-image
+# server1, memory-bound mcf (mostly idle-skipped cycles) and the 170-cell
+# repro grid (run through the supervised grid runner).
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
-for workload in kernel-leela kernel-server1; do
+for workload in kernel-leela kernel-server1 kernel-mcf repro-grid; do
     cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --trace 0 >"$tmp/simbench.out"
     grep -q '"correct": true' "$tmp/simbench.out"

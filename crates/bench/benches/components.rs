@@ -123,7 +123,9 @@ fn bench_simulator(c: &mut Criterion) {
         };
         g.throughput(Throughput::Elements(10_000));
         g.bench_function(format!("run_10k_insts/{}", arch.label()), |b| {
-            let mut sim = Simulator::new(SimConfig::baseline(arch), &spec);
+            let prog = Arc::new(synthesize(&spec));
+            let mut sim = Simulator::try_from_program(SimConfig::baseline(arch), prog, spec.seed)
+                .expect("valid config");
             sim.warm_up(50_000).expect("warm-up completes");
             b.iter(|| {
                 sim.run(10_000).expect("run completes");

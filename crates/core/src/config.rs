@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use elf_frontend::{FetchArch, FrontendConfig};
+use elf_frontend::{CoupledCondKind, FetchArch, FrontendConfig};
 use elf_mem::MemConfig;
 
 /// Out-of-order back-end parameters.
@@ -194,13 +194,20 @@ impl SimConfig {
     ///
     /// These are the structural mistakes reachable from the public
     /// construction API: zero-width pipelines, a cap that can never be met,
-    /// and cache or BTB geometries no component could be built from (zero
+    /// cache or BTB geometries no component could be built from (zero
     /// sizes or ways, caches smaller than one set, line sizes that are not
-    /// a power of two).
+    /// a power of two), empty front-end queues and predictor tables, and
+    /// coupled-predictor widths the built predictor cannot hold.
     pub fn validate(&self) -> Result<(), SimError> {
+        let f = &self.frontend;
         let b = &self.backend;
         let mut problems: Vec<String> = [
-            (self.frontend.fetch_width, "frontend.fetch_width"),
+            (f.fetch_width, "frontend.fetch_width"),
+            (f.faq_entries, "frontend.faq_entries"),
+            (f.ras_entries, "frontend.ras_entries"),
+            (f.cpl_bimodal_entries, "frontend.cpl_bimodal_entries"),
+            (f.cpl_btc_entries, "frontend.cpl_btc_entries"),
+            (f.cpl_ras_entries, "frontend.cpl_ras_entries"),
             (b.rob_entries, "backend.rob_entries"),
             (b.commit_width, "backend.commit_width"),
             (b.rename_width, "backend.rename_width"),
@@ -229,8 +236,23 @@ impl SimConfig {
                 problems.push(format!("{name}.{e}"));
             }
         }
-        if let Some(e) = self.frontend.btb.geometry_error() {
+        if let Some(e) = f.btb.geometry_error() {
             problems.push(format!("frontend.btb.{e}"));
+        }
+        match f.cpl_cond_kind {
+            CoupledCondKind::Bimodal if !(1..=7).contains(&f.cpl_bimodal_bits) => {
+                problems.push(format!(
+                    "frontend.cpl_bimodal_bits must be 1..=7 for the bimodal coupled \
+                     predictor (got {})",
+                    f.cpl_bimodal_bits
+                ));
+            }
+            CoupledCondKind::Gshare { hist_bits } if hist_bits > 32 => {
+                problems.push(format!(
+                    "frontend.cpl_cond_kind gshare hist_bits must be at most 32 (got {hist_bits})"
+                ));
+            }
+            _ => {}
         }
         if problems.is_empty() {
             Ok(())

@@ -358,11 +358,7 @@ where
                     break Err(e);
                 }
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic with non-string payload".to_owned());
+                    let msg = panic_message(payload.as_ref());
                     break Err(CellError::plain(format!("panicked: {msg}")));
                 }
             }
@@ -404,6 +400,16 @@ where
     }
 }
 
+/// The message a caught panic carried: its `&str` or `String` payload, or
+/// a fixed text for any other payload type.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
+}
+
 /// IPC estimated from SimPoint-selected intervals: the simulator runs all
 /// `n_intervals × interval_len` instructions once (cycle-accurate), IPC is
 /// recorded per interval, and the selected intervals' IPCs are combined by
@@ -412,7 +418,8 @@ where
 ///
 /// # Errors
 ///
-/// Propagates [`SimError::Wedged`] if any interval exhausts its
+/// Propagates the construction errors of [`Simulator::try_from_program`]
+/// and [`SimError::Wedged`] if any interval exhausts its
 /// forward-progress cap, and returns [`SimError::InvalidConfig`] if a
 /// selected [`elf_trace::SimPoint`] lands outside
 /// `[warmup, warmup + n_intervals * interval_len)` — indexing the
@@ -439,7 +446,7 @@ pub fn simpoint_ipc(
     let points = simpoint::select_from(&mut oracle, warmup, interval_len, n_intervals, k);
     validate_simpoints(&points, warmup, interval_len, n_intervals)?;
 
-    let mut sim = Simulator::from_program(SimConfig::baseline(arch), prog, w.spec.seed);
+    let mut sim = Simulator::try_from_program(SimConfig::baseline(arch), prog, w.spec.seed)?;
     sim.warm_up(warmup)?;
     let mut interval_ipc = Vec::with_capacity(n_intervals);
     let mut total_insts = 0u64;

@@ -388,14 +388,10 @@ fn parse_range(s: &str) -> Result<(usize, usize), String> {
 pub fn run_case(case: &FuzzCase) -> Option<String> {
     match catch_unwind(AssertUnwindSafe(|| run_case_inner(case))) {
         Ok(v) => v,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Some(format!("panic: {msg}"))
-        }
+        Err(payload) => Some(format!(
+            "panic: {}",
+            crate::experiment::panic_message(payload.as_ref())
+        )),
     }
 }
 

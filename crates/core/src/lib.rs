@@ -12,7 +12,8 @@
 //! use elf_trace::workloads;
 //!
 //! let w = workloads::by_name("641.leela").unwrap();
-//! let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+//! let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w)
+//!     .expect("valid config");
 //! let stats = sim.run(20_000).expect("run completes");
 //! assert!(stats.ipc() > 0.1);
 //! ```
@@ -42,7 +43,7 @@ pub use experiment::{
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use fuzz::{run_fuzz, FuzzCase, FuzzOptions, FuzzOutcome, Sentinel};
-pub use metrics::{Metrics, MetricsRun};
+pub use metrics::Metrics;
 pub use recorder::{FlightRecorder, PipelineEvent, TimedEvent};
 pub use sim::Simulator;
 pub use snapshot::Snapshot;

@@ -16,8 +16,8 @@
 //! (`elfsim --metrics`). With metrics off (the default) the simulator pays
 //! one branch per tick and produces bit-identical `SimStats`.
 
+use crate::experiment::RunResult;
 use crate::histogram::Histogram;
-use crate::stats::SimStats;
 use elf_frontend::{FetchCycleCause, FetchCycleProbe};
 use elf_types::Cycle;
 use std::fmt::Write as _;
@@ -205,17 +205,6 @@ impl Metrics {
     }
 }
 
-/// One (architecture, window) measurement destined for a report.
-#[derive(Debug, Clone)]
-pub struct MetricsRun {
-    /// Architecture label (`FetchArch::label`).
-    pub arch: String,
-    /// The window's aggregate statistics.
-    pub stats: SimStats,
-    /// The window's cycle-attribution registry.
-    pub metrics: Metrics,
-}
-
 fn json_hist(out: &mut String, key: &str, h: &Histogram, comma: bool) {
     let _ = writeln!(
         out,
@@ -230,19 +219,25 @@ fn json_hist(out: &mut String, key: &str, h: &Histogram, comma: bool) {
     );
 }
 
-/// Renders a [`SCHEMA`] report for one workload: one object per run (a
-/// single `elfsim` run produces a one-element `runs` array, `--compare`
-/// and the grid produce one per architecture). Hand-rolled like the bench
-/// report — the repo deliberately has no JSON dependency.
+/// The runs that carry a cycle-attribution registry, with it.
+fn with_metrics(runs: &[RunResult]) -> impl Iterator<Item = (&RunResult, &Metrics)> {
+    runs.iter()
+        .filter_map(|r| r.metrics.as_ref().map(|m| (r, m)))
+}
+
+/// Renders a [`SCHEMA`] report for one workload: one object per run that
+/// has metrics (a single `elfsim` run produces a one-element `runs` array,
+/// `--compare` and the grid produce one per architecture). Hand-rolled —
+/// the repo deliberately has no JSON dependency.
 #[must_use]
-pub fn render_json(workload: &str, runs: &[MetricsRun]) -> String {
+pub fn render_json(workload: &str, runs: &[RunResult]) -> String {
+    let runs: Vec<_> = with_metrics(runs).collect();
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(out, "  \"workload\": \"{workload}\",");
     let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let m = &r.metrics;
+    for (i, &(r, m)) in runs.iter().enumerate() {
         let s = &r.stats;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"arch\": \"{}\",", r.arch);
@@ -308,12 +303,12 @@ pub fn render_json(workload: &str, runs: &[MetricsRun]) -> String {
     out
 }
 
-/// Renders the human-readable `--metrics` table for one or more runs.
+/// Renders the human-readable `--metrics` table for the runs that have
+/// metrics.
 #[must_use]
-pub fn render_table(runs: &[MetricsRun]) -> String {
+pub fn render_table(runs: &[RunResult]) -> String {
     let mut out = String::new();
-    for r in runs {
-        let m = &r.metrics;
+    for (r, m) in with_metrics(runs) {
         let s = &r.stats;
         let total = m.total_fetch_cycles().max(1);
         let _ = writeln!(
@@ -370,6 +365,7 @@ pub fn render_table(runs: &[MetricsRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SimStats;
 
     fn probe(coupled: bool, stalled: bool) -> FetchCycleProbe {
         FetchCycleProbe {
@@ -483,14 +479,15 @@ mod tests {
     fn json_report_carries_schema_and_buckets() {
         let mut m = Metrics::new();
         m.charge(&probe(false, false), 0, true, 10);
-        let run = MetricsRun {
+        let run = RunResult {
+            workload: "641.leela".to_owned(),
             arch: "dcf".to_owned(),
             stats: SimStats {
                 cycles: 10,
                 retired: 7,
                 ..SimStats::default()
             },
-            metrics: m,
+            metrics: Some(m),
         };
         let json = render_json("641.leela", std::slice::from_ref(&run));
         assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
@@ -499,8 +496,16 @@ mod tests {
         assert!(json.contains("\"useful_fetch\": 0"));
         assert!(json.contains("\"decoupled\": 10"));
         assert!(json.contains("\"ipf_peak_inflight\": 0"));
-        let table = render_table(&[run]);
+        let table = render_table(std::slice::from_ref(&run));
         assert!(table.contains("FAQ-empty bubble"));
         assert!(table.contains("100.0%"));
+        // A run without metrics is skipped by both renderers.
+        let bare = RunResult {
+            metrics: None,
+            ..run.clone()
+        };
+        let runs = [bare, run];
+        assert_eq!(render_json("641.leela", &runs), json);
+        assert_eq!(render_table(&runs), table);
     }
 }

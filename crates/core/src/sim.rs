@@ -5,7 +5,7 @@
 //! the front-end, and route retirements back for BTB establishment and
 //! predictor training.
 
-use crate::backend::{Backend, BoundInst, FlushCause, RetiredInst};
+use crate::backend::{AppliedFlush, Backend, BoundInst, RetiredInst};
 use crate::config::SimConfig;
 use crate::error::{DiagnosticReport, SimError};
 use crate::fault::{FaultInjector, FaultKind};
@@ -18,8 +18,8 @@ use elf_frontend::{FlushCtx, Frontend, RetireInfo};
 use elf_mem::MemorySystem;
 use elf_trace::program::DATA_BASE;
 use elf_trace::workloads::Workload;
-use elf_trace::{synthesize, Oracle, Program, ProgramSpec};
-use elf_types::{BranchKind, Cycle, InstClass, Prediction, SeqNum};
+use elf_trace::{synthesize, Oracle, Program};
+use elf_types::{Addr, BranchKind, Cycle, InstClass, Prediction, SeqNum};
 use std::sync::Arc;
 
 /// The simulator: one core, one workload.
@@ -89,27 +89,12 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Builds a simulator from an already-synthesized program.
+    /// Builds a simulator from an already-synthesized program, validating
+    /// the configuration and the program first (in every build profile).
     ///
-    /// Infallible convenience wrapper for *pre-validated* programs
-    /// (registry workloads, `synthesize` output): it routes through
-    /// [`Simulator::try_from_program`] — so configuration and program are
-    /// validated in every build profile — and panics with the structured
-    /// [`SimError`] if validation fails. A malformed hand-built image
-    /// should fail loudly at construction, not as a confusing wedge
-    /// mid-run; to handle the failure as a value instead, call
-    /// `try_from_program` directly.
-    #[must_use]
-    pub fn from_program(cfg: SimConfig, prog: Arc<Program>, seed: u64) -> Self {
-        match Simulator::try_from_program(cfg, prog, seed) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a simulator, validating the configuration and the program
-    /// first (in every build profile). Returns
-    /// [`SimError::MalformedProgram`] or [`SimError::InvalidConfig`]
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] or [`SimError::MalformedProgram`]
     /// instead of panicking.
     pub fn try_from_program(
         cfg: SimConfig,
@@ -124,14 +109,10 @@ impl Simulator {
                 issues,
             });
         }
-        Ok(Simulator::build(cfg, prog, seed))
-    }
-
-    fn build(cfg: SimConfig, prog: Arc<Program>, seed: u64) -> Self {
         let start = prog.entry();
         let fe = Frontend::new(cfg.frontend.clone(), cfg.arch, start);
         let prev_coupled = fe.in_coupled_mode();
-        Simulator {
+        Ok(Simulator {
             oracle: Oracle::new(Arc::clone(&prog), seed),
             fe,
             be: Backend::new(cfg.backend.clone()),
@@ -166,28 +147,11 @@ impl Simulator {
             returns: 0,
             indirect_mispredicts: 0,
             stat_cycle_base: 0,
-        }
+        })
     }
 
-    /// Synthesizes the program described by `spec` and builds a simulator
-    /// (validating both; see [`Simulator::from_program`] for the panic
-    /// contract).
-    #[must_use]
-    pub fn new(cfg: SimConfig, spec: &ProgramSpec) -> Self {
-        Simulator::from_program(cfg, Arc::new(synthesize(spec)), spec.seed)
-    }
-
-    /// Builds a simulator for a registry workload (validating the
-    /// configuration and synthesized program; see
-    /// [`Simulator::from_program`] for the panic contract).
-    #[must_use]
-    pub fn for_workload(cfg: SimConfig, w: &Workload) -> Self {
-        Simulator::new(cfg, &w.spec)
-    }
-
-    /// Builds a simulator for a registry workload, validating the
-    /// configuration and the synthesized program in every build profile
-    /// (the fallible counterpart of [`Simulator::for_workload`]).
+    /// Synthesizes a registry workload's program and builds a simulator
+    /// from it with [`Simulator::try_from_program`].
     ///
     /// # Errors
     ///
@@ -709,18 +673,6 @@ impl Simulator {
                     restart_pc: f.restart_pc,
                 },
             );
-            self.fe.flush(
-                &FlushCtx {
-                    restart_pc: f.restart_pc,
-                    boundary_fid: f.boundary_fid,
-                    hist_replay: &f.hist_replay,
-                    ras_replay: &f.ras_replay,
-                },
-                now,
-            );
-            if let Some(m) = &mut self.metrics {
-                m.note_flush(now, f.squashed);
-            }
             self.cursor = f.cursor_target;
             debug_assert!(
                 self.cursor > self.retired_seq || self.retired == 0,
@@ -729,13 +681,8 @@ impl Simulator {
                 self.cursor,
                 self.retired_seq
             );
-            self.wrong_path = false;
-            debug_assert!(matches!(
-                f.cause,
-                FlushCause::Mispredict | FlushCause::RawHazard | FlushCause::Watchdog
-            ));
-            self.last_progress = now;
-            self.be.recycle_flush(f);
+            let restart_pc = f.restart_pc;
+            self.resteer(f, restart_pc, now);
         } else if !self.be.has_pending_flush()
             && (self.be.watchdog_tripped(now) || now.saturating_sub(self.last_progress) > 2000)
         {
@@ -828,9 +775,16 @@ impl Simulator {
                 cursor: self.cursor,
             },
         );
+        self.resteer(f, pc, now);
+    }
+
+    /// Redirects the front-end to `restart_pc` after the applied flush `f`
+    /// (a back-end flush or a forced resync) and puts the path tracker
+    /// back on the correct path.
+    fn resteer(&mut self, f: AppliedFlush, restart_pc: Addr, now: Cycle) {
         self.fe.flush(
             &FlushCtx {
-                restart_pc: pc,
+                restart_pc,
                 boundary_fid: f.boundary_fid,
                 hist_replay: &f.hist_replay,
                 ras_replay: &f.ras_replay,
@@ -846,78 +800,71 @@ impl Simulator {
     }
 
     /// Fires any due faults from the configured plan (see
-    /// `crate::fault`). Every payload is derived from the injector's own
-    /// seeded stream, so the whole schedule is deterministic.
+    /// `crate::fault`), in a fixed order. Every payload is derived from the
+    /// injector's own seeded stream, so the whole schedule is deterministic.
     fn inject_faults(&mut self, now: Cycle) {
         // The injector is moved out while firing so fault payloads can
         // borrow the rest of the simulator.
         let Some(mut inj) = self.injector.take() else {
             return;
         };
-        if inj.due(FaultKind::CorruptBtb, now) {
-            self.recorder.record(
-                now,
-                PipelineEvent::FaultInjected {
-                    kind: FaultKind::CorruptBtb,
-                },
-            );
-            // Overwrite the entry covering the PC the correct path is
-            // about to fetch with a structurally valid but wrong one: a
-            // random span ending in a branch to the program entry point.
-            let pc = self.oracle.entry(self.cursor).pc;
-            let bits = inj.next_u64();
-            let inst_count = 1 + (bits % 16) as u8;
-            let mut entry = BtbEntry::new(pc, inst_count);
-            let kind = if bits & (1 << 8) != 0 {
-                BranchKind::UncondDirect
-            } else {
-                BranchKind::CondDirect
-            };
-            entry.add_branch(BtbBranch {
-                offset: ((bits >> 16) % u64::from(inst_count)) as u8,
-                kind,
-                target: Some(self.prog.entry()),
-            });
-            self.fe.inject_btb_entry(entry);
-        }
-        if inj.due(FaultKind::EvictIcache, now) {
-            self.recorder.record(
-                now,
-                PipelineEvent::FaultInjected {
-                    kind: FaultKind::EvictIcache,
-                },
-            );
-            // Kick the lines around the current fetch point out of the
-            // instruction hierarchy: the next fetches see miss latency,
-            // which is exactly a delayed I-cache response to the FAQ.
-            let pc = self.oracle.entry(self.cursor).pc;
-            for i in 0..4u64 {
-                self.mem.evict_inst_line(pc + i * 64);
+        let mut resync = false;
+        for kind in [
+            FaultKind::CorruptBtb,
+            FaultKind::EvictIcache,
+            FaultKind::ForceMispredict,
+            FaultKind::SpuriousFlush,
+        ] {
+            // A spurious flush waits for any in-flight flush to land first
+            // (`due` keeps it armed until then).
+            if kind == FaultKind::SpuriousFlush && self.be.has_pending_flush() {
+                continue;
+            }
+            if !inj.due(kind, now) {
+                continue;
+            }
+            self.recorder
+                .record(now, PipelineEvent::FaultInjected { kind });
+            match kind {
+                FaultKind::CorruptBtb => {
+                    // Overwrite the entry covering the PC the correct path
+                    // is about to fetch with a structurally valid but wrong
+                    // one: a random span ending in a branch to the program
+                    // entry point.
+                    let pc = self.oracle.entry(self.cursor).pc;
+                    let bits = inj.next_u64();
+                    let inst_count = 1 + (bits % 16) as u8;
+                    let mut entry = BtbEntry::new(pc, inst_count);
+                    let branch = if bits & (1 << 8) != 0 {
+                        BranchKind::UncondDirect
+                    } else {
+                        BranchKind::CondDirect
+                    };
+                    entry.add_branch(BtbBranch {
+                        offset: ((bits >> 16) % u64::from(inst_count)) as u8,
+                        kind: branch,
+                        target: Some(self.prog.entry()),
+                    });
+                    self.fe.inject_btb_entry(entry);
+                }
+                FaultKind::EvictIcache => {
+                    // Kick the lines around the current fetch point out of
+                    // the instruction hierarchy: the next fetches see miss
+                    // latency, which is exactly a delayed I-cache response
+                    // to the FAQ.
+                    let pc = self.oracle.entry(self.cursor).pc;
+                    for i in 0..4u64 {
+                        self.mem.evict_inst_line(pc + i * 64);
+                    }
+                }
+                FaultKind::ForceMispredict => self.force_misp_pending = true,
+                FaultKind::SpuriousFlush => resync = true,
             }
         }
-        if inj.due(FaultKind::ForceMispredict, now) {
-            self.recorder.record(
-                now,
-                PipelineEvent::FaultInjected {
-                    kind: FaultKind::ForceMispredict,
-                },
-            );
-            self.force_misp_pending = true;
-        }
-        // A spurious flush waits for any in-flight flush to land first
-        // (`due` keeps it armed until then).
-        if !self.be.has_pending_flush() && inj.due(FaultKind::SpuriousFlush, now) {
-            self.recorder.record(
-                now,
-                PipelineEvent::FaultInjected {
-                    kind: FaultKind::SpuriousFlush,
-                },
-            );
-            self.injector = Some(inj);
-            self.force_resync(now);
-            return;
-        }
         self.injector = Some(inj);
+        if resync {
+            self.force_resync(now);
+        }
     }
 
     fn retire(&mut self, r: &RetiredInst) {
@@ -974,8 +921,10 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use elf_frontend::{ElfVariant, FetchArch};
-    use elf_trace::workloads;
+    use elf_frontend::{CoupledCondKind, ElfVariant, FetchArch};
+    use elf_trace::validate::ProgramIssue;
+    use elf_trace::{workloads, ProgramSpec};
+    use elf_types::StaticInst;
 
     impl Simulator {
         /// Test shorthand: run and unwrap (clean runs must complete).
@@ -998,6 +947,12 @@ mod tests {
         }
     }
 
+    /// A simulator over the small synthetic program of `seed`.
+    fn mini_sim(cfg: SimConfig, seed: u64) -> Simulator {
+        let prog = Arc::new(synthesize(&mini_spec(seed)));
+        Simulator::try_from_program(cfg, prog, seed).expect("valid config")
+    }
+
     #[test]
     fn all_architectures_complete_and_have_sane_ipc() {
         for arch in [
@@ -1006,7 +961,7 @@ mod tests {
             FetchArch::Elf(ElfVariant::L),
             FetchArch::Elf(ElfVariant::U),
         ] {
-            let mut sim = Simulator::new(SimConfig::baseline(arch), &mini_spec(11));
+            let mut sim = mini_sim(SimConfig::baseline(arch), 11);
             let s = sim.run_ok(30_000);
             assert!(s.retired >= 30_000);
             assert!(
@@ -1019,7 +974,7 @@ mod tests {
 
     #[test]
     fn warmup_reset_gives_clean_windows() {
-        let mut sim = Simulator::new(SimConfig::baseline(FetchArch::Dcf), &mini_spec(13));
+        let mut sim = mini_sim(SimConfig::baseline(FetchArch::Dcf), 13);
         sim.warm_up_ok(20_000);
         let s0 = sim.stats();
         assert_eq!(s0.retired, 0);
@@ -1031,7 +986,7 @@ mod tests {
 
     #[test]
     fn branch_stats_are_populated() {
-        let mut sim = Simulator::new(SimConfig::baseline(FetchArch::Dcf), &mini_spec(17));
+        let mut sim = mini_sim(SimConfig::baseline(FetchArch::Dcf), 17);
         let s = sim.run_ok(40_000);
         assert!(s.cond_branches > 1000, "cond branches: {}", s.cond_branches);
         assert!(s.branches > s.cond_branches);
@@ -1046,7 +1001,7 @@ mod tests {
     #[test]
     fn deterministic_given_config_and_seed() {
         let run = || {
-            let mut sim = Simulator::new(SimConfig::baseline(FetchArch::Dcf), &mini_spec(19));
+            let mut sim = mini_sim(SimConfig::baseline(FetchArch::Dcf), 19);
             let s = sim.run_ok(20_000);
             (s.cycles, s.retired, s.cond_mispredicts)
         };
@@ -1058,7 +1013,7 @@ mod tests {
         // Same workload, same seed: every fetch architecture retires the
         // same dynamic stream (cycle counts differ).
         let misp = |arch| {
-            let mut sim = Simulator::new(SimConfig::baseline(arch), &mini_spec(23));
+            let mut sim = mini_sim(SimConfig::baseline(arch), 23);
             let s = sim.run_ok(25_000);
             (s.retired, s.taken_branches)
         };
@@ -1080,10 +1035,7 @@ mod tests {
 
     #[test]
     fn elf_spends_most_cycles_decoupled() {
-        let mut sim = Simulator::new(
-            SimConfig::baseline(FetchArch::Elf(ElfVariant::U)),
-            &mini_spec(29),
-        );
+        let mut sim = mini_sim(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), 29);
         sim.warm_up_ok(20_000);
         let s = sim.run_ok(30_000);
         assert!(
@@ -1096,7 +1048,7 @@ mod tests {
 
     #[test]
     fn occupancy_histograms_are_populated() {
-        let mut sim = Simulator::new(SimConfig::baseline(FetchArch::Dcf), &mini_spec(73));
+        let mut sim = mini_sim(SimConfig::baseline(FetchArch::Dcf), 73);
         sim.warm_up_ok(10_000);
         let _ = sim.run_ok(10_000);
         let rob = sim.rob_occupancy();
@@ -1118,7 +1070,8 @@ mod tests {
     #[test]
     fn registry_workload_runs_end_to_end() {
         let w = workloads::by_name("641.leela").expect("registered");
-        let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+        let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w)
+            .expect("valid config");
         let s = sim.run_ok(20_000);
         assert!(s.ipc() > 0.1);
         assert!(
@@ -1130,10 +1083,7 @@ mod tests {
 
     #[test]
     fn watchdog_flushes_are_rare() {
-        let mut sim = Simulator::new(
-            SimConfig::baseline(FetchArch::Elf(ElfVariant::U)),
-            &mini_spec(31),
-        );
+        let mut sim = mini_sim(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), 31);
         let s = sim.run_ok(50_000);
         let per_ki = s.backend.watchdog_flushes as f64 * 1000.0 / s.retired as f64;
         assert!(
@@ -1149,7 +1099,7 @@ mod tests {
         // return a structured wedge report instead of spinning or panicking.
         cfg.progress_cap_base = 50;
         cfg.progress_cap_per_inst = 0;
-        let mut sim = Simulator::new(cfg, &mini_spec(41));
+        let mut sim = mini_sim(cfg, 41);
         let err = sim.run(1_000_000).expect_err("cap must trip");
         let report = err.report().expect("wedge carries a report");
         assert_eq!(report.target, 1_000_000);
@@ -1180,7 +1130,8 @@ mod tests {
             Err(e) => panic!("{field}: expected InvalidConfig, got {e}"),
             Ok(_) => panic!("{field}: degenerate geometry accepted"),
         }
-        let mut sim = Simulator::from_program(SimConfig::baseline(FetchArch::Dcf), prog, 43);
+        let mut sim = Simulator::try_from_program(SimConfig::baseline(FetchArch::Dcf), prog, 43)
+            .expect("valid config");
         let mut snap = sim.checkpoint();
         snap.cfg = cfg;
         let snap = crate::snapshot::Snapshot::from_bytes(&snap.to_bytes()).expect("parses");
@@ -1217,11 +1168,68 @@ mod tests {
     }
 
     #[test]
+    fn empty_frontend_queues_and_tables_are_rejected() {
+        assert_geometry_rejected("frontend.faq_entries", |c| c.frontend.faq_entries = 0);
+        assert_geometry_rejected("frontend.ras_entries", |c| c.frontend.ras_entries = 0);
+        assert_geometry_rejected("frontend.cpl_ras_entries", |c| {
+            c.frontend.cpl_ras_entries = 0;
+        });
+        assert_geometry_rejected("frontend.cpl_btc_entries", |c| {
+            c.frontend.cpl_btc_entries = 0;
+        });
+        assert_geometry_rejected("frontend.cpl_bimodal_entries", |c| {
+            c.frontend.cpl_bimodal_entries = 0;
+        });
+    }
+
+    #[test]
+    fn coupled_predictor_widths_are_rejected() {
+        assert_geometry_rejected("frontend.cpl_bimodal_bits", |c| {
+            c.frontend.cpl_bimodal_bits = 0;
+        });
+        assert_geometry_rejected("frontend.cpl_bimodal_bits", |c| {
+            c.frontend.cpl_bimodal_bits = 9;
+        });
+        assert_geometry_rejected("hist_bits", |c| {
+            c.frontend.cpl_cond_kind = CoupledCondKind::Gshare { hist_bits: 40 };
+        });
+        // Only the predictor that is built has its width checked: gshare
+        // never reads the bimodal counter width.
+        let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
+        cfg.frontend.cpl_cond_kind = CoupledCondKind::Gshare { hist_bits: 12 };
+        cfg.frontend.cpl_bimodal_bits = 9;
+        mini_sim(cfg, 43).run_ok(2_000);
+    }
+
+    #[test]
+    fn try_from_program_rejects_a_malformed_program() {
+        // A one-instruction image whose direct jump leaves the image.
+        let base = 0x1000;
+        let mut jmp = StaticInst::simple(base, InstClass::Branch(BranchKind::UncondDirect));
+        jmp.target = Some(0xdead_0000);
+        let prog = Program::new("escaping-jump", base, base, vec![jmp], Vec::new(), 0);
+        match Simulator::try_from_program(SimConfig::baseline(FetchArch::Dcf), Arc::new(prog), 1) {
+            Err(SimError::MalformedProgram { program, issues }) => {
+                assert_eq!(program, "escaping-jump");
+                assert_eq!(
+                    issues,
+                    vec![ProgramIssue::TargetOutsideImage {
+                        pc: base,
+                        target: 0xdead_0000
+                    }]
+                );
+            }
+            Err(e) => panic!("expected MalformedProgram, got {e}"),
+            Ok(_) => panic!("a jump outside the image was accepted"),
+        }
+    }
+
+    #[test]
     fn fault_injection_is_deterministic() {
         let run = |seed| {
             let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
             cfg.fault = Some(FaultPlan::uniform(40, seed));
-            let mut sim = Simulator::new(cfg, &mini_spec(47));
+            let mut sim = mini_sim(cfg, 47);
             let s = sim.run(20_000).expect("survivable fault rate");
             (s.cycles, s.retired, sim.fault_counts())
         };
@@ -1237,7 +1245,7 @@ mod tests {
         let run = |fault| {
             let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
             cfg.fault = fault;
-            let mut sim = Simulator::new(cfg, &mini_spec(53));
+            let mut sim = mini_sim(cfg, 53);
             let s = sim.run_ok(20_000);
             (s.cycles, s.retired, s.cond_mispredicts)
         };
@@ -1248,7 +1256,7 @@ mod tests {
     fn recorder_captures_flush_events_during_a_run() {
         let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
         cfg.recorder_events = 32;
-        let mut sim = Simulator::new(cfg, &mini_spec(59));
+        let mut sim = mini_sim(cfg, 59);
         let _ = sim.run_ok(20_000);
         let rec = sim.recorder();
         assert!(
@@ -1265,7 +1273,7 @@ mod tests {
     fn stats_stay_consistent_under_faults() {
         let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::L));
         cfg.fault = Some(FaultPlan::uniform(80, 3));
-        let mut sim = Simulator::new(cfg, &mini_spec(61));
+        let mut sim = mini_sim(cfg, 61);
         let s = sim.run(20_000).expect("survivable fault rate");
         assert!(s.retired >= 20_000);
         assert!(

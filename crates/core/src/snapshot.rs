@@ -20,11 +20,11 @@
 //! use elf_trace::workloads;
 //!
 //! let w = workloads::by_name("641.leela").unwrap();
-//! let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+//! let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w).unwrap();
 //! sim.run(5_000).unwrap();
 //! let snap = sim.checkpoint();
 //! let bytes = snap.to_bytes();
-//! let mut resumed = Snapshot::from_bytes(&bytes).unwrap().restore().unwrap();
+//! let resumed = Simulator::restore(&Snapshot::from_bytes(&bytes).unwrap()).unwrap();
 //! assert_eq!(resumed.cycle(), sim.cycle());
 //! ```
 
@@ -86,7 +86,7 @@ impl Snapshot {
     /// Returns [`SimError::Snapshot`] on bad magic, an unsupported
     /// version, or truncated/corrupt config and program sections. The
     /// opaque state section is validated later, by
-    /// [`Snapshot::restore`].
+    /// [`crate::sim::Simulator::restore`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
         let mut r = SnapReader::new(bytes);
         Snapshot::decode(&mut r).map_err(|e| SimError::Snapshot {
@@ -120,18 +120,6 @@ impl Snapshot {
             retired,
             state,
         })
-    }
-
-    /// Builds a fresh simulator and restores this snapshot into it —
-    /// shorthand for [`crate::sim::Simulator::restore`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if the embedded configuration
-    /// fails validation or [`SimError::Snapshot`] if the state bytes do
-    /// not fit it.
-    pub fn restore(&self) -> Result<crate::sim::Simulator, SimError> {
-        crate::sim::Simulator::restore(self)
     }
 
     /// Writes the serialized snapshot to `path` (atomically: a temp file

@@ -24,8 +24,8 @@
 use elf_sim::core::check::ALL_ARCHS;
 use elf_sim::core::experiment::{run_cell_on, run_grid_with};
 use elf_sim::core::{
-    metrics, CellError, FaultKind, FaultPlan, GridCell, GridOptions, Metrics, MetricsRun,
-    RunResult, SimConfig, SimError, SimStats, Simulator, Snapshot,
+    metrics, CellError, FaultKind, FaultPlan, GridCell, GridOptions, RunResult, SimConfig,
+    SimError, Simulator, Snapshot,
 };
 use elf_sim::frontend::{FetchArch, FetchCycleCause};
 use elf_sim::trace::{synthesize, workloads};
@@ -92,36 +92,19 @@ fn usage(problem: &str) -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-/// Runs the measured window to the absolute target `window` (instructions
-/// retired since the stats reset), checkpointing to `file` every `every`
-/// instructions (and once at completion when a file is given). Chunking
-/// never perturbs the simulation: milestones only change where `run`
-/// pauses, not the tick sequence.
-fn run_window_chunked(
-    sim: &mut Simulator,
-    window: u64,
-    every: u64,
-    file: Option<&Path>,
-) -> Result<SimStats, SimError> {
-    let step = if every == 0 { u64::MAX } else { every };
-    loop {
-        let milestone = sim.retired().saturating_add(step).min(window);
-        let stats = sim.run(milestone.saturating_sub(sim.retired()))?;
-        if let Some(path) = file {
-            sim.checkpoint().write_to(path)?;
-        }
-        if sim.retired() >= window {
-            return Ok(stats);
-        }
-    }
+/// Reports a failed simulation (wedge, malformed program, unreadable or
+/// unwritable checkpoint) on stderr.
+fn sim_failed(e: &SimError) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::from(EXIT_SIM)
 }
 
 /// Emits the requested metrics output: the human table (`--metrics`)
-/// and/or the versioned JSON report (`--metrics-json F`). Shared by the
-/// single-run, resume and `--compare` paths.
+/// and/or the versioned JSON report (`--metrics-json F`) for the runs that
+/// carry metrics.
 fn emit_metrics(
     workload: &str,
-    runs: &[MetricsRun],
+    runs: &[RunResult],
     table: bool,
     json: Option<&Path>,
 ) -> Result<(), ExitCode> {
@@ -140,6 +123,56 @@ fn emit_metrics(
     Ok(())
 }
 
+/// Runs the measured window to the absolute target `window` (instructions
+/// retired since the stats reset), checkpointing to `file` every `every`
+/// instructions (and once at completion when a file is given), then prints
+/// the report and the metrics output of a metrics-enabled run. Chunking
+/// never perturbs the simulation: milestones only change where `run`
+/// pauses, not the tick sequence.
+fn finish_window(
+    sim: &mut Simulator,
+    window: u64,
+    every: u64,
+    file: Option<&Path>,
+    show_metrics: bool,
+    metrics_json: Option<&Path>,
+) -> ExitCode {
+    let step = if every == 0 { u64::MAX } else { every };
+    let stats = loop {
+        let milestone = sim.retired().saturating_add(step).min(window);
+        let chunk = sim
+            .run(milestone.saturating_sub(sim.retired()))
+            .and_then(|stats| match file {
+                Some(path) => sim.checkpoint().write_to(path).map(|()| stats),
+                None => Ok(stats),
+            });
+        match chunk {
+            Ok(stats) if sim.retired() >= window => break stats,
+            Ok(_) => {}
+            Err(e) => return sim_failed(&e),
+        }
+    };
+    print!("{}", stats.report());
+    let Some(m) = sim.metrics() else {
+        return ExitCode::SUCCESS;
+    };
+    let run = RunResult {
+        workload: sim.program().name().to_owned(),
+        arch: sim.config().arch.label().to_owned(),
+        stats,
+        metrics: Some(m.clone()),
+    };
+    match emit_metrics(
+        &run.workload,
+        std::slice::from_ref(&run),
+        show_metrics,
+        metrics_json,
+    ) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
 /// `elfsim --resume F`: read a snapshot, rebuild the simulator and finish
 /// the interrupted window ( `--window` is the same absolute target as the
 /// original run; instructions already retired are not re-run).
@@ -151,19 +184,9 @@ fn resume(
     show_metrics: bool,
     metrics_json: Option<&Path>,
 ) -> ExitCode {
-    let snap = match Snapshot::read_from(path) {
+    let mut sim = match Snapshot::read_from(path).and_then(|snap| Simulator::restore(&snap)) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(EXIT_SIM);
-        }
-    };
-    let mut sim = match snap.restore() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(EXIT_SIM);
-        }
+        Err(e) => return sim_failed(&e),
     };
     println!(
         "resumed {} under {} at cycle {} ({} retired in window; target {window})",
@@ -183,27 +206,7 @@ fn resume(
     }
     // Keep checkpointing to the resume file unless redirected.
     let file = Some(file.unwrap_or(path));
-    match run_window_chunked(&mut sim, window, every, file) {
-        Ok(s) => {
-            print!("{}", s.report());
-            if let Some(m) = sim.metrics() {
-                let run = MetricsRun {
-                    arch: sim.config().arch.label().to_owned(),
-                    stats: s,
-                    metrics: m.clone(),
-                };
-                let name = sim.program().name().to_owned();
-                if let Err(code) = emit_metrics(&name, &[run], show_metrics, metrics_json) {
-                    return code;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(EXIT_SIM)
-        }
-    }
+    finish_window(&mut sim, window, every, file, show_metrics, metrics_json)
 }
 
 /// `elfsim fuzz`: seeded differential fuzzing (see `elf_core::fuzz`).
@@ -520,30 +523,22 @@ fn main() -> ExitCode {
             println!("  {:>9}: IPC {:.3}{rel}", r.arch, r.ipc());
         }
         if want_metrics {
-            let runs: Vec<MetricsRun> = report
-                .ok
-                .iter()
-                .filter_map(|r| {
-                    r.metrics.clone().map(|m| MetricsRun {
-                        arch: r.arch.clone(),
-                        stats: r.stats.clone(),
-                        metrics: m,
-                    })
-                })
-                .collect();
             if let Some(agg) = report.merged_metrics() {
                 println!(
                     "  grid aggregate: {} cycles attributed across {} cell(s), \
                      {:.1}% useful fetch",
                     agg.total_fetch_cycles(),
-                    runs.len(),
+                    report.ok.len(),
                     agg.fetch_cycles[FetchCycleCause::UsefulFetch.index()] as f64 * 100.0
                         / agg.total_fetch_cycles().max(1) as f64,
                 );
             }
-            if let Err(code) =
-                emit_metrics(workload.name, &runs, show_metrics, metrics_json.as_deref())
-            {
+            if let Err(code) = emit_metrics(
+                workload.name,
+                &report.ok,
+                show_metrics,
+                metrics_json.as_deref(),
+            ) {
                 return code;
             }
         }
@@ -560,40 +555,17 @@ fn main() -> ExitCode {
         arch.label()
     );
     println!();
-    let result = (|| -> Result<(SimStats, Option<Metrics>), SimError> {
-        let mut sim = Simulator::try_from_program(config(arch), Arc::clone(&prog), spec.seed)?;
-        sim.warm_up(warmup)?;
-        let stats = run_window_chunked(
-            &mut sim,
-            window,
-            checkpoint_every,
-            checkpoint_file.as_deref(),
-        )?;
-        Ok((stats, sim.metrics().cloned()))
-    })();
-    match result {
-        Ok((s, m)) => {
-            print!("{}", s.report());
-            if let Some(m) = m {
-                let mrun = MetricsRun {
-                    arch: arch.label().to_owned(),
-                    stats: s,
-                    metrics: m,
-                };
-                if let Err(code) = emit_metrics(
-                    workload.name,
-                    &[mrun],
-                    show_metrics,
-                    metrics_json.as_deref(),
-                ) {
-                    return code;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(EXIT_SIM)
-        }
-    }
+    let built = Simulator::try_from_program(config(arch), Arc::clone(&prog), spec.seed);
+    let mut sim = match built.and_then(|mut sim| sim.warm_up(warmup).map(|_| sim)) {
+        Ok(sim) => sim,
+        Err(e) => return sim_failed(&e),
+    };
+    finish_window(
+        &mut sim,
+        window,
+        checkpoint_every,
+        checkpoint_file.as_deref(),
+        show_metrics,
+        metrics_json.as_deref(),
+    )
 }

@@ -43,7 +43,7 @@ fn split_vs_straight(
     drop(head); // restore must not depend on the live simulator
     let bytes = snap.to_bytes();
     let snap = Snapshot::from_bytes(&bytes).expect("snapshot bytes decode");
-    let mut resumed = snap.restore().expect("snapshot restores");
+    let mut resumed = Simulator::restore(&snap).expect("snapshot restores");
     let resumed_stats = resumed.run(second).expect("resumed second leg");
     let resumed_tail = resumed.recorder().snapshot();
 
@@ -111,7 +111,10 @@ fn snapshot_survives_a_file_round_trip() {
         .expect("checkpoint writes");
     let snap = Snapshot::read_from(&path).expect("checkpoint reads back");
     std::fs::remove_file(&path).ok();
-    let got = snap.restore().expect("restores").run(5_000).unwrap();
+    let got = Simulator::restore(&snap)
+        .expect("restores")
+        .run(5_000)
+        .unwrap();
 
     assert_eq!(want, got, "file round-trip changed the continuation");
 }
@@ -170,7 +173,7 @@ fn restore_inside_a_skipped_idle_region_is_bit_identical() {
         for milestone in (500..=12_000u64).step_by(500) {
             head.run(milestone - head.retired()).expect("probe leg");
             let snap = head.checkpoint();
-            let mut probe = snap.restore().expect("snapshot restores");
+            let mut probe = Simulator::restore(&snap).expect("snapshot restores");
             let at_restore = probe.skipped_cycles();
             assert_eq!(
                 at_restore,
@@ -296,7 +299,9 @@ fn snapshot_digests(workload: &str, cfg: impl Fn(FetchArch) -> SimConfig) -> Vec
             let snap = sim.checkpoint();
             let bytes = snap.to_bytes();
             *slot = fnv1a64(&bytes);
-            let again = snap.restore().expect("snapshot restores").checkpoint();
+            let again = Simulator::restore(&snap)
+                .expect("snapshot restores")
+                .checkpoint();
             assert!(
                 again.to_bytes() == bytes,
                 "restore→checkpoint changed the bytes ({workload}, {})",

@@ -20,7 +20,8 @@ const ALL_ARCHS: [FetchArch; 7] = [
 fn every_architecture_completes_a_branchy_workload() {
     let w = workloads::by_name("641.leela").expect("registered");
     for arch in ALL_ARCHS {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         let s = sim.run(30_000).expect("run completes");
         assert!(s.retired >= 30_000, "{arch:?}");
         assert!(s.ipc() > 0.1 && s.ipc() < 8.0, "{arch:?} IPC {}", s.ipc());
@@ -35,7 +36,8 @@ fn every_architecture_completes_a_server_workload() {
         FetchArch::Elf(ElfVariant::Ret),
         FetchArch::Elf(ElfVariant::U),
     ] {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         let s = sim.run(30_000).expect("run completes");
         assert!(s.retired >= 30_000, "{arch:?}");
         assert!(
@@ -49,7 +51,8 @@ fn every_architecture_completes_a_server_workload() {
 fn results_are_deterministic() {
     let w = workloads::by_name("648.exchange2").expect("registered");
     let run = |arch| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         let s = sim.run(25_000).expect("run completes");
         (
             s.cycles,
@@ -70,7 +73,8 @@ fn architectural_results_do_not_depend_on_the_fetch_architecture() {
     // architectures (up to the commit-width overshoot of the stop point).
     let w = workloads::by_name("602.gcc").expect("registered");
     let profile = |arch| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         let s = sim.run(25_000).expect("run completes");
         (s.retired, s.taken_branches, s.returns)
     };
@@ -93,7 +97,8 @@ fn architectural_results_do_not_depend_on_the_fetch_architecture() {
 #[test]
 fn warmup_resets_measurement_windows() {
     let w = workloads::by_name("619.lbm").expect("registered");
-    let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+    let mut sim =
+        Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w).expect("valid config");
     sim.warm_up(20_000).expect("warm-up completes");
     let s0 = sim.stats();
     assert_eq!(s0.retired, 0);
@@ -107,7 +112,8 @@ fn warmup_resets_measurement_windows() {
 fn fp_workloads_have_low_mpki_and_branchy_ones_high() {
     let mpki = |name: &str| {
         let w = workloads::by_name(name).expect("registered");
-        let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+        let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w)
+            .expect("valid config");
         sim.warm_up(40_000).expect("warm-up completes");
         sim.run(40_000).expect("run completes").branch_mpki()
     };
@@ -129,7 +135,8 @@ fn elf_recovers_from_resteers_faster_than_dcf() {
     // immediately after a flush while the DCF restarts from BP1.
     let w = workloads::by_name("641.leela").expect("registered");
     let latency = |arch| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         sim.warm_up(40_000).expect("warm-up completes");
         sim.run(40_000)
             .expect("run completes")
@@ -149,7 +156,8 @@ fn elf_recovers_from_resteers_faster_than_dcf() {
 fn dcf_prefetches_instructions_and_nodcf_cannot() {
     let w = workloads::by_name("server1_subtest1").expect("registered");
     let pf = |arch| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         sim.warm_up(30_000).expect("warm-up completes");
         sim.run(30_000)
             .expect("run completes")
@@ -166,7 +174,9 @@ fn dcf_prefetches_instructions_and_nodcf_cannot() {
 #[test]
 fn elf_coupled_mode_is_transient() {
     let w = workloads::by_name("620.omnetpp").expect("registered");
-    let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), &w);
+    let mut sim =
+        Simulator::try_for_workload(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), &w)
+            .expect("valid config");
     sim.warm_up(30_000).expect("warm-up completes");
     let s = sim.run(40_000).expect("run completes");
     assert!(s.frontend.coupled_periods > 10);
@@ -183,7 +193,7 @@ fn gshare_coupled_predictor_extension_runs_end_to_end() {
     let w = workloads::by_name("620.omnetpp").expect("registered");
     let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::Cond));
     cfg.frontend.cpl_cond_kind = CoupledCondKind::Gshare { hist_bits: 10 };
-    let mut sim = Simulator::for_workload(cfg, &w);
+    let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
     sim.warm_up(25_000).expect("warm-up completes");
     let s = sim.run(25_000).expect("run completes");
     assert!(s.retired >= 25_000);
@@ -199,7 +209,7 @@ fn boomerang_probe_extension_reduces_proxy_blocks() {
     let run = |probe: bool| {
         let mut cfg = SimConfig::baseline(FetchArch::Dcf);
         cfg.frontend.btb_miss_probe = probe;
-        let mut sim = Simulator::for_workload(cfg, &w);
+        let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
         sim.warm_up(25_000).expect("warm-up completes");
         let s = sim.run(25_000).expect("run completes");
         (s.frontend.btb_miss_blocks, s.frontend.boomerang_blocks)

@@ -9,7 +9,9 @@
 //! - **Report**: the JSON report carries the versioned schema and the
 //!   exact bucket values.
 
-use elf_sim::core::{metrics, FaultPlan, Metrics, SimConfig, SimStats, Simulator, Snapshot};
+use elf_sim::core::{
+    metrics, FaultPlan, Metrics, RunResult, SimConfig, SimStats, Simulator, Snapshot,
+};
 use elf_sim::frontend::{ElfVariant, FetchArch};
 use elf_sim::trace::workloads;
 
@@ -135,7 +137,7 @@ fn checkpoint_split_leaves_the_registry_bit_identical() {
         let bytes = head.checkpoint().to_bytes();
         drop(head);
         let snap = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
-        let mut resumed = snap.restore().expect("snapshot restores");
+        let mut resumed = Simulator::restore(&snap).expect("snapshot restores");
         assert!(
             resumed.metrics().is_some(),
             "restored simulator dropped the registry"
@@ -157,10 +159,11 @@ fn json_report_matches_the_registry() {
         10_000,
         20_000,
     );
-    let run = metrics::MetricsRun {
+    let run = RunResult {
+        workload: "641.leela".to_owned(),
         arch: "U-ELF".to_owned(),
         stats: stats.clone(),
-        metrics: m.clone(),
+        metrics: Some(m.clone()),
     };
     let json = metrics::render_json("641.leela", &[run]);
     assert!(json.contains(&format!("\"schema\": \"{}\"", metrics::SCHEMA)));

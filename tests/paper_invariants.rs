@@ -88,7 +88,8 @@ fn btb_hit_rates_are_cumulative_and_low_on_server1() {
     // is far below a SPEC-class workload's.
     let rates = |name: &str| {
         let w = workloads::by_name(name).expect("registered");
-        let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Dcf), &w);
+        let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Dcf), &w)
+            .expect("valid config");
         sim.warm_up(60_000).expect("warm-up completes");
         let s = sim.run(60_000).expect("run completes");
         [
@@ -119,7 +120,8 @@ fn btb_hit_rates_are_cumulative_and_low_on_server1() {
 fn elf_variants_only_speculate_past_what_they_predict() {
     let w = workloads::by_name("server2_subtest2").expect("registered");
     let stats = |v: ElfVariant| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Elf(v)), &w);
+        let mut sim = Simulator::try_for_workload(SimConfig::baseline(FetchArch::Elf(v)), &w)
+            .expect("valid config");
         sim.warm_up(30_000).expect("warm-up completes");
         sim.run(30_000).expect("run completes").frontend
     };
@@ -144,7 +146,8 @@ fn recovery_latency_ordering_matches_figure3() {
     // the fetch stage.
     let w = workloads::by_name("641.leela").expect("registered");
     let lat = |arch| {
-        let mut sim = Simulator::for_workload(SimConfig::baseline(arch), &w);
+        let mut sim =
+            Simulator::try_for_workload(SimConfig::baseline(arch), &w).expect("valid config");
         sim.warm_up(40_000).expect("warm-up completes");
         sim.run(30_000)
             .expect("run completes")
@@ -167,7 +170,9 @@ fn uelf_divergence_machinery_is_exercised_on_bimodal_hostile_code() {
     // coupled bimodal and the decoupled TAGE disagree — the bitvectors and
     // target queues must detect and resolve divergences (§IV-C2).
     let w = workloads::by_name("620.omnetpp").expect("registered");
-    let mut sim = Simulator::for_workload(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), &w);
+    let mut sim =
+        Simulator::try_for_workload(SimConfig::baseline(FetchArch::Elf(ElfVariant::U)), &w)
+            .expect("valid config");
     sim.warm_up(60_000).expect("warm-up completes");
     let s = sim.run(60_000).expect("run completes");
     assert!(

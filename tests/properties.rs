@@ -10,6 +10,11 @@ use elf_sim::trace::{synthesize, Oracle};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// A simulator over the program `spec` synthesizes.
+fn sim_for(cfg: SimConfig, spec: &ProgramSpec) -> Simulator {
+    Simulator::try_from_program(cfg, Arc::new(synthesize(spec)), spec.seed).expect("valid config")
+}
+
 fn arb_spec() -> impl Strategy<Value = ProgramSpec> {
     (
         1u64..1_000_000,
@@ -80,7 +85,7 @@ proptest! {
             FetchArch::NoDcf,
             FetchArch::Elf(ElfVariant::U),
         ][arch_sel];
-        let mut sim = Simulator::new(SimConfig::baseline(arch), &spec);
+        let mut sim = sim_for(SimConfig::baseline(arch), &spec);
         let s = sim.run(5_000).expect("forward progress");
         prop_assert!(s.retired >= 5_000);
         prop_assert!(s.ipc() > 0.01);
@@ -89,7 +94,7 @@ proptest! {
     #[test]
     fn retired_branch_counts_are_arch_invariant(spec in arb_spec()) {
         let profile = |arch| {
-            let mut sim = Simulator::new(SimConfig::baseline(arch), &spec);
+            let mut sim = sim_for(SimConfig::baseline(arch), &spec);
             let st = sim.run(4_000).expect("forward progress");
             (st.taken_branches, st.returns)
         };
@@ -130,7 +135,7 @@ proptest! {
         // Keep the worst case bounded so a wedge comes back quickly.
         cfg.progress_cap_base = 60_000;
         cfg.progress_cap_per_inst = 0;
-        let mut sim = Simulator::new(cfg, &spec);
+        let mut sim = sim_for(cfg, &spec);
         match sim.run(3_000) {
             Ok(s) => {
                 prop_assert!(s.retired >= 3_000);

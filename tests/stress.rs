@@ -15,7 +15,7 @@ fn stress_cell(arch: FetchArch, plan: FaultPlan, label: &str) -> Result<SimStats
     let w = workloads::by_name("641.leela").expect("registered");
     let mut cfg = SimConfig::baseline(arch);
     cfg.fault = Some(plan);
-    let mut sim = Simulator::for_workload(cfg, &w);
+    let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
     let c0 = sim.cycle();
     let out = sim.run(WINDOW);
     let c1 = sim.cycle();
@@ -90,7 +90,7 @@ fn fault_counts_report_actual_injections() {
     let w = workloads::by_name("641.leela").expect("registered");
     let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
     cfg.fault = Some(FaultPlan::uniform(100, 42));
-    let mut sim = Simulator::for_workload(cfg, &w);
+    let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
     sim.run(WINDOW).expect("survivable rate");
     let counts = sim.fault_counts();
     for kind in FaultKind::ALL {
@@ -111,7 +111,7 @@ fn induced_wedge_produces_a_diagnostic_with_the_event_tail() {
     cfg.fault = Some(FaultPlan::single(FaultKind::SpuriousFlush, 100_000, 1));
     cfg.progress_cap_base = 5_000;
     cfg.progress_cap_per_inst = 0;
-    let mut sim = Simulator::for_workload(cfg, &w);
+    let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
     let err = sim.run(1_000_000).expect_err("starved pipeline must wedge");
     let report = err.report().expect("wedge carries a report");
     assert!(
@@ -137,7 +137,7 @@ fn wedge_reports_are_deterministic() {
         cfg.fault = Some(FaultPlan::single(FaultKind::SpuriousFlush, 100_000, 1));
         cfg.progress_cap_base = 5_000;
         cfg.progress_cap_per_inst = 0;
-        let mut sim = Simulator::for_workload(cfg, &w);
+        let mut sim = Simulator::try_for_workload(cfg, &w).expect("valid config");
         sim.run(1_000_000).expect_err("wedge").to_string()
     };
     assert_eq!(run(), run());

@@ -4,7 +4,9 @@
 //! run are resumable.
 
 use elf_sim::core::experiment::{run_cell, run_grid_with};
-use elf_sim::core::{run_grid, FaultKind, FaultPlan, GridCell, GridOptions, SimConfig, Snapshot};
+use elf_sim::core::{
+    run_grid, FaultKind, FaultPlan, GridCell, GridOptions, SimConfig, Simulator, Snapshot,
+};
 use elf_sim::frontend::{ElfVariant, FetchArch};
 
 /// A cell guaranteed to wedge: constant spurious flushes destroy forward
@@ -172,7 +174,7 @@ fn grid_checkpoints_are_written_and_resumable() {
         snap.retired >= 6_000,
         "final checkpoint is at the window end"
     );
-    let mut resumed = snap.restore().expect("grid checkpoint restores");
+    let mut resumed = Simulator::restore(&snap).expect("grid checkpoint restores");
     resumed
         .run(1_000)
         .expect("resumed simulator makes progress");
@@ -200,7 +202,7 @@ fn failed_cell_reports_its_nearest_checkpoint() {
         .as_ref()
         .expect("failure names its nearest checkpoint");
     let snap = Snapshot::read_from(ckpt).expect("named checkpoint is readable");
-    snap.restore().expect("named checkpoint restores");
+    Simulator::restore(&snap).expect("named checkpoint restores");
     std::fs::remove_dir_all(&dir).ok();
 }
 
