@@ -25,6 +25,9 @@ cargo build --release --examples
 for ex in elf_variants frontend_trace quickstart workload_explorer; do
     ./target/release/examples/"$ex" >/dev/null
 done
+# The SimPoint path of workload_explorer is the only non-test caller of
+# elf_trace::simpoint, so run it too.
+./target/release/examples/workload_explorer --simpoints 641.leela >/dev/null
 
 # simbench is its own package outside the workspace; it drives the
 # back-end through its public API, so build and test it here, and require

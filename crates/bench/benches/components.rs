@@ -20,7 +20,7 @@ fn bench_tage(c: &mut Criterion) {
     for i in 0..10_000u64 {
         let pc = 0x1000 + (i % 512) * 4;
         let taken = (i * 2654435761) % 3 == 0;
-        tage.train_with_hist(pc, taken, hist);
+        tage.train(pc, taken, hist);
         hist = (hist << 1) | u128::from(taken);
     }
     g.throughput(Throughput::Elements(1));
@@ -28,14 +28,14 @@ fn bench_tage(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(tage.predict_with_hist(0x1000 + (i % 512) * 4, black_box(hist)))
+            black_box(tage.predict(0x1000 + (i % 512) * 4, black_box(hist)))
         })
     });
     g.bench_function("train", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            tage.train_with_hist(0x1000 + (i % 512) * 4, i.is_multiple_of(3), black_box(hist));
+            tage.train(0x1000 + (i % 512) * 4, i.is_multiple_of(3), black_box(hist));
         })
     });
     g.finish();
@@ -43,14 +43,16 @@ fn bench_tage(c: &mut Criterion) {
 
 fn bench_ittage(c: &mut Criterion) {
     let mut it = Ittage::paper();
+    let mut hist: u128 = 0;
     for i in 0..4096u64 {
-        it.train(0x2000 + (i % 64) * 4, 0x8000 + (i % 7) * 64, i % 2 == 0);
+        it.train(0x2000 + (i % 64) * 4, 0x8000 + (i % 7) * 64, hist);
+        hist = (hist << 1) | u128::from(i % 2 == 0);
     }
     c.bench_function("ittage/predict", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(it.predict(0x2000 + (i % 64) * 4))
+            black_box(it.predict(0x2000 + (i % 64) * 4, black_box(hist)))
         })
     });
 }

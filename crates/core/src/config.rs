@@ -196,7 +196,8 @@ impl SimConfig {
     /// construction API: zero-width pipelines, a cap that can never be met,
     /// cache or BTB geometries no component could be built from (zero
     /// sizes or ways, caches smaller than one set, line sizes that are not
-    /// a power of two), empty front-end queues and predictor tables, and
+    /// a power of two), empty front-end queues and predictor tables, TAGE
+    /// geometries whose history folds or tags do not fit, and
     /// coupled-predictor widths the built predictor cannot hold.
     pub fn validate(&self) -> Result<(), SimError> {
         let f = &self.frontend;
@@ -238,6 +239,9 @@ impl SimConfig {
         }
         if let Some(e) = f.btb.geometry_error() {
             problems.push(format!("frontend.btb.{e}"));
+        }
+        if let Some(e) = f.tage.geometry_error() {
+            problems.push(format!("frontend.tage.{e}"));
         }
         match f.cpl_cond_kind {
             CoupledCondKind::Bimodal if !(1..=7).contains(&f.cpl_bimodal_bits) => {

@@ -1,5 +1,5 @@
 //! Experiment harness: run grids of (workload × configuration) cells and
-//! combine their results (geomeans, SimPoint-weighted IPC).
+//! combine their results (geomeans).
 //!
 //! For unattended sweeps, [`run_grid`] supervises the cells on worker
 //! threads: a panicking or wedging cell is isolated (bounded retries,
@@ -12,7 +12,6 @@ use crate::recorder::TimedEvent;
 use crate::sim::Simulator;
 use crate::stats::SimStats;
 use elf_frontend::FetchArch;
-use elf_trace::workloads::Workload;
 use elf_types::Cycle;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -410,87 +409,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
-/// IPC estimated from SimPoint-selected intervals: the simulator runs all
-/// `n_intervals × interval_len` instructions once (cycle-accurate), IPC is
-/// recorded per interval, and the selected intervals' IPCs are combined by
-/// cluster weight — the §V-A methodology in miniature. Returns
-/// `(weighted_ipc, full_ipc)` so callers can check the approximation.
-///
-/// # Errors
-///
-/// Propagates the construction errors of [`Simulator::try_from_program`]
-/// and [`SimError::Wedged`] if any interval exhausts its
-/// forward-progress cap, and returns [`SimError::InvalidConfig`] if a
-/// selected [`elf_trace::SimPoint`] lands outside
-/// `[warmup, warmup + n_intervals * interval_len)` — indexing the
-/// per-interval IPC table with such a point would panic (or, for
-/// `start < warmup`, wrap the subtraction).
-pub fn simpoint_ipc(
-    w: &Workload,
-    arch: FetchArch,
-    warmup: u64,
-    interval_len: u64,
-    n_intervals: usize,
-    k: usize,
-) -> Result<(f64, f64), SimError> {
-    use elf_trace::{simpoint, synthesize, Oracle};
-    use std::sync::Arc;
-
-    let prog = Arc::new(synthesize(&w.spec));
-    let mut oracle = Oracle::new(Arc::clone(&prog), w.spec.seed);
-    if interval_len == 0 {
-        return Err(SimError::InvalidConfig {
-            reason: "simpoint interval_len must be at least 1".to_owned(),
-        });
-    }
-    let points = simpoint::select_from(&mut oracle, warmup, interval_len, n_intervals, k);
-    validate_simpoints(&points, warmup, interval_len, n_intervals)?;
-
-    let mut sim = Simulator::try_from_program(SimConfig::baseline(arch), prog, w.spec.seed)?;
-    sim.warm_up(warmup)?;
-    let mut interval_ipc = Vec::with_capacity(n_intervals);
-    let mut total_insts = 0u64;
-    let mut total_cycles = 0u64;
-    for _ in 0..n_intervals {
-        let c0 = sim.cycle();
-        sim.run(interval_len)?;
-        let dc = sim.cycle() - c0;
-        interval_ipc.push(interval_len as f64 / dc.max(1) as f64);
-        total_insts += interval_len;
-        total_cycles += dc;
-    }
-    let weighted: f64 = points
-        .iter()
-        .map(|p| p.weight * interval_ipc[((p.start - warmup) / interval_len) as usize])
-        .sum();
-    Ok((weighted, total_insts as f64 / total_cycles.max(1) as f64))
-}
-
-/// Rejects any [`elf_trace::SimPoint`] outside the measured region
-/// `[warmup, warmup + n_intervals * interval_len)`: such a point would
-/// index past the per-interval IPC table (or wrap `p.start - warmup`),
-/// turning a selection bug into a panic deep inside [`simpoint_ipc`].
-fn validate_simpoints(
-    points: &[elf_trace::SimPoint],
-    warmup: u64,
-    interval_len: u64,
-    n_intervals: usize,
-) -> Result<(), SimError> {
-    let end = warmup + interval_len * n_intervals as u64;
-    for p in points {
-        if p.start < warmup || p.start >= end {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "simpoint at instruction {} is outside the measured \
-                     region [{warmup}, {end})",
-                    p.start
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Geometric mean of a slice of positive values (1.0 for an empty slice).
 ///
 /// Every input must be positive: a zero or negative value (a wedged run
@@ -515,8 +433,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elf_frontend::FetchArch;
-    use elf_trace::workloads;
 
     #[test]
     fn geomean_basics() {
@@ -530,40 +446,5 @@ mod tests {
     #[should_panic(expected = "non-positive")]
     fn geomean_asserts_on_non_positive_input_in_debug() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn out_of_range_simpoints_are_rejected() {
-        use elf_trace::SimPoint;
-        let p = |start| SimPoint {
-            start,
-            length: 100,
-            weight: 1.0,
-        };
-        // In range: [1000, 1000 + 10*100) = [1000, 2000).
-        assert!(validate_simpoints(&[p(1000), p(1900)], 1000, 100, 10).is_ok());
-        // Before warm-up: p.start - warmup would wrap.
-        let err = validate_simpoints(&[p(999)], 1000, 100, 10).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-        // Past the last interval: would index out of bounds.
-        let err = validate_simpoints(&[p(2000)], 1000, 100, 10).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-    }
-
-    #[test]
-    fn zero_interval_len_is_rejected() {
-        let w = workloads::by_name("619.lbm").unwrap();
-        let err = simpoint_ipc(&w, FetchArch::Dcf, 1_000, 0, 10, 4).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-    }
-
-    #[test]
-    fn simpoint_ipc_approximates_the_full_run() {
-        let w = workloads::by_name("641.leela").unwrap();
-        let (weighted, full) =
-            simpoint_ipc(&w, FetchArch::Dcf, 60_000, 10_000, 10, 4).expect("clean run");
-        assert!(weighted > 0.0 && full > 0.0);
-        let err = (weighted - full).abs() / full;
-        assert!(err < 0.25, "simpoint estimate off by {:.0}%", err * 100.0);
     }
 }

@@ -1202,6 +1202,18 @@ mod tests {
     }
 
     #[test]
+    fn tage_geometries_that_cannot_fold_are_rejected() {
+        assert_geometry_rejected("frontend.tage.table_bits", |c| {
+            c.frontend.tage.table_bits = 0;
+        });
+        assert_geometry_rejected("frontend.tage.tag_bits", |c| c.frontend.tage.tag_bits = 1);
+        assert_geometry_rejected("frontend.tage.tag_bits", |c| c.frontend.tage.tag_bits = 20);
+        assert_geometry_rejected("frontend.tage.hist_lens", |c| {
+            c.frontend.tage.hist_lens.push(200);
+        });
+    }
+
+    #[test]
     fn try_from_program_rejects_a_malformed_program() {
         // A one-instruction image whose direct jump leaves the image.
         let base = 0x1000;

@@ -41,7 +41,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ELFSNAP\0";
 /// Current snapshot layout version. Readers reject any other value: the
 /// format is not self-describing, so a layout change anywhere in the
 /// serialized state must bump this.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// A complete, restorable simulator checkpoint.
 #[derive(Debug, Clone)]

@@ -78,16 +78,6 @@ impl SimStats {
             + self.backend.watchdog_flushes;
         flushes as f64 * 1000.0 / self.retired as f64
     }
-
-    /// L0I miss rate per retired instruction (instruction-side pressure).
-    #[must_use]
-    pub fn l0i_mpki(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            self.mem.l0i_misses as f64 * 1000.0 / self.retired as f64
-        }
-    }
 }
 
 impl SimStats {

@@ -771,97 +771,18 @@ impl Frontend {
 
         for b in entry.branches() {
             let bpc = seq_pc(start, b.offset as usize);
-            match b.kind {
-                BranchKind::CondDirect => {
-                    let hist = self.spec_hist;
-                    let p = self.tage.predict_with_hist(bpc, hist);
-                    let src = if p.provider.is_some() {
-                        PredSource::TageTagged
-                    } else {
-                        PredSource::Bimodal
-                    };
-                    branches.push(FaqBranch {
-                        offset: b.offset,
-                        kind: b.kind,
-                        pred_taken: p.taken,
-                        pred_target: b.target,
-                        source: src,
-                        hist,
-                    });
-                    self.spec_hist = (self.spec_hist << 1) | u128::from(p.taken);
-                    if p.taken {
-                        // On an L0 BTB hit, only the bimodal is fast enough
-                        // for same-cycle next-PC generation; a tagged
-                        // override costs one bubble (§III-B).
-                        let class = if p.tagged_override {
-                            ExitClass::CondTaggedOverride
-                        } else {
-                            ExitClass::CondBimodal
-                        };
-                        exit = Some((b.offset, b.kind, b.target, class));
-                        break;
-                    }
-                }
-                BranchKind::UncondDirect | BranchKind::Call => {
-                    let hist = self.spec_hist;
-                    branches.push(FaqBranch {
-                        offset: b.offset,
-                        kind: b.kind,
-                        pred_taken: true,
-                        pred_target: b.target,
-                        source: PredSource::Btb,
-                        hist,
-                    });
-                    if b.kind == BranchKind::Call {
-                        self.ras.push(bpc + INST_BYTES);
-                    }
-                    exit = Some((b.offset, b.kind, b.target, ExitClass::DirectUncond));
-                    break;
-                }
-                BranchKind::Return => {
-                    let hist = self.spec_hist;
-                    let tgt = self.ras.pop();
-                    branches.push(FaqBranch {
-                        offset: b.offset,
-                        kind: b.kind,
-                        pred_taken: true,
-                        pred_target: tgt,
-                        source: PredSource::Ras,
-                        hist,
-                    });
-                    // RAS output is fast enough to hide the bubble on an L0
-                    // BTB hit (§V-B).
-                    exit = Some((b.offset, b.kind, tgt, ExitClass::RasReturn));
-                    break;
-                }
-                BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                    let hist = self.spec_hist;
-                    let (tgt, src, class) = match self.btc.predict(bpc) {
-                        Some(t) => (
-                            Some(t),
-                            PredSource::BranchTargetCache,
-                            ExitClass::IndirectBtc,
-                        ),
-                        None => (
-                            self.ittage.predict_with_hist(bpc, hist),
-                            PredSource::Ittage,
-                            ExitClass::IndirectIttage,
-                        ),
-                    };
-                    branches.push(FaqBranch {
-                        offset: b.offset,
-                        kind: b.kind,
-                        pred_taken: true,
-                        pred_target: tgt,
-                        source: src,
-                        hist,
-                    });
-                    if b.kind == BranchKind::IndirectCall {
-                        self.ras.push(bpc + INST_BYTES);
-                    }
-                    exit = Some((b.offset, b.kind, tgt, class));
-                    break;
-                }
+            let (pred, hist, class) = self.predict_branch(bpc, b.kind, b.target, PredSource::Btb);
+            branches.push(FaqBranch {
+                offset: b.offset,
+                kind: b.kind,
+                pred_taken: pred.taken,
+                pred_target: pred.target,
+                source: pred.source,
+                hist,
+            });
+            if pred.taken {
+                exit = Some((b.offset, b.kind, pred.target, class));
+                break;
             }
         }
 
@@ -965,8 +886,7 @@ impl Frontend {
                     // The DCF has no idea either: Decode consults the
                     // main predictors (TAGE/RAS/BTC/ITTAGE) and the DCF
                     // is resteered to follow the fetcher.
-                    let (pred, extra) =
-                        self.consult_main_predictors(st.pc, st.kind, st.static_target);
+                    let (pred, extra) = self.decode_predict(st.pc, st.kind, st.static_target);
                     self.deliver_one(prog, st.pc, Some(pred), FetchMode::Coupled, cycle, out);
                     self.dcc += 1;
                     let next = if pred.taken {
@@ -984,9 +904,7 @@ impl Frontend {
                 // prediction and switch to decoupled mode.
                 let off = (self.dcc - self.dc) as u8;
                 let pred = head_clone
-                    .branches
-                    .iter()
-                    .find(|b| b.offset == off)
+                    .branch_at(off)
                     .map_or_else(Prediction::not_taken, FaqBranch::prediction);
                 self.record_decoupled_prefix(head_clone, off + 1);
                 self.deliver_one(prog, st.pc, Some(pred), FetchMode::Coupled, cycle, out);
@@ -1017,11 +935,7 @@ impl Frontend {
             self.leftover_preds.clear();
             let first = (self.dcc.max(self.dc) - self.dc) as u8;
             for off in first..amend {
-                let p = head_clone
-                    .branches
-                    .iter()
-                    .find(|b| b.offset == off)
-                    .map(FaqBranch::prediction);
+                let p = head_clone.branch_at(off).map(FaqBranch::prediction);
                 self.leftover_preds.push_back(p);
             }
             self.switch_to_decoupled(amend);
@@ -1063,9 +977,7 @@ impl Frontend {
         let proxy = entry.term == FaqTermination::BtbMiss;
         for off in 0..n.min(entry.inst_count) {
             let taken = entry
-                .branches
-                .iter()
-                .find(|b| b.offset == off)
+                .branch_at(off)
                 .filter(|b| b.pred_taken)
                 .map(|b| TargetSlot {
                     kind: b.kind,
@@ -1243,7 +1155,7 @@ impl Frontend {
     fn push_block_insts(insts: &mut Vec<GroupInst>, block: &FaqEntry, from: u8, n: u8) {
         let proxy = block.term == FaqTermination::BtbMiss;
         for off in from..from + n {
-            let fb = block.branches.iter().find(|b| b.offset == off);
+            let fb = block.branch_at(off);
             insts.push(GroupInst {
                 pc: seq_pc(block.start_pc, off as usize),
                 pred: fb.map(FaqBranch::prediction),
@@ -1310,7 +1222,7 @@ impl Frontend {
                 self.deliver_one(prog, gi.pc, None, FetchMode::Coupled, cycle, out);
                 continue;
             };
-            let (pred, extra_bubbles) = self.consult_main_predictors(gi.pc, kind, sinst.target);
+            let (pred, extra_bubbles) = self.decode_predict(gi.pc, kind, sinst.target);
             self.deliver_one(prog, gi.pc, Some(pred), FetchMode::Coupled, cycle, out);
             if pred.taken {
                 if let Some(t) = pred.target {
@@ -1357,7 +1269,7 @@ impl Frontend {
                 continue;
             }
             // Proxy block: Decode makes the call and resteers (misfetch).
-            let (pred, extra) = self.consult_main_predictors(gi.pc, kind, sinst.target);
+            let (pred, extra) = self.decode_predict(gi.pc, kind, sinst.target);
             self.update_cpl_ras(kind, gi.pc);
             self.deliver_one(prog, gi.pc, Some(pred), FetchMode::Decoupled, cycle, out);
             if pred.taken {
@@ -1558,83 +1470,98 @@ impl Frontend {
         }
     }
 
-    /// Full-predictor consult used by NoDCF decode and BTB-miss proxy
-    /// blocks. Returns the prediction and extra redirect bubbles.
-    fn consult_main_predictors(
+    /// The one consult of the main predictors (TAGE, RAS, L0 BTC, ITTAGE),
+    /// shared by BP1 and Decode. Applies the consult's side effects: the
+    /// TAGE history push for conditionals, the RAS pop for returns and the
+    /// RAS push for calls and indirect calls. Direct targets come from
+    /// `static_target`, attributed to `direct_source`. Returns the
+    /// prediction, the predict-time history snapshot and the Figure-2 exit
+    /// class (meaningful when the prediction is taken).
+    fn predict_branch(
         &mut self,
         pc: Addr,
         kind: BranchKind,
         static_target: Option<Addr>,
-    ) -> (Prediction, u32) {
-        match kind {
+        direct_source: PredSource,
+    ) -> (Prediction, u128, ExitClass) {
+        let hist = self.spec_hist;
+        let (taken, target, source, class) = match kind {
             BranchKind::CondDirect => {
-                let hist = self.spec_hist;
-                let p = self.tage.predict_with_hist(pc, hist);
-                self.snapshots.insert(self.fid_next + 1, hist);
-                self.spec_hist = (self.spec_hist << 1) | u128::from(p.taken);
-                (
-                    Prediction {
-                        taken: p.taken,
-                        target: p.taken.then_some(static_target).flatten(),
-                        source: if p.provider.is_some() {
-                            PredSource::TageTagged
-                        } else {
-                            PredSource::Bimodal
-                        },
-                    },
-                    0,
-                )
+                let p = self.tage.predict(pc, hist);
+                self.spec_hist = (hist << 1) | u128::from(p.taken);
+                let source = if p.provider.is_some() {
+                    PredSource::TageTagged
+                } else {
+                    PredSource::Bimodal
+                };
+                // On an L0 BTB hit, only the bimodal is fast enough for
+                // same-cycle next-PC generation; a tagged override costs one
+                // bubble (§III-B).
+                let class = if p.tagged_override {
+                    ExitClass::CondTaggedOverride
+                } else {
+                    ExitClass::CondBimodal
+                };
+                let target = p.taken.then_some(static_target).flatten();
+                (p.taken, target, source, class)
             }
             BranchKind::UncondDirect | BranchKind::Call => {
                 if kind == BranchKind::Call {
                     self.ras.push(pc + INST_BYTES);
                 }
-                (
-                    Prediction {
-                        taken: true,
-                        target: static_target,
-                        source: PredSource::DecodedTarget,
-                    },
-                    0,
-                )
+                (true, static_target, direct_source, ExitClass::DirectUncond)
             }
-            BranchKind::Return => {
-                let t = self.ras.pop();
-                // Paper §III-C: resteer for returns stalls one extra cycle
-                // while the DCF RAS is accessed.
-                (
-                    Prediction {
-                        taken: true,
-                        target: t,
-                        source: PredSource::Ras,
-                    },
-                    1,
-                )
-            }
+            // RAS output is fast enough to hide the bubble on an L0 BTB hit
+            // (§V-B).
+            BranchKind::Return => (true, self.ras.pop(), PredSource::Ras, ExitClass::RasReturn),
             BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                let hist = self.spec_hist;
-                let (t, src, extra) = match self.btc.predict(pc) {
-                    Some(t) => (Some(t), PredSource::BranchTargetCache, 0),
+                let (target, source, class) = match self.btc.predict(pc) {
+                    Some(t) => (
+                        Some(t),
+                        PredSource::BranchTargetCache,
+                        ExitClass::IndirectBtc,
+                    ),
                     None => (
-                        self.ittage.predict_with_hist(pc, hist),
+                        self.ittage.predict(pc, hist),
                         PredSource::Ittage,
-                        self.cfg.ittage_bubbles,
+                        ExitClass::IndirectIttage,
                     ),
                 };
-                self.snapshots.insert(self.fid_next + 1, hist);
                 if kind == BranchKind::IndirectCall {
                     self.ras.push(pc + INST_BYTES);
                 }
-                (
-                    Prediction {
-                        taken: true,
-                        target: t,
-                        source: src,
-                    },
-                    extra,
-                )
+                (true, target, source, class)
             }
-        }
+        };
+        let pred = Prediction {
+            taken,
+            target,
+            source,
+        };
+        (pred, hist, class)
+    }
+
+    /// [`Frontend::predict_branch`] at Decode (NoDCF, BTB-miss proxy blocks
+    /// and resync stalls on proxy blocks): stashes the history snapshot for
+    /// the branch about to be delivered and returns the prediction with the
+    /// extra redirect bubbles of its exit.
+    fn decode_predict(
+        &mut self,
+        pc: Addr,
+        kind: BranchKind,
+        static_target: Option<Addr>,
+    ) -> (Prediction, u32) {
+        let (pred, hist, class) =
+            self.predict_branch(pc, kind, static_target, PredSource::DecodedTarget);
+        self.snapshots.insert(self.fid_next + 1, hist);
+        let extra = match class {
+            // Paper §III-C: resteer for returns stalls one extra cycle while
+            // the DCF RAS is accessed.
+            ExitClass::RasReturn => 1,
+            ExitClass::IndirectIttage => self.cfg.ittage_bubbles,
+            _ => 0,
+        };
+        (pred, extra)
     }
 
     fn update_cpl_ras(&mut self, kind: BranchKind, pc: Addr) {
@@ -1922,7 +1849,7 @@ impl Frontend {
         };
         match kind {
             BranchKind::CondDirect => {
-                self.tage.train_with_hist(info.pc, info.taken, snapshot);
+                self.tage.train(info.pc, info.taken, snapshot);
                 if info.mode == FetchMode::Coupled
                     && self
                         .elf_variant()
@@ -1934,7 +1861,7 @@ impl Frontend {
                 }
             }
             BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                self.ittage.train_with_hist(info.pc, info.next_pc, snapshot);
+                self.ittage.train(info.pc, info.next_pc, snapshot);
                 self.btc.train(info.pc, info.next_pc);
                 if info.mode == FetchMode::Coupled
                     && self

@@ -37,6 +37,10 @@ struct MiniDriver {
     cycle: u64,
     retired: Vec<Addr>,
     flushes: u64,
+    /// Delivered conditionals predicted not-taken, and how many of them
+    /// carried a target anyway.
+    not_taken_conds: u64,
+    not_taken_conds_with_target: u64,
 }
 
 impl MiniDriver {
@@ -53,6 +57,8 @@ impl MiniDriver {
             cycle: 0,
             retired: Vec::new(),
             flushes: 0,
+            not_taken_conds: 0,
+            not_taken_conds_with_target: 0,
         }
     }
 
@@ -66,6 +72,11 @@ impl MiniDriver {
                 .tick_into(&self.prog, &mut self.mem, self.cycle, &mut out);
             let mut flush_to: Option<(Addr, u64)> = None;
             for d in &out.delivered {
+                let cond = d.inst.sinst.branch_kind() == Some(BranchKind::CondDirect);
+                if let Some(p) = d.inst.pred.filter(|p| cond && !p.taken) {
+                    self.not_taken_conds += 1;
+                    self.not_taken_conds_with_target += u64::from(p.target.is_some());
+                }
                 if self.wrong_path || flush_to.is_some() {
                     continue;
                 }
@@ -210,6 +221,24 @@ fn retired_stream_is_identical_across_architectures() {
     c.truncate(10_000);
     assert_eq!(a, b, "NoDCF vs DCF retired streams differ");
     assert_eq!(a, c, "NoDCF vs U-ELF retired streams differ");
+}
+
+#[test]
+fn not_taken_conditionals_are_delivered_without_a_target() {
+    // `FaqBranch::pred_target` is the target *if predicted taken*: BP1,
+    // Decode and the coupled predictors all leave a not-taken conditional
+    // without one.
+    for arch in [FetchArch::Dcf, FetchArch::Elf(elf_frontend::ElfVariant::U)] {
+        let d = run_synthetic(arch, 10_000);
+        assert!(
+            d.not_taken_conds > 0,
+            "{arch:?} predicted nothing not-taken"
+        );
+        assert_eq!(
+            d.not_taken_conds_with_target, 0,
+            "{arch:?} delivered not-taken conditionals with a target"
+        );
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! lengths hold full targets plus a confidence counter; a PC-indexed base
 //! table provides the fallback target.
 
-use crate::history::HistoryRegister;
+use crate::history::fold;
 use elf_types::Addr;
 
 /// Geometry of an [`Ittage`] predictor.
@@ -60,15 +60,13 @@ elf_types::snap_struct!(IttageEntry {
     u
 });
 
-/// The ITTAGE predictor. Keeps separate speculative and retirement
-/// histories (see crate docs).
+/// The ITTAGE predictor. The global history is the caller's: every call
+/// takes it as a `u128` (bit 0 = most recent outcome).
 #[derive(Debug, Clone)]
 pub struct Ittage {
     cfg: IttageConfig,
     base: Vec<Addr>,
     tables: Vec<Vec<IttageEntry>>,
-    spec_hist: HistoryRegister,
-    retire_hist: HistoryRegister,
     lfsr: u32,
 }
 
@@ -83,8 +81,6 @@ impl Ittage {
                 .iter()
                 .map(|_| vec![IttageEntry::default(); 1 << cfg.table_bits])
                 .collect(),
-            spec_hist: HistoryRegister::new(),
-            retire_hist: HistoryRegister::new(),
             lfsr: 0xb0b1,
             cfg,
         }
@@ -96,14 +92,14 @@ impl Ittage {
         Ittage::new(IttageConfig::paper())
     }
 
-    fn index(&self, pc: Addr, t: usize, hist: &HistoryRegister) -> usize {
-        let folded = hist.fold(self.cfg.hist_lens[t], self.cfg.table_bits);
+    fn index(&self, pc: Addr, t: usize, hist: u128) -> usize {
+        let folded = fold(hist, self.cfg.hist_lens[t], self.cfg.table_bits);
         let mask = (1u64 << self.cfg.table_bits) - 1;
         (((pc >> 2) ^ (pc >> 9) ^ folded ^ ((t as u64) << 2)) & mask) as usize
     }
 
-    fn tag(&self, pc: Addr, t: usize, hist: &HistoryRegister) -> u16 {
-        let f = hist.fold(self.cfg.hist_lens[t], self.cfg.tag_bits);
+    fn tag(&self, pc: Addr, t: usize, hist: u128) -> u16 {
+        let f = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits);
         let mask = (1u64 << self.cfg.tag_bits) - 1;
         (((pc >> 2) ^ (pc >> 7) ^ f.rotate_left(3)) & mask) as u16
     }
@@ -112,7 +108,7 @@ impl Ittage {
         (((pc >> 2) ^ (pc >> 11)) & ((1 << self.cfg.base_bits) - 1)) as usize
     }
 
-    fn lookup(&self, pc: Addr, hist: &HistoryRegister) -> (Addr, Option<usize>) {
+    fn lookup(&self, pc: Addr, hist: u128) -> (Addr, Option<usize>) {
         for t in (0..self.tables.len()).rev() {
             let e = &self.tables[t][self.index(pc, t, hist)];
             if e.tag == self.tag(pc, t, hist) && e.target != 0 {
@@ -122,51 +118,12 @@ impl Ittage {
         (self.base[self.base_index(pc)], None)
     }
 
-    /// Predicts the target of the indirect branch at `pc` using speculative
-    /// history. Returns `None` when no component has any target yet.
+    /// Predicts the target of the indirect branch at `pc` under the global
+    /// history `hist`. Returns `None` when no component has any target yet.
     #[must_use]
-    pub fn predict(&self, pc: Addr) -> Option<Addr> {
-        let (t, _) = self.lookup(pc, &self.spec_hist);
+    pub fn predict(&self, pc: Addr, hist: u128) -> Option<Addr> {
+        let (t, _) = self.lookup(pc, hist);
         (t != 0).then_some(t)
-    }
-
-    /// Predicts with an externally-owned history register.
-    #[must_use]
-    pub fn predict_with_hist(&self, pc: Addr, hist: u128) -> Option<Addr> {
-        let mut h = HistoryRegister::new();
-        h.set(hist);
-        let (t, _) = self.lookup(pc, &h);
-        (t != 0).then_some(t)
-    }
-
-    /// Trains with the exact predict-time history snapshot. Does not touch
-    /// the internal histories.
-    pub fn train_with_hist(&mut self, pc: Addr, target: Addr, hist: u128) {
-        let saved = self.retire_hist;
-        let mut h = HistoryRegister::new();
-        h.set(hist);
-        self.retire_hist = h;
-        // `train` pushes the retirement history; the push lands on the
-        // scratch register and is discarded by the restore below.
-        self.train(pc, target, false);
-        self.retire_hist = saved;
-    }
-
-    /// Pushes speculative history (call for every predicted branch: taken
-    /// bit for conditionals, target bits for indirects).
-    pub fn spec_push(&mut self, bit: bool) {
-        self.spec_hist.push(bit);
-    }
-
-    /// Speculative history bits (flush-repair bookkeeping).
-    #[must_use]
-    pub fn spec_bits(&self) -> u128 {
-        self.spec_hist.bits()
-    }
-
-    /// Overwrites speculative history (flush repair).
-    pub fn spec_set(&mut self, bits: u128) {
-        self.spec_hist.set(bits);
     }
 
     fn rand1(&mut self) -> u32 {
@@ -175,15 +132,15 @@ impl Ittage {
         self.lfsr & 1
     }
 
-    /// Trains on a retired indirect branch with its resolved `target`, then
-    /// advances the retirement history by `hist_bit`.
-    pub fn train(&mut self, pc: Addr, target: Addr, hist_bit: bool) {
-        let hist = self.retire_hist;
-        let (pred, provider) = self.lookup(pc, &hist);
+    /// Trains on a retired indirect branch with its resolved `target` and
+    /// the history it was predicted under (the checkpoint-queue payload of
+    /// §IV-D).
+    pub fn train(&mut self, pc: Addr, target: Addr, hist: u128) {
+        let (pred, provider) = self.lookup(pc, hist);
 
         match provider {
             Some(t) => {
-                let i = self.index(pc, t, &hist);
+                let i = self.index(pc, t, hist);
                 let e = &mut self.tables[t][i];
                 if e.target == target {
                     e.conf = (e.conf + 1).min(3);
@@ -208,10 +165,10 @@ impl Ittage {
             let skip = self.rand1() as usize;
             let mut allocated = false;
             for t in (start + skip)..self.tables.len() {
-                let i = self.index(pc, t, &hist);
+                let i = self.index(pc, t, hist);
                 if self.tables[t][i].u == 0 {
                     self.tables[t][i] = IttageEntry {
-                        tag: self.tag(pc, t, &hist),
+                        tag: self.tag(pc, t, hist),
                         target,
                         conf: 1,
                         u: 0,
@@ -222,22 +179,11 @@ impl Ittage {
             }
             if !allocated {
                 for t in start..self.tables.len() {
-                    let i = self.index(pc, t, &hist);
+                    let i = self.index(pc, t, hist);
                     self.tables[t][i].u = self.tables[t][i].u.saturating_sub(1);
                 }
             }
         }
-
-        self.retire_hist.push(hist_bit);
-    }
-
-    /// Canonical history bit contributed by a resolved indirect target:
-    /// the parity of its significant address bits. Using parity (rather
-    /// than a single low bit) keeps the history informative even when all
-    /// targets share alignment.
-    #[must_use]
-    pub fn target_bit(target: Addr) -> bool {
-        ((target >> 2).count_ones() & 1) == 1
     }
 
     /// Storage cost in bits (tag + 48-bit target + conf + u per entry).
@@ -248,7 +194,7 @@ impl Ittage {
     }
 
     /// Saves or restores all mutable state (base table, tagged tables,
-    /// histories, LFSR); loading requires a predictor of the same geometry.
+    /// LFSR); loading requires a predictor of the same geometry.
     ///
     /// # Errors
     ///
@@ -259,8 +205,6 @@ impl Ittage {
         for t in &mut self.tables {
             io.table(t, "ittage table")?;
         }
-        io.value(&mut self.spec_hist)?;
-        io.value(&mut self.retire_hist)?;
         io.value(&mut self.lfsr)
     }
 }
@@ -272,17 +216,18 @@ mod tests {
     fn run(it: &mut Ittage, pc: Addr, targets: impl Iterator<Item = Addr>, warmup: usize) -> f64 {
         let mut miss = 0u64;
         let mut total = 0u64;
+        let mut hist = 0u128;
         for (i, t) in targets.enumerate() {
-            let p = it.predict(pc);
+            let p = it.predict(pc, hist);
             if i >= warmup {
                 total += 1;
                 if p != Some(t) {
                     miss += 1;
                 }
             }
-            let bit = Ittage::target_bit(t);
-            it.spec_push(bit);
-            it.train(pc, t, bit);
+            it.train(pc, t, hist);
+            // History bit: parity of the target's significant address bits.
+            hist = (hist << 1) | u128::from((t >> 2).count_ones() & 1);
         }
         miss as f64 / total.max(1) as f64
     }
@@ -307,29 +252,24 @@ mod tests {
         // Target = f(last 2 history bits): pure function of history.
         let tgts = [0x10_000u64, 0x20_000, 0x30_000, 0x40_000];
         let mut it = Ittage::new(IttageConfig::tiny());
-        let mut hist2: usize = 0;
+        let mut hist = 0u128;
         let mut miss = 0;
         let mut total = 0;
         let mut x: u64 = 7;
         for i in 0..8000 {
-            let t = tgts[hist2 & 3];
-            let p = it.predict(0x300);
+            let t = tgts[(hist & 3) as usize];
+            let p = it.predict(0x300, hist);
             if i > 2000 {
                 total += 1;
                 if p != Some(t) {
                     miss += 1;
                 }
             }
-            let bit = (t >> 2) & 1 == 1;
-            // Wait: bit of target at >>2 — all our targets have the same
-            // low bits; drive history from a pseudo-random conditional
-            // stream instead, so hist2 evolves.
+            it.train(0x300, t, hist);
+            // All targets share their low bits, so the history comes from a
+            // pseudo-random conditional stream.
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let cond_bit = (x >> 40) & 1 == 1;
-            it.spec_push(cond_bit);
-            it.train(0x300, t, cond_bit);
-            let _ = bit;
-            hist2 = ((hist2 << 1) | usize::from(cond_bit)) & 3;
+            hist = (hist << 1) | u128::from((x >> 40) & 1 == 1);
         }
         let rate = miss as f64 / total as f64;
         assert!(rate < 0.2, "history-correlated target miss rate {rate}");
@@ -339,32 +279,17 @@ mod tests {
     fn distinct_branches_coexist() {
         let mut it = Ittage::new(IttageConfig::tiny());
         for _ in 0..200 {
-            it.train(0x400, 0xaaa0, false);
-            it.train(0x500, 0xbbb0, false);
+            it.train(0x400, 0xaaa0, 0);
+            it.train(0x500, 0xbbb0, 0);
         }
-        assert_eq!(it.predict(0x400), Some(0xaaa0));
-        assert_eq!(it.predict(0x500), Some(0xbbb0));
+        assert_eq!(it.predict(0x400, 0), Some(0xaaa0));
+        assert_eq!(it.predict(0x500, 0), Some(0xbbb0));
     }
 
     #[test]
     fn cold_predictor_returns_none() {
         let it = Ittage::new(IttageConfig::tiny());
-        assert_eq!(it.predict(0x600), None);
-    }
-
-    #[test]
-    fn spec_restore_roundtrips() {
-        let mut it = Ittage::new(IttageConfig::tiny());
-        for i in 0..50 {
-            it.train(0x700, 0x1230, i % 2 == 0);
-            it.spec_push(i % 2 == 0);
-        }
-        let saved = it.spec_bits();
-        let before = it.predict(0x700);
-        it.spec_push(true);
-        it.spec_push(false);
-        it.spec_set(saved);
-        assert_eq!(it.predict(0x700), before);
+        assert_eq!(it.predict(0x600, 0), None);
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //! * [`bimodal::Bimodal`] — the 2K-entry, 3-bit coupled predictor used by
 //!   COND-ELF and U-ELF, with the saturation filter of §VI-B.
 //!
-//! ## Speculative vs. retire state
+//! ## Global history
 //!
-//! Every history-based predictor keeps **two** history registers: the
-//! *speculative* one, pushed as predictions are made in the front-end and
-//! restored on pipeline flushes, and the *retirement* one, pushed only as
-//! branches retire and used to compute table indices for training. This is
-//! the standard simulator realization of checkpoint-based history repair
-//! (paper §IV-D); see DESIGN.md §10 for the fidelity discussion.
+//! The history-based predictors (TAGE, ITTAGE) hold no history of their
+//! own: `predict` and `train` take the global history as a `u128` argument
+//! and fold it with [`history::fold`]. The front-end owns the one
+//! speculative register, repairs it on flushes, and hands each branch's
+//! predict-time snapshot back at retirement so training replays the exact
+//! predict-time indices — the simulator form of checkpoint-based history
+//! repair (paper §IV-D); see DESIGN.md §10 for the fidelity discussion.
 
 #![warn(missing_docs)]
 
@@ -33,7 +34,6 @@ pub mod tage;
 pub use bimodal::Bimodal;
 pub use btc::BranchTargetCache;
 pub use gshare::Gshare;
-pub use history::HistoryRegister;
 pub use ittage::Ittage;
 pub use ras::Ras;
 pub use tage::{Tage, TageConfig, TagePrediction};

@@ -12,7 +12,7 @@
 //!   bimodal, which costs one bubble on an L0 BTB hit (BP2 resteers BP1).
 
 use crate::bimodal::Bimodal;
-use crate::history::HistoryRegister;
+use crate::history::fold;
 use elf_types::Addr;
 
 /// Geometry of a [`Tage`] predictor.
@@ -71,6 +71,24 @@ impl TageConfig {
         let base = (1usize << self.base_bits) * 2;
         tagged + base
     }
+
+    /// What makes the geometry unusable, if anything: a fold width of zero
+    /// (`table_bits` 0, or `tag_bits` below 2, since the tag folds to
+    /// `tag_bits - 1` too), a tag wider than the 16-bit tag field, or a
+    /// history longer than the 128-bit global history. The message names
+    /// the field.
+    #[must_use]
+    pub fn geometry_error(&self) -> Option<&'static str> {
+        if self.table_bits == 0 {
+            Some("table_bits must be at least 1")
+        } else if !(2..=16).contains(&self.tag_bits) {
+            Some("tag_bits must be 2..=16")
+        } else if self.hist_lens.iter().any(|&len| len > 128) {
+            Some("hist_lens must each be at most 128")
+        } else {
+            None
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -98,24 +116,26 @@ pub struct TagePrediction {
 
 /// The TAGE predictor. See module docs.
 ///
+/// The global history is the caller's: every call takes it as a `u128`
+/// (bit 0 = most recent outcome).
+///
 /// ```
 /// use elf_predictors::{Tage, tage::TageConfig};
 ///
 /// let mut tage = Tage::new(TageConfig::tiny());
 /// // An always-taken branch is learned within a few occurrences.
+/// let mut hist = 0u128;
 /// for _ in 0..64 {
-///     tage.spec_push(true);
-///     tage.train(0x4000, true);
+///     tage.train(0x4000, true, hist);
+///     hist = (hist << 1) | 1;
 /// }
-/// assert!(tage.predict(0x4000).taken);
+/// assert!(tage.predict(0x4000, hist).taken);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tage {
     cfg: TageConfig,
     base: Bimodal,
     tables: Vec<Vec<TageEntry>>,
-    spec_hist: HistoryRegister,
-    retire_hist: HistoryRegister,
     lfsr: u32,
     trained: u64,
 }
@@ -132,8 +152,6 @@ impl Tage {
         Tage {
             base: Bimodal::new(1 << cfg.base_bits, 2),
             tables,
-            spec_hist: HistoryRegister::new(),
-            retire_hist: HistoryRegister::new(),
             lfsr: 0xace1,
             trained: 0,
             cfg,
@@ -146,21 +164,23 @@ impl Tage {
         Tage::new(TageConfig::paper())
     }
 
-    fn index(&self, pc: Addr, t: usize, hist: &HistoryRegister) -> usize {
-        let folded = hist.fold(self.cfg.hist_lens[t], self.cfg.table_bits);
+    fn index(&self, pc: Addr, t: usize, hist: u128) -> usize {
+        let folded = fold(hist, self.cfg.hist_lens[t], self.cfg.table_bits);
         let mask = (1u64 << self.cfg.table_bits) - 1;
         (((pc >> 2) ^ (pc >> (self.cfg.table_bits as u64 + 2)) ^ folded ^ (t as u64) << 3) & mask)
             as usize
     }
 
-    fn tag(&self, pc: Addr, t: usize, hist: &HistoryRegister) -> u16 {
-        let f1 = hist.fold(self.cfg.hist_lens[t], self.cfg.tag_bits);
-        let f2 = hist.fold(self.cfg.hist_lens[t], self.cfg.tag_bits - 1) << 1;
+    fn tag(&self, pc: Addr, t: usize, hist: u128) -> u16 {
+        let f1 = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits);
+        let f2 = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits - 1) << 1;
         let mask = (1u64 << self.cfg.tag_bits) - 1;
         (((pc >> 2) ^ f1 ^ f2) & mask) as u16
     }
 
-    fn lookup(&self, pc: Addr, hist: &HistoryRegister) -> TagePrediction {
+    /// Predicts `pc` under the global history `hist`.
+    #[must_use]
+    pub fn predict(&self, pc: Addr, hist: u128) -> TagePrediction {
         let base_taken = self.base.predict(pc).taken;
         let mut provider = None;
         let mut pred = base_taken;
@@ -180,54 +200,6 @@ impl Tage {
         }
     }
 
-    /// Predicts `pc` using the *speculative* history.
-    #[must_use]
-    pub fn predict(&self, pc: Addr) -> TagePrediction {
-        self.lookup(pc, &self.spec_hist)
-    }
-
-    /// Predicts `pc` with an externally-owned history (the front-end owns a
-    /// single shared history register).
-    #[must_use]
-    pub fn predict_with_hist(&self, pc: Addr, hist: u128) -> TagePrediction {
-        let mut h = HistoryRegister::new();
-        h.set(hist);
-        self.lookup(pc, &h)
-    }
-
-    /// Trains with the exact predict-time history snapshot (checkpoint-queue
-    /// payload equivalent, §IV-D). Does not touch the internal histories.
-    pub fn train_with_hist(&mut self, pc: Addr, taken: bool, hist: u128) {
-        let saved = self.retire_hist;
-        let mut h = HistoryRegister::new();
-        h.set(hist);
-        self.retire_hist = h;
-        self.train(pc, taken);
-        self.retire_hist = saved;
-    }
-
-    /// Pushes a speculative outcome (call after every predicted conditional).
-    pub fn spec_push(&mut self, taken: bool) {
-        self.spec_hist.push(taken);
-    }
-
-    /// Current speculative history bits (for flush repair bookkeeping).
-    #[must_use]
-    pub fn spec_bits(&self) -> u128 {
-        self.spec_hist.bits()
-    }
-
-    /// Overwrites the speculative history (flush repair).
-    pub fn spec_set(&mut self, bits: u128) {
-        self.spec_hist.set(bits);
-    }
-
-    /// Current retirement history bits.
-    #[must_use]
-    pub fn retire_bits(&self) -> u128 {
-        self.retire_hist.bits()
-    }
-
     fn rand2(&mut self) -> u32 {
         // 16-bit Galois LFSR for allocation randomization.
         let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
@@ -235,20 +207,19 @@ impl Tage {
         self.lfsr & 3
     }
 
-    /// Trains on a retired conditional branch. Uses (and then advances) the
-    /// retirement history.
-    pub fn train(&mut self, pc: Addr, taken: bool) {
-        let hist = self.retire_hist;
-        let pred = self.lookup(pc, &hist);
+    /// Trains on a retired conditional branch with the history it was
+    /// predicted under (the checkpoint-queue payload of §IV-D).
+    pub fn train(&mut self, pc: Addr, taken: bool, hist: u128) {
+        let pred = self.predict(pc, hist);
 
         // Update the provider (or base) counter.
         match pred.provider {
             Some(t) => {
                 let t = t as usize;
-                let i = self.index(pc, t, &hist);
+                let i = self.index(pc, t, hist);
                 // Useful bit: bumped when the provider differed from the
                 // alternate prediction and was right (aged when wrong).
-                let alt = self.alt_pred(pc, t, &hist);
+                let alt = self.alt_pred(pc, t, hist);
                 let e = &mut self.tables[t][i];
                 e.ctr = if taken {
                     (e.ctr + 1).min(3)
@@ -279,10 +250,10 @@ impl Tage {
                 let mut allocated = false;
                 let skip = (self.rand2() & 1) as usize;
                 for t in (start + skip)..self.tables.len() {
-                    let i = self.index(pc, t, &hist);
+                    let i = self.index(pc, t, hist);
                     if self.tables[t][i].u == 0 {
                         self.tables[t][i] = TageEntry {
-                            tag: self.tag(pc, t, &hist),
+                            tag: self.tag(pc, t, hist),
                             ctr: if taken { 0 } else { -1 },
                             u: 0,
                         };
@@ -293,7 +264,7 @@ impl Tage {
                 if !allocated {
                     // Decay the u counters along the allocation path.
                     for t in start..self.tables.len() {
-                        let i = self.index(pc, t, &hist);
+                        let i = self.index(pc, t, hist);
                         self.tables[t][i].u = self.tables[t][i].u.saturating_sub(1);
                     }
                 }
@@ -309,11 +280,9 @@ impl Tage {
                 }
             }
         }
-
-        self.retire_hist.push(taken);
     }
 
-    fn alt_pred(&self, pc: Addr, provider: usize, hist: &HistoryRegister) -> bool {
+    fn alt_pred(&self, pc: Addr, provider: usize, hist: u128) -> bool {
         for t in (0..provider).rev() {
             let e = &self.tables[t][self.index(pc, t, hist)];
             if e.tag == self.tag(pc, t, hist) {
@@ -329,8 +298,7 @@ impl Tage {
         self.cfg.storage_bits()
     }
 
-    /// Saves or restores all mutable state (tables, histories, LFSR, aging
-    /// counter). The geometry is config-derived and not written; loading
+    /// Saves or restores all mutable state (tables, LFSR, aging counter). The geometry is config-derived and not written; loading
     /// requires a predictor of the same geometry.
     ///
     /// # Errors
@@ -342,8 +310,6 @@ impl Tage {
         for t in &mut self.tables {
             io.table(t, "tage table")?;
         }
-        io.value(&mut self.spec_hist)?;
-        io.value(&mut self.retire_hist)?;
         io.value(&mut self.lfsr)?;
         io.value(&mut self.trained)
     }
@@ -353,18 +319,19 @@ impl Tage {
 mod tests {
     use super::*;
 
-    /// Drives predict→spec_push→train in lockstep (no wrong path).
+    /// Drives predict→train→history push in lockstep (no wrong path).
     fn run_stream(tage: &mut Tage, pc: Addr, outcomes: impl Iterator<Item = bool>) -> f64 {
         let mut miss = 0u64;
         let mut total = 0u64;
+        let mut hist = 0u128;
         for t in outcomes {
-            let p = tage.predict(pc);
+            let p = tage.predict(pc, hist);
             if p.taken != t {
                 miss += 1;
             }
             total += 1;
-            tage.spec_push(t);
-            tage.train(pc, t);
+            tage.train(pc, t, hist);
+            hist = (hist << 1) | u128::from(t);
         }
         miss as f64 / total as f64
     }
@@ -450,23 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_history_restore_roundtrips() {
-        let mut tage = Tage::new(TageConfig::tiny());
-        tage.spec_push(true);
-        tage.spec_push(false);
-        let saved = tage.spec_bits();
-        let before = tage.predict(0x6000);
-        tage.spec_push(true);
-        tage.spec_push(true);
-        tage.spec_set(saved);
-        assert_eq!(
-            tage.predict(0x6000),
-            before,
-            "restore must reproduce predictions"
-        );
-    }
-
-    #[test]
     fn paper_config_is_32kb_class() {
         let bits = TageConfig::paper().storage_bits();
         let kb = bits as f64 / 8192.0;
@@ -477,14 +427,15 @@ mod tests {
     fn distinct_pcs_do_not_destructively_interfere() {
         let mut tage = Tage::new(TageConfig::tiny());
         let mut missed = 0;
+        let mut hist = 0u128;
         for i in 0..4000 {
             for (pc, dir) in [(0x7000u64, true), (0x8000u64, false)] {
-                let p = tage.predict(pc);
+                let p = tage.predict(pc, hist);
                 if i > 100 && p.taken != dir {
                     missed += 1;
                 }
-                tage.spec_push(dir);
-                tage.train(pc, dir);
+                tage.train(pc, dir, hist);
+                hist = (hist << 1) | u128::from(dir);
             }
         }
         assert!(missed < 80, "interference misses: {missed}");

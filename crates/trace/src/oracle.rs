@@ -136,12 +136,6 @@ impl Oracle {
         self.first = self.first.max(bound);
     }
 
-    /// Current call-stack depth (observability for tests/examples).
-    #[must_use]
-    pub fn call_depth(&self) -> usize {
-        self.call_stack.len()
-    }
-
     fn step(&mut self) -> DynInst {
         let seq = self.first + self.buf.len() as u64;
         // Borrow the program field next to the disjoint mutable state

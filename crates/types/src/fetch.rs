@@ -173,6 +173,12 @@ impl FaqEntry {
     pub fn contains(&self, pc: Addr) -> bool {
         pc >= self.start_pc && pc < self.end_pc()
     }
+
+    /// The tracked branch at instruction offset `off`, if any.
+    #[must_use]
+    pub fn branch_at(&self, off: u8) -> Option<&FaqBranch> {
+        self.branches.iter().find(|b| b.offset == off)
+    }
 }
 
 /// A fetched (and, by the end of Decode, decoded) instruction record handed

@@ -247,25 +247,25 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
     (
         "641.leela",
         [
-            [0x5c35cd058fde77a8, 0x7529cf837c97034c, 0xbb1a3d90e3e74afe],
-            [0x62851932006dbf48, 0xaa0f6f7e04c7931c, 0x707d5320a52477c8],
-            [0x0dc865217e9dbfc0, 0x8cac809bb14378ee, 0xf76f840109767a37],
-            [0x917f5bf0bad67851, 0x5c82827b619d45db, 0x5ee44036e1c4568e],
-            [0x1ad3594d8551a4c2, 0x4a377f3b55caff5a, 0x9dc21d240db3100a],
-            [0xb7100cb8ecd61ddc, 0x34d3fb26024a3f72, 0x2090b7a169d6bc06],
-            [0x956771cdb9c972f7, 0xe561451691488045, 0x82fcb1e1c75c68dd],
+            [0x96db19f1d23084af, 0xd76491df66bbde1d, 0xfaaeb896f7d1b4f9],
+            [0x405abe2c74d7cb2c, 0xb1b877113dd80e3d, 0x0b2ae373ec25bc08],
+            [0xf0ff3ed57da6c3a2, 0xfd9151f0653ab322, 0x902fc8ae67af5047],
+            [0x7f6dc42776e51bdb, 0x2b90f839248266eb, 0x2104bd5d6e565024],
+            [0x349818ee561bab3b, 0xd0a93cca8ebc10ef, 0x96a0bc398635f7e4],
+            [0x9bc5cbf1516c852e, 0x3ed27841836c3a1f, 0x96550833a9b03d23],
+            [0xab2699eb39a21437, 0x6235a5605629378c, 0x004031e3c7be6da2],
         ],
     ),
     (
         "605.mcf",
         [
-            [0x8f1a04da4d51ec01, 0xd27995fd8f891c08, 0xdb1837b3e26129a5],
-            [0x979be473d503db37, 0x215ee95045b328ee, 0x54b76c702a3fdbb0],
-            [0xbfcd821dc675c4e3, 0x0798514000f96cb4, 0xb27d6991d90020cf],
-            [0xe1ea9ff0f6362b14, 0xc563d4a4759be6ea, 0x89690dbc825bb3b8],
-            [0x5ce42d3c9f5d669e, 0x84514c5dcb993ba4, 0x49ed53aba9a36f73],
-            [0xccf7dd75e3565678, 0x3e6b82855f508ea9, 0xf0380869c83b358e],
-            [0xbf191b9ab416f294, 0x90cd5a7cc66ddfa2, 0xed1899b7eed19f02],
+            [0x0e867e31409307a8, 0xc034e58dacfe0223, 0xd191626f991e4009],
+            [0x7624d88ed16f54a9, 0x8aa949dca928fa39, 0xafb37b84a091bbbc],
+            [0x97b3c7e6a2847be3, 0xd31f1ef0534fb7cf, 0x77074ccafd9cf8cd],
+            [0xaf3b481539e3c648, 0x22c23153e7d2693b, 0xb7f0e240739cdb1f],
+            [0x3da17ee159c332a2, 0xdfcfa6f16b91dd26, 0xa25224a36f966728],
+            [0xaed6ee0b1ee5ce80, 0x7764eed3fab210c3, 0x2ddf5450b3536f5f],
+            [0xe83c7dc3aca664d4, 0xc8219866c866188a, 0x91409df8f3d3be69],
         ],
     ),
 ];
@@ -275,14 +275,35 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
 /// fault plan (injector state and plan bytes), metrics, the invariant
 /// checker, idle-skip off and the gshare coupled predictor.
 const PINNED_OPTIONAL_STATE_DIGESTS: [[u64; 3]; 7] = [
-    [0x91c6ad251416de62, 0x63e253c54c0cf5b5, 0x68448f6d90260c15],
-    [0xbe2cd5dbf1b6d9fb, 0x25b99caf2b196e5d, 0x608ff1a5d9e66068],
-    [0x4df96e210d1262f8, 0x380206cb0740a6a2, 0xac02e079251bf19e],
-    [0x3d3376d3b09dcf50, 0xc59d3c2bd68f30ae, 0xe765fbd321df5af6],
-    [0x1bd214283f83a1df, 0xe137e6c45828c167, 0x2327f914bfd6dbda],
-    [0x9a3fcc0c827903fd, 0x3288375c4fc4a22c, 0x4b08f50cefa1937b],
-    [0x1493bdd4db4e5a58, 0xba0858ab866cb4e3, 0xe22187349c1b5cb2],
+    [0x159fc8f32de5299f, 0x592d9e2c09a49efc, 0x2aa99cf29163da3b],
+    [0x26daa1cb18b6cfbf, 0x090248ba196b930d, 0x84c6cee6ec6a62d6],
+    [0x5d0ec2aae3b27996, 0x70326d6b41780634, 0xedb4250a62d484b0],
+    [0x37131891d40c4233, 0x5ef21fdfaf418beb, 0x61a4e13eec0dd7c8],
+    [0xec4cae463e50506b, 0xe9d58b53dd903c32, 0xa38a334064cdc2f3],
+    [0xf738b9289fd026c8, 0x287cac5808d7c876, 0x3412c9cbfe08b651],
+    [0xd5807009b35f0de2, 0x69d3aa5eca7d9af8, 0x796dd4a65bdcc240],
 ];
+
+/// One digest row per arch as Rust source, each line prefixed by `indent`.
+fn rows_source(rows: &[[u64; 3]], indent: &str) -> String {
+    rows.iter()
+        .map(|r| {
+            format!(
+                "{indent}[{:#018x}, {:#018x}, {:#018x}],\n",
+                r[0], r[1], r[2]
+            )
+        })
+        .collect()
+}
+
+/// When the recomputed table differs from the pinned constant `name`,
+/// prints `body`, its Rust source, so one failing run re-records it; the
+/// caller's exact comparison still fails the test.
+fn print_if_changed(name: &str, changed: bool, body: &str) {
+    if changed {
+        eprint!("recomputed {name}:\n{body}");
+    }
+}
 
 /// Digests three checkpoints (20k warm-up, then one every 7,777 retired
 /// instructions) of `workload` for every arch, requiring each restored
@@ -319,8 +340,29 @@ fn snapshot_bytes_are_pinned() {
     // change to the back-end's or front-end's internal bookkeeping must
     // serialize to exactly the bytes recorded here, and a restored
     // simulator must checkpoint back to the same bytes it was built from.
-    for (workload, want) in PINNED_SNAPSHOT_DIGESTS {
-        let got = snapshot_digests(workload, SimConfig::baseline);
+    let got: Vec<Vec<[u64; 3]>> = PINNED_SNAPSHOT_DIGESTS
+        .iter()
+        .map(|(workload, _)| snapshot_digests(workload, SimConfig::baseline))
+        .collect();
+    let body: String = PINNED_SNAPSHOT_DIGESTS
+        .iter()
+        .zip(&got)
+        .map(|((workload, _), rows)| {
+            format!(
+                "    (\n        {workload:?},\n        [\n{}        ],\n    ),\n",
+                rows_source(rows, "            ")
+            )
+        })
+        .collect();
+    print_if_changed(
+        "PINNED_SNAPSHOT_DIGESTS",
+        PINNED_SNAPSHOT_DIGESTS
+            .iter()
+            .zip(&got)
+            .any(|((_, want), got)| want[..] != got[..]),
+        &body,
+    );
+    for ((workload, want), got) in PINNED_SNAPSHOT_DIGESTS.into_iter().zip(got) {
         for ((arch, want), got) in ARCHS.iter().zip(want).zip(got) {
             assert_eq!(
                 want,
@@ -345,6 +387,11 @@ fn optional_state_snapshot_bytes_are_pinned() {
         cfg.frontend.cpl_cond_kind = CoupledCondKind::Gshare { hist_bits: 9 };
         cfg
     });
+    print_if_changed(
+        "PINNED_OPTIONAL_STATE_DIGESTS",
+        PINNED_OPTIONAL_STATE_DIGESTS[..] != got[..],
+        &rows_source(&got, "    "),
+    );
     for ((arch, want), got) in ARCHS.iter().zip(PINNED_OPTIONAL_STATE_DIGESTS).zip(got) {
         assert_eq!(
             want,
@@ -360,13 +407,13 @@ fn optional_state_snapshot_bytes_are_pinned() {
 /// Table II defaults: the Boomerang-style BTB-miss probe on (pre-decoded
 /// blocks in `dcf_generate`) and FAQ-driven instruction prefetch off.
 const PINNED_FRONTEND_EXTENSION_DIGESTS: [[u64; 3]; 7] = [
-    [0x2ba2ae34cafd932e, 0x31897dcac263067a, 0x4d548d9088aa329c],
-    [0x5c1c5d41312a4f57, 0xcce337861d19cd15, 0xceda46f7a20e4fe1],
-    [0x4babd00a449fc721, 0xc09b95f8b233be4a, 0x575114e440ea596b],
-    [0x107c25c2052c12e8, 0xad5327e393d11816, 0x5c83241d5af4dab2],
-    [0xfdde96fe9aefdd9a, 0xeae8111cbf9710d8, 0x68e4bfd85684ecb3],
-    [0xfa5dfe88ece9830f, 0xd6d1bf7b33e8f3e2, 0xf137a8832f98beb4],
-    [0x0782ed77fd07c993, 0xfaeea83bad801b35, 0x1e51a048c14c9381],
+    [0x60c6b5a551cf9b01, 0xc3c12985bc1126c7, 0x29a29af63a4ac3e3],
+    [0xd0384295467c5f8d, 0x07564c9acc7663e9, 0x0d815706afa4dc9b],
+    [0x59e0a850d57a29ac, 0xaa0dac1e4aee5249, 0xb54ba069834c6aca],
+    [0x5a78af54bdeb92b6, 0x6d4394f19e87cd18, 0x384bd65028859903],
+    [0x46babaf36493b4bb, 0xc22b71f59b1a1213, 0x92602b782fa1fbc4],
+    [0xe9e545540617078f, 0x560afd7012ccaa79, 0x38aa5027919a1556],
+    [0x26dae0cb15019c22, 0x52649b0605626def, 0xede20d94f5f35c01],
 ];
 
 #[test]
@@ -379,6 +426,11 @@ fn frontend_extension_snapshot_bytes_are_pinned() {
         cfg.frontend.ifetch_prefetch = false;
         cfg
     });
+    print_if_changed(
+        "PINNED_FRONTEND_EXTENSION_DIGESTS",
+        PINNED_FRONTEND_EXTENSION_DIGESTS[..] != got[..],
+        &rows_source(&got, "    "),
+    );
     for ((arch, want), got) in ARCHS.iter().zip(PINNED_FRONTEND_EXTENSION_DIGESTS).zip(got) {
         assert_eq!(
             want,
