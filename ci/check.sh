@@ -115,3 +115,21 @@ ckpt="$tmp/optional.ckpt"
 ./target/release/elfsim --resume "$ckpt" --window 30000 \
     --metrics-json "$tmp/resumed.json" >/dev/null
 check_metrics_json "$tmp/resumed.json"
+
+# Smoke: a corrupted checkpoint must be rejected, not resumed. Flip one
+# byte mid-file in a copy (`--resume` keeps checkpointing into its input
+# file) and require exit 1 with the checksum named on stderr.
+corrupt="$tmp/corrupt.ckpt"
+cp "$ckpt" "$corrupt"
+mid=$(( $(wc -c <"$corrupt") / 2 ))
+byte=$(od -An -tu1 -j "$mid" -N1 "$corrupt" | tr -d ' ')
+printf "\\$(printf '%03o' $(( byte ^ 0xff )))" |
+    dd of="$corrupt" bs=1 seek="$mid" count=1 conv=notrunc status=none
+status=0
+./target/release/elfsim --resume "$corrupt" --window 30000 \
+    >/dev/null 2>"$tmp/corrupt.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q checksum "$tmp/corrupt.err"; then
+    echo "corrupted checkpoint: exit $status, want 1 naming the checksum" >&2
+    cat "$tmp/corrupt.err" >&2
+    exit 1
+fi

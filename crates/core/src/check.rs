@@ -15,8 +15,10 @@
 //! * **In-simulator invariant mode** ([`Checker`], enabled by
 //!   [`SimConfig::check`]): per-tick structural assertions on the machine —
 //!   FAQ occupancy and head-cursor bounds, RAS counter consistency,
-//!   fetch-mode legality, fetch-group id monotonicity, divergence-queue
-//!   alignment, ROB capacity and the cursor-vs-retired ordering. All checks
+//!   fetch-mode legality, fetch-group id monotonicity, a branch-history
+//!   queue holding only in-flight fids in order, divergence bitvector and
+//!   target-queue capacity, ROB capacity and the cursor-vs-retired
+//!   ordering. All checks
 //!   are read-only, so enabling them leaves [`crate::stats::SimStats`]
 //!   bit-identical (pinned by `tests/differential.rs`); a violation
 //!   surfaces as [`SimError::InvariantViolation`] with the machine state

@@ -148,7 +148,8 @@ pub struct SimConfig {
     pub metrics: bool,
     /// Run per-tick structural invariant checks (FAQ occupancy bounds, RAS
     /// counter coherence, legal mode transitions, fid monotonicity in
-    /// delivered groups, divergence-queue alignment) and fail the run with
+    /// delivered groups, in-flight branch-history fids, divergence-queue
+    /// capacity) and fail the run with
     /// [`SimError::InvariantViolation`] on the first violation. Off by
     /// default: when disabled the simulator pays a single branch per tick
     /// and `SimStats` are bit-identical either way (`tests/differential.rs`

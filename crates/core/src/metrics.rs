@@ -90,9 +90,9 @@ impl Metrics {
     }
 
     /// Charges `n` consecutive cycles that all classify identically: one
-    /// stepped tick (`n == 1`, with its delivery count) or a whole skipped
-    /// idle region (`n > 1`, zero deliveries by construction — the probe's
-    /// inputs are frozen across the region).
+    /// stepped tick (`n == 1`, with its delivery count) or a run of
+    /// skipped idle cycles (zero deliveries by construction, the same
+    /// probe inputs throughout; `n == 0` charges nothing).
     pub fn charge(
         &mut self,
         probe: &FetchCycleProbe,

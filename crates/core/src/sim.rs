@@ -255,17 +255,6 @@ impl Simulator {
                 t = t.min(due);
             }
         }
-        // With metrics on, stop where the fetch engine frees up: whether
-        // fetch is waiting (`fe_busy > now`) is the only cycle-attribution
-        // input that can flip inside a quiescent region, and clamping
-        // (always safe — it only shortens the skip) keeps the bulk
-        // classification exact and bit-identical to the stepped walk.
-        if self.metrics.is_some() {
-            let fb = self.fe.fetch_busy_until();
-            if fb > now {
-                t = t.min(fb);
-            }
-        }
         // Stopping at the cap reproduces the reference wedge behavior:
         // the no-op ticks up to `cap - 1` are charged, then `run` reports.
         t = t.min(cap);
@@ -281,10 +270,14 @@ impl Simulator {
         debug_assert!(k > 0);
         let room = self.be.dispatch_room();
         if let Some(m) = &mut self.metrics {
-            // Every classification input is frozen across the region (see
-            // `idle_skip_target`), so the whole span charges as one cause.
-            let probe = self.fe.cycle_probe(self.cycle);
-            m.charge(&probe, 0, room, k);
+            // Whether fetch is waiting (`fe_busy > now`) is the only
+            // classification input that can flip inside a quiescent region:
+            // the cycles before the fetch engine frees up charge as one
+            // cause, the rest as another.
+            let now = self.cycle;
+            let waiting = self.fe.fetch_busy_until().saturating_sub(now).min(k);
+            m.charge(&self.fe.cycle_probe(now), 0, room, waiting);
+            m.charge(&self.fe.cycle_probe(now + waiting), 0, room, k - waiting);
         }
         if room {
             self.fe.charge_idle_cycles(k);

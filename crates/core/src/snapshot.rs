@@ -11,8 +11,10 @@
 //! once.
 //!
 //! The byte layout is the hand-rolled [`elf_types::snap`] format behind an
-//! 8-byte magic and a `u32` version. Bump [`SNAPSHOT_VERSION`] on *any*
-//! layout change, in any component — the format is not self-describing.
+//! 8-byte magic and a `u32` version, followed by an FNV-1a/64 checksum of
+//! every byte before it, so a corrupted file is rejected instead of
+//! resuming with altered state. Bump [`SNAPSHOT_VERSION`] on *any* layout
+//! change, in any component — the format is not self-describing.
 //!
 //! ```
 //! use elf_core::{SimConfig, Simulator, Snapshot};
@@ -41,7 +43,17 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ELFSNAP\0";
 /// Current snapshot layout version. Readers reject any other value: the
 /// format is not self-describing, so a layout change anywhere in the
 /// serialized state must bump this.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
+
+/// Bytes before the parsed sections: magic and version.
+const HEADER_BYTES: usize = SNAPSHOT_MAGIC.len() + 4;
+
+/// FNV-1a/64 of `bytes`: the checksum that ends every serialized snapshot.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// A complete, restorable simulator checkpoint.
 #[derive(Debug, Clone)]
@@ -65,7 +77,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Serializes the snapshot to a standalone byte image
-    /// (magic + version + config + program + state).
+    /// (magic + version + config + program + state + checksum).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -76,7 +88,10 @@ impl Snapshot {
         self.cycle.save(&mut w);
         self.retired.save(&mut w);
         self.state.save(&mut w);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     /// Decodes a snapshot from bytes produced by [`Snapshot::to_bytes`].
@@ -84,18 +99,19 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns [`SimError::Snapshot`] on bad magic, an unsupported
-    /// version, or truncated/corrupt config and program sections. The
+    /// version, a checksum that does not match the bytes, or truncated or
+    /// corrupt config and program sections, checked in that order. The
     /// opaque state section is validated later, by
     /// [`crate::sim::Simulator::restore`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SimError> {
-        let mut r = SnapReader::new(bytes);
-        Snapshot::decode(&mut r).map_err(|e| SimError::Snapshot {
+        Snapshot::decode(bytes).map_err(|e| SimError::Snapshot {
             reason: e.to_string(),
         })
     }
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let magic = r.raw(8, "snapshot magic")?;
+    fn decode(bytes: &[u8]) -> Result<Self, SnapError> {
+        let r = &mut SnapReader::new(bytes);
+        let magic = r.raw(SNAPSHOT_MAGIC.len(), "snapshot magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapError::mismatch(format!(
                 "bad magic {magic:02x?} (not an ELF-sim snapshot)"
@@ -107,6 +123,21 @@ impl Snapshot {
                 "snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
             )));
         }
+        let (body, sum) = bytes
+            .len()
+            .checked_sub(8)
+            .filter(|&n| n >= HEADER_BYTES)
+            .map(|n| bytes.split_at(n))
+            .ok_or(SnapError::UnexpectedEof {
+                what: "snapshot checksum",
+            })?;
+        // invariant: `split_at` left exactly 8 bytes in `sum`.
+        if fnv1a64(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+            return Err(SnapError::mismatch(
+                "checksum does not match the contents (corrupt file)",
+            ));
+        }
+        let r = &mut SnapReader::new(&body[HEADER_BYTES..]);
         let cfg = SimConfig::load(r)?;
         let prog = Arc::new(Program::load(r)?);
         let cycle = Snap::load(r)?;

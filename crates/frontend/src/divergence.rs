@@ -17,32 +17,17 @@
 //!   **trust the fetcher**.
 //!
 //! Recording convention: both sides record one slot per instruction of
-//! their stream, passing a target exactly for *taken-predicted* branches.
-//! The slot's `(taken, branch)` bits are `(1, 1)` for those and `(0, 0)`
-//! for not-taken predictions and non-branches. This keeps the two streams
-//! positionally aligned up to the first divergent control-flow decision,
-//! which is exactly where a mismatching pair appears.
+//! their stream, carrying a [`TargetSlot`] exactly for *taken-predicted*
+//! branches. Each record is one bitvector slot and, when taken, its
+//! target-queue entry: the bitvector bit is `taken.is_some()`, and the
+//! target queue is the taken records in order, so the two can never fall
+//! out of step. Only the coupled target queue's 16-entry capacity is kept
+//! separately, as a count. This keeps the two streams positionally aligned
+//! up to the first divergent control-flow decision, which is exactly where
+//! a mismatching pair appears.
 
 use elf_types::{Addr, BranchKind};
 use std::collections::VecDeque;
-
-/// One bitvector slot: `(taken, is_branch)` per instruction. Both bits are
-/// set together, for taken-predicted branches only; the pair is kept as
-/// two bits because that is the snapshot layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VecSlot {
-    taken: bool,
-    branch: bool,
-}
-
-impl VecSlot {
-    fn of(taken: Option<TargetSlot>) -> VecSlot {
-        VecSlot {
-            taken: taken.is_some(),
-            branch: taken.is_some(),
-        }
-    }
-}
 
 /// One target-queue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +50,7 @@ pub enum Divergence {
         pc: u64,
         /// The DCF's direction for it.
         dcf_taken: bool,
-        /// The DCF's target, when it predicted taken and one was recorded.
+        /// The DCF's target, when it predicted taken.
         dcf_target: Option<u64>,
     },
     /// The fetcher decoded ground truth (stale BTB / BTB-miss proxy):
@@ -73,30 +58,33 @@ pub enum Divergence {
     TrustFetcher,
 }
 
+/// One coupled-stream slot: the delivered instruction and, for a
+/// taken-predicted branch, its target-queue entry.
 #[derive(Debug, Clone, Copy)]
 struct CoupledRec {
-    slot: VecSlot,
     fid: u64,
     pc: u64,
+    taken: Option<TargetSlot>,
 }
 
+/// One decoupled-stream slot.
 #[derive(Debug, Clone, Copy)]
 struct DecoupledRec {
-    slot: VecSlot,
     /// Slot produced by a BTB-miss proxy block (DCF had no branch info).
     proxy: bool,
-    /// The DCF's taken-target for this slot, if predicted taken.
-    target: Option<u64>,
+    /// The DCF's kind and target for this slot, if predicted taken.
+    taken: Option<TargetSlot>,
 }
 
 /// The comparison state. Slots are matched pairwise in order; matching
 /// pairs retire immediately (the valid-bit guarded comparison of Fig. 4).
 #[derive(Debug, Clone)]
 pub struct DivergenceTracker {
-    coupled_vec: VecDeque<CoupledRec>,
-    decoupled_vec: VecDeque<DecoupledRec>,
-    coupled_tq: VecDeque<(TargetSlot, u64)>,
-    decoupled_tq: VecDeque<TargetSlot>,
+    coupled: VecDeque<CoupledRec>,
+    decoupled: VecDeque<DecoupledRec>,
+    /// Taken records in `coupled`: the coupled target queue's occupancy.
+    /// Derived, never written to snapshots.
+    coupled_taken: usize,
     vec_capacity: usize,
     tq_capacity: usize,
     divergences: u64,
@@ -108,10 +96,9 @@ impl DivergenceTracker {
     #[must_use]
     pub fn new(vec_capacity: usize, tq_capacity: usize) -> Self {
         DivergenceTracker {
-            coupled_vec: VecDeque::new(),
-            decoupled_vec: VecDeque::new(),
-            coupled_tq: VecDeque::new(),
-            decoupled_tq: VecDeque::new(),
+            coupled: VecDeque::new(),
+            decoupled: VecDeque::new(),
+            coupled_taken: 0,
             vec_capacity,
             tq_capacity,
             divergences: 0,
@@ -119,109 +106,69 @@ impl DivergenceTracker {
     }
 
     /// Whether the coupled side may record another instruction (the fetcher
-    /// must stall when its bitvector is full).
+    /// must stall when its bitvector or target queue is full).
     #[must_use]
     pub fn coupled_has_room(&self) -> bool {
-        self.coupled_vec.len() < self.vec_capacity && self.coupled_tq.len() < self.tq_capacity
+        self.coupled.len() < self.vec_capacity && self.coupled_taken < self.tq_capacity
     }
 
     /// Records one coupled-stream instruction (populated after Decode);
     /// `taken` is the target of a taken-predicted branch, `None` otherwise.
     pub fn record_coupled(&mut self, fid: u64, pc: u64, taken: Option<TargetSlot>) {
-        let slot = VecSlot::of(taken);
-        self.coupled_vec.push_back(CoupledRec { slot, fid, pc });
-        if let Some(t) = taken {
-            self.coupled_tq.push_back((t, fid));
-        }
+        self.coupled_taken += usize::from(taken.is_some());
+        self.coupled.push_back(CoupledRec { fid, pc, taken });
     }
 
     /// Records one decoupled-stream instruction (populated at Fetch from a
     /// FAQ block; `proxy` marks BTB-miss proxy blocks); `taken` as for
     /// [`DivergenceTracker::record_coupled`].
     pub fn record_decoupled(&mut self, proxy: bool, taken: Option<TargetSlot>) {
-        self.decoupled_vec.push_back(DecoupledRec {
-            slot: VecSlot::of(taken),
-            proxy,
-            target: taken.map(|t| t.target),
-        });
-        if let Some(t) = taken {
-            self.decoupled_tq.push_back(t);
-        }
+        self.decoupled.push_back(DecoupledRec { proxy, taken });
     }
 
-    /// Compares sibling entries (both queues) and retires matching pairs.
+    /// Compares sibling slots in program order and retires matching pairs.
     /// Returns the first divergence found, if any. After a divergence the
     /// caller must [`DivergenceTracker::reset`].
     pub fn compare(&mut self) -> Option<Divergence> {
-        // Walk both streams in program order. Target queues hold exactly
-        // one entry per taken-predicted slot on their side, so they are
-        // consulted only when a matching (taken, branch) pair needs its
-        // targets verified — comparing them out of order would resolve a
-        // *later* target mismatch before an *earlier* direction mismatch.
-        while let (Some(&c), Some(&d)) = (self.coupled_vec.front(), self.decoupled_vec.front()) {
-            if c.slot != d.slot {
-                self.divergences += 1;
+        while let (Some(&c), Some(&d)) = (self.coupled.front(), self.decoupled.front()) {
+            let diverged = match (c.taken, d.taken) {
+                (None, None) => None,
+                (Some(ct), Some(dt)) if ct == dt => None,
                 // §IV-C2 case 1: the DCF streamed a sequential proxy while
                 // the fetcher decoded a taken branch — the fetcher wins.
-                if d.proxy && c.slot.taken {
-                    return Some(Divergence::TrustFetcher);
+                (Some(_), None) if d.proxy => Some(Divergence::TrustFetcher),
+                // A branch-kind mismatch (stale BTB type info), or a target
+                // mismatch on a direct branch (stale BTB target): the
+                // fetcher decoded the real instruction.
+                (Some(ct), Some(dt)) if ct.kind != dt.kind || ct.kind.is_direct() => {
+                    Some(Divergence::TrustFetcher)
                 }
-                return Some(Divergence::TrustDcf {
+                // A direction mismatch, or an indirect-target mismatch.
+                _ => Some(Divergence::TrustDcf {
                     fid: c.fid,
                     pc: c.pc,
-                    dcf_taken: d.slot.taken,
-                    dcf_target: d.target,
-                });
+                    dcf_taken: d.taken.is_some(),
+                    dcf_target: d.taken.map(|t| t.target),
+                }),
+            };
+            if diverged.is_some() {
+                self.divergences += 1;
+                return diverged;
             }
-            if c.slot.taken {
-                // Both sides predicted taken here: verify kind and target.
-                if self.coupled_tq.is_empty() && self.decoupled_tq.is_empty() {
-                    // No target data recorded for this pair (tests/edge);
-                    // treat as matching.
-                    self.coupled_vec.pop_front();
-                    self.decoupled_vec.pop_front();
-                    continue;
-                }
-                let (Some(&(ct, fid)), Some(&dt)) =
-                    (self.coupled_tq.front(), self.decoupled_tq.front())
-                else {
-                    // Target data not recorded yet on one side; wait.
-                    return None;
-                };
-                if ct.kind != dt.kind {
-                    // Branch-kind mismatch (stale BTB type info): the
-                    // fetcher decoded the real instruction.
-                    self.divergences += 1;
-                    return Some(Divergence::TrustFetcher);
-                }
-                if ct.target != dt.target {
-                    self.divergences += 1;
-                    if ct.kind.is_direct() {
-                        return Some(Divergence::TrustFetcher);
-                    }
-                    return Some(Divergence::TrustDcf {
-                        fid,
-                        pc: c.pc,
-                        dcf_taken: true,
-                        dcf_target: Some(dt.target),
-                    });
-                }
-                self.coupled_tq.pop_front();
-                self.decoupled_tq.pop_front();
-            }
-            self.coupled_vec.pop_front();
-            self.decoupled_vec.pop_front();
+            self.coupled.pop_front();
+            self.decoupled.pop_front();
+            self.coupled_taken -= usize::from(c.taken.is_some());
         }
         None
     }
 
     /// Whether a [`DivergenceTracker::compare`] call would provably return
     /// `None` without mutating anything: the in-order walk exits on its
-    /// first iteration when either bitvector stream is empty. Used by the
-    /// idle-cycle analysis to prove the per-cycle comparison is a no-op.
+    /// first iteration when either stream is empty. Used by the idle-cycle
+    /// analysis to prove the per-cycle comparison is a no-op.
     #[must_use]
     pub fn compare_is_noop(&self) -> bool {
-        self.coupled_vec.is_empty() || self.decoupled_vec.is_empty()
+        self.coupled.is_empty() || self.decoupled.is_empty()
     }
 
     /// Whether every recorded instruction has been validated — the mode
@@ -229,18 +176,14 @@ impl DivergenceTracker {
     /// through Decode and matched (paper §IV-C3).
     #[must_use]
     pub fn fully_drained(&self) -> bool {
-        self.coupled_vec.is_empty()
-            && self.decoupled_vec.is_empty()
-            && self.coupled_tq.is_empty()
-            && self.decoupled_tq.is_empty()
+        self.coupled.is_empty() && self.decoupled.is_empty()
     }
 
     /// Clears all state (mode switch complete or flush).
     pub fn reset(&mut self) {
-        self.coupled_vec.clear();
-        self.decoupled_vec.clear();
-        self.coupled_tq.clear();
-        self.decoupled_tq.clear();
+        self.coupled.clear();
+        self.decoupled.clear();
+        self.coupled_taken = 0;
     }
 
     /// Number of divergences detected since construction.
@@ -249,82 +192,67 @@ impl DivergenceTracker {
         self.divergences
     }
 
-    /// Checks the queue-alignment invariants and describes the first
-    /// violation (`None` when sound). Structural facts by construction:
-    /// the coupled bitvector never exceeds its capacity (recording is
-    /// gated on [`DivergenceTracker::coupled_has_room`]), and each target
-    /// queue holds at most one entry per taken-predicted slot of its own
-    /// bitvector (targets are pushed only alongside a taken slot and
-    /// popped in lockstep with it). Used by the simulator's invariant mode
+    /// Checks the capacity invariants and describes the first violation
+    /// (`None` when sound): the coupled bitvector and target queue never
+    /// exceed their capacities (recording is gated on
+    /// [`DivergenceTracker::coupled_has_room`]), and the target-queue count
+    /// matches the taken records. Used by the simulator's invariant mode
     /// (`SimConfig::check`); read-only.
     #[must_use]
     pub fn invariant_violation(&self) -> Option<String> {
-        if self.coupled_vec.len() > self.vec_capacity {
+        if self.coupled.len() > self.vec_capacity {
             return Some(format!(
                 "coupled bitvector holds {} > capacity {}",
-                self.coupled_vec.len(),
+                self.coupled.len(),
                 self.vec_capacity
             ));
         }
-        if self.coupled_tq.len() > self.tq_capacity {
+        let taken = self.taken_records();
+        if taken != self.coupled_taken {
             return Some(format!(
-                "coupled target queue holds {} > capacity {}",
-                self.coupled_tq.len(),
+                "coupled target queue counted as {} for {taken} taken slots",
+                self.coupled_taken
+            ));
+        }
+        (taken > self.tq_capacity).then(|| {
+            format!(
+                "coupled target queue holds {taken} > capacity {}",
                 self.tq_capacity
-            ));
-        }
-        let coupled_taken = self.coupled_vec.iter().filter(|c| c.slot.taken).count();
-        if self.coupled_tq.len() > coupled_taken {
-            return Some(format!(
-                "coupled target queue holds {} entries for {} taken slots",
-                self.coupled_tq.len(),
-                coupled_taken
-            ));
-        }
-        let decoupled_taken = self.decoupled_vec.iter().filter(|d| d.slot.taken).count();
-        if self.decoupled_tq.len() > decoupled_taken {
-            return Some(format!(
-                "decoupled target queue holds {} entries for {} taken slots",
-                self.decoupled_tq.len(),
-                decoupled_taken
-            ));
-        }
-        None
+            )
+        })
     }
 
-    /// Saves or restores both bitvectors, both target queues and the
-    /// divergence counter; loading requires a tracker with the same
-    /// capacities.
+    fn taken_records(&self) -> usize {
+        self.coupled.iter().filter(|c| c.taken.is_some()).count()
+    }
+
+    /// Saves or restores both streams and the divergence counter; loading
+    /// requires a tracker with the same capacities.
     ///
     /// # Errors
     ///
-    /// Loading fails on truncated bytes or a coupled bitvector or target
-    /// queue longer than its capacity.
+    /// Loading fails on truncated bytes, or on a coupled stream longer than
+    /// the bitvector or holding more taken slots than the target queue.
     pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
-        io.bounded(
-            &mut self.coupled_vec,
-            self.vec_capacity,
-            "coupled bitvector",
-        )?;
-        io.value(&mut self.decoupled_vec)?;
-        io.bounded(
-            &mut self.coupled_tq,
-            self.tq_capacity,
-            "coupled target queue",
-        )?;
-        io.value(&mut self.decoupled_tq)?;
-        io.value(&mut self.divergences)
+        io.bounded(&mut self.coupled, self.vec_capacity, "coupled bitvector")?;
+        io.value(&mut self.decoupled)?;
+        io.value(&mut self.divergences)?;
+        if io.loading() {
+            self.coupled_taken = self.taken_records();
+            if self.coupled_taken > self.tq_capacity {
+                return Err(elf_types::SnapError::mismatch(format!(
+                    "coupled target queue holds {} > capacity {}",
+                    self.coupled_taken, self.tq_capacity
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
-elf_types::snap_struct!(VecSlot { taken, branch });
 elf_types::snap_struct!(TargetSlot { kind, target });
-elf_types::snap_struct!(CoupledRec { slot, fid, pc });
-elf_types::snap_struct!(DecoupledRec {
-    slot,
-    proxy,
-    target
-});
+elf_types::snap_struct!(CoupledRec { fid, pc, taken });
+elf_types::snap_struct!(DecoupledRec { proxy, taken });
 
 #[cfg(test)]
 mod proptests {

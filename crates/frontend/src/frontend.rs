@@ -27,7 +27,7 @@ use elf_predictors::{Bimodal, BranchTargetCache, Gshare, Ittage, Ras, Tage};
 use elf_trace::Program;
 use elf_types::{
     seq_pc, Addr, BranchKind, Cycle, FaqBranch, FaqEntry, FaqTermination, FetchMode, FetchedInst,
-    FxHashMap, PredSource, Prediction, INST_BYTES, MAX_BLOCK_INSTS,
+    PredSource, Prediction, INST_BYTES, MAX_BLOCK_INSTS,
 };
 use std::collections::VecDeque;
 
@@ -164,11 +164,11 @@ impl FetchCycleCause {
 
 /// Pre-tick observation of the front-end state needed to attribute the
 /// coming cycle to one [`FetchCycleCause`]. Captured by
-/// [`Frontend::cycle_probe`] *before* the tick mutates anything; every
-/// field is frozen across an idle-skipped region (the skipper clamps its
-/// target to `fe_busy` when metrics are on, so `fetch_wait` cannot flip
-/// mid-region), which is what makes bulk attribution of skipped cycles
-/// exact.
+/// [`Frontend::cycle_probe`] *before* the tick mutates anything. Every
+/// field but `fetch_wait` is frozen across an idle-skipped region, and
+/// `fetch_wait` flips at most once, where the fetch engine frees up: the
+/// skipper charges the cycles on either side of that point with their own
+/// probe, which is what makes bulk attribution of skipped cycles exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchCycleProbe {
     /// In coupled mode (always for NoDCF, never for plain DCF).
@@ -347,7 +347,9 @@ pub struct Frontend {
     // Shared speculative global history (TAGE + ITTAGE).
     spec_hist: u128,
     retired_hist: u128,
-    snapshots: FxHashMap<u64, u128>,
+    /// Predict-time history of in-flight branches as `(fid, history)`,
+    /// fids strictly increasing inside `(last_retired_fid, fid_next]`.
+    snapshots: VecDeque<(u64, u128)>,
 
     // DCF engine.
     dcf_pc: Addr,
@@ -431,7 +433,7 @@ impl Frontend {
             cpl_ras: Ras::new(cfg.cpl_ras_entries),
             spec_hist: 0,
             retired_hist: 0,
-            snapshots: FxHashMap::default(),
+            snapshots: VecDeque::new(),
             dcf_pc: start_pc,
             dcf_busy: 0,
             faq: Faq::new(cfg.faq_entries),
@@ -538,11 +540,10 @@ impl Frontend {
         self.faq.len()
     }
 
-    /// First cycle at which the fetch engine is free again. The idle-cycle
-    /// skipper clamps its skip target to this when metrics are enabled:
-    /// `fetch_wait` is the only classification input that can flip inside
-    /// a quiescent region, and clamping (always safe — it only shortens a
-    /// skip) freezes it.
+    /// First cycle at which the fetch engine is free again. `fetch_wait` is
+    /// the only classification input that can flip inside a quiescent
+    /// region, and it flips here: the idle-cycle skipper charges the
+    /// skipped cycles before and after this point separately.
     #[must_use]
     pub fn fetch_busy_until(&self) -> Cycle {
         self.fe_busy
@@ -584,8 +585,10 @@ impl Frontend {
     ///   exist in coupled mode on an ELF;
     /// - retirement ids never run ahead of allocation
     ///   (`last_retired_fid <= fid_next`);
-    /// - the U-ELF divergence queues stay aligned (see
-    ///   [`DivergenceTracker::invariant_violation`]).
+    /// - the branch-history queue holds only in-flight fids, strictly
+    ///   increasing inside `(last_retired_fid, fid_next]`;
+    /// - the U-ELF divergence bitvector and target queue stay within their
+    ///   capacities (see [`DivergenceTracker::invariant_violation`]).
     #[must_use]
     pub fn invariant_violation(&self) -> Option<String> {
         if self.faq.len() > self.cfg.faq_entries {
@@ -649,7 +652,24 @@ impl Frontend {
                 self.last_retired_fid, self.fid_next
             ));
         }
-        self.div.invariant_violation()
+        self.history_violation()
+            .or_else(|| self.div.invariant_violation())
+    }
+
+    /// Describes the first branch-history entry whose fid is out of order
+    /// or outside the in-flight range `(last_retired_fid, fid_next]`.
+    fn history_violation(&self) -> Option<String> {
+        let mut after = self.last_retired_fid;
+        for &(fid, _) in &self.snapshots {
+            if fid <= after || fid > self.fid_next {
+                return Some(format!(
+                    "branch-history fid {fid} outside ({after}, {}]",
+                    self.fid_next
+                ));
+            }
+            after = fid;
+        }
+        None
     }
 
     /// Installs a BTB entry directly, bypassing retirement. Used by the
@@ -831,12 +851,6 @@ impl Frontend {
 
     fn resync_stage(&mut self, prog: &Program, cycle: Cycle, out: &mut TickOutput) {
         debug_assert!(matches!(self.arch, FetchArch::Elf(_)));
-        // The bitvectors and target queues are compared every cycle
-        // (Fig. 4), not just when new records arrive.
-        self.check_divergence(prog, cycle, out);
-        if self.mode != FetchMode::Coupled {
-            return;
-        }
         // Process visible FAQ blocks against the counters. At most a few
         // blocks per cycle (hardware compares one; allowing the backlog to
         // drain faster only shortens coupled periods marginally).
@@ -1253,7 +1267,7 @@ impl Frontend {
                 // Tracked by the BTB: prediction came from BP1; train later
                 // with the exact predict-time history snapshot.
                 if let Some(h) = gi.hist {
-                    self.snapshots.insert(self.fid_next + 1, h);
+                    self.snapshots.push_back((self.fid_next + 1, h));
                 }
                 // Maintain the coupled RAS in decoupled mode too (§IV-D2).
                 self.update_cpl_ras(kind, gi.pc);
@@ -1553,7 +1567,7 @@ impl Frontend {
     ) -> (Prediction, u32) {
         let (pred, hist, class) =
             self.predict_branch(pc, kind, static_target, PredSource::DecodedTarget);
-        self.snapshots.insert(self.fid_next + 1, hist);
+        self.snapshots.push_back((self.fid_next + 1, hist));
         let extra = match class {
             // Paper §III-C: resteer for returns stalls one extra cycle while
             // the DCF RAS is accessed.
@@ -1584,10 +1598,10 @@ impl Frontend {
     ) {
         let fid = self.next_fid();
         let sinst = prog.inst_or_nop(pc);
-        if sinst.class.is_branch() && !self.snapshots.contains_key(&fid) {
+        if sinst.class.is_branch() && self.snapshots.back().map(|&(f, _)| f) != Some(fid) {
             // Tracked branches get their BP1-time snapshot; everything else
             // falls back to the current speculative history.
-            self.snapshots.insert(fid, self.spec_hist);
+            self.snapshots.push_back((fid, self.spec_hist));
         }
         if let Some(fc) = self.pending_resteer_cycle.take() {
             self.stats.resteer_latency_sum += cycle.saturating_sub(fc);
@@ -1784,7 +1798,10 @@ impl Frontend {
         for &bit in ctx.hist_replay {
             self.spec_hist = (self.spec_hist << 1) | u128::from(bit);
         }
-        self.snapshots.retain(|&fid, _| fid <= ctx.boundary_fid);
+        let kept = self
+            .snapshots
+            .partition_point(|&(fid, _)| fid <= ctx.boundary_fid);
+        self.snapshots.truncate(kept);
 
         // RAS repair: architectural stack plus in-flight replay. In-place
         // copies — flushes are frequent and the deep clones showed up hot.
@@ -1823,6 +1840,16 @@ impl Frontend {
     /// predictor training, architectural RAS/history updates.
     pub fn retire(&mut self, info: &RetireInfo) {
         self.last_retired_fid = info.fid;
+        // A retiring branch takes its own history entry; older entries
+        // belong to instructions a divergence squash removed, which never
+        // retire.
+        let done = self.snapshots.partition_point(|&(fid, _)| fid <= info.fid);
+        let stashed = self
+            .snapshots
+            .drain(..done)
+            .next_back()
+            .filter(|&(fid, _)| fid == info.fid)
+            .map(|(_, hist)| hist);
         // BTB establishment at retirement.
         self.btb_builder.on_retire(
             info.pc,
@@ -1841,7 +1868,6 @@ impl Frontend {
         // Coupled-mode branches were predicted by history-free coupled
         // predictors; their stashed snapshot is the (stale) DCF history, so
         // train with the exact retired history instead.
-        let stashed = self.snapshots.remove(&info.fid);
         let snapshot = if info.mode == FetchMode::Coupled {
             self.retired_hist
         } else {
@@ -1882,12 +1908,6 @@ impl Frontend {
         if let Some(bit) = Self::history_bit(kind, info.taken) {
             self.retired_hist = (self.retired_hist << 1) | u128::from(bit);
         }
-
-        // Bound the snapshot map: drop entries that already retired.
-        if self.snapshots.len() > 4096 {
-            let bound = self.last_retired_fid;
-            self.snapshots.retain(|&fid, _| fid > bound);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1903,8 +1923,9 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Loading fails on truncated bytes or state that does not fit the
-    /// configuration.
+    /// Loading fails on truncated bytes, state that does not fit the
+    /// configuration, or branch-history fids that are out of order or not
+    /// in flight.
     pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
         self.btb.state(io)?;
         self.btb_builder.state(io)?;
@@ -1947,7 +1968,13 @@ impl Frontend {
         io.value(&mut self.last_retired_fid)?;
         io.value(&mut self.pending_resteer_cycle)?;
         io.value(&mut self.pending_decode_resteer)?;
-        io.value(&mut self.stats)
+        io.value(&mut self.stats)?;
+        if io.loading() {
+            if let Some(what) = self.history_violation() {
+                return Err(elf_types::SnapError::mismatch(what));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1986,5 +2013,42 @@ impl CoupledCond {
             CoupledCond::Bimodal(b) => b.train(pc, taken),
             CoupledCond::Gshare(g) => g.train(pc, retired_hist as u64, taken),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frontend() -> Frontend {
+        Frontend::new(
+            FrontendConfig::paper(),
+            FetchArch::Elf(ElfVariant::U),
+            0x1000,
+        )
+    }
+
+    /// Saves `fe` and loads the bytes into a fresh front-end.
+    fn reload(fe: &mut Frontend) -> Result<(), elf_types::SnapError> {
+        let mut w = elf_types::SnapWriter::new();
+        fe.state(&mut w).expect("saving cannot fail");
+        let bytes = w.into_bytes();
+        frontend().state(&mut elf_types::SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn load_rejects_branch_history_out_of_fid_order() {
+        let mut fe = frontend();
+        fe.fid_next = 10;
+        fe.last_retired_fid = 2;
+        fe.snapshots.extend([(4, 0b1), (7, 0b10)]);
+        assert_eq!(fe.invariant_violation(), None);
+        assert_eq!(reload(&mut fe), Ok(()), "in-flight fids in order load");
+        fe.snapshots = VecDeque::from([(7, 0b10), (4, 0b1)]);
+        assert!(fe.invariant_violation().is_some());
+        assert!(
+            matches!(reload(&mut fe), Err(elf_types::SnapError::Mismatch { .. })),
+            "out-of-order history fids must not load"
+        );
     }
 }

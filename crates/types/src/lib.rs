@@ -11,14 +11,12 @@
 #![warn(missing_docs)]
 
 pub mod fetch;
-pub mod fxhash;
 pub mod inst;
 pub mod snap;
 
 pub use fetch::{
     FaqBranch, FaqEntry, FaqTermination, FetchMode, FetchedInst, PredSource, Prediction,
 };
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use inst::{BranchKind, InstClass, StaticInst};
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter, StateIo};
 

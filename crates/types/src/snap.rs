@@ -11,7 +11,7 @@
 //!
 //! - all integers are little-endian and fixed-width; `usize` travels as
 //!   `u64`;
-//! - variable-length containers (`Vec`, `VecDeque`, `String`, maps) are
+//! - variable-length containers (`Vec`, `VecDeque`, `String`) are
 //!   length-prefixed with a `u64` count;
 //! - `Option<T>` is a `u8` tag (0/1) followed by the payload when present;
 //! - enums are a `u8` discriminant followed by variant payloads;
@@ -32,7 +32,7 @@
 //! load instead of panics or silent corruption. Derived state that is
 //! written in a canonical form branches on [`StateIo::loading`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,36 +480,6 @@ impl<T: Snap + Copy + Default, const N: usize> Snap for [T; N] {
     }
 }
 
-/// `HashMap` serialization: entries are written sorted by key so the same
-/// logical state always produces the same bytes (snapshot equality checks
-/// and content hashing stay meaningful).
-impl<K, V, S> Snap for HashMap<K, V, S>
-where
-    K: Snap + Ord + std::hash::Hash + Eq + Clone,
-    V: Snap + Clone,
-    S: std::hash::BuildHasher + Default,
-{
-    fn save(&self, w: &mut SnapWriter) {
-        let mut entries: Vec<(&K, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        entries.len().save(w);
-        for (k, v) in entries {
-            k.save(w);
-            v.save(w);
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.count("map length")?;
-        let mut out = HashMap::with_capacity_and_hasher(n, S::default());
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
 /// Implements [`Snap`] for a struct from its field list: fields are saved
 /// in the listed order and loaded back in the same order.
 ///
@@ -717,26 +687,6 @@ mod tests {
         round_trip(&VecDeque::from([1u8, 2, 3]));
         round_trip(&(1u64, true, 3u8));
         round_trip(&[5u64, 6, 7, 8]);
-        let mut m = HashMap::new();
-        m.insert(3u64, 4u128);
-        m.insert(1u64, 2u128);
-        round_trip(&m);
-    }
-
-    #[test]
-    fn hashmap_bytes_are_key_sorted() {
-        let mut a = HashMap::new();
-        a.insert(2u64, 20u64);
-        a.insert(1u64, 10u64);
-        let mut b = HashMap::new();
-        b.insert(1u64, 10u64);
-        b.insert(2u64, 20u64);
-        let enc = |m: &HashMap<u64, u64>| {
-            let mut w = SnapWriter::new();
-            m.save(&mut w);
-            w.into_bytes()
-        };
-        assert_eq!(enc(&a), enc(&b));
     }
 
     #[test]

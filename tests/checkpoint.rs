@@ -129,8 +129,13 @@ fn snapshot_reports_metadata_and_rejects_corruption() {
     assert_eq!(snap.retired, sim.retired());
 
     let mut bytes = snap.to_bytes();
-    // Truncation and magic corruption must both fail loudly, not panic.
+    // Truncation, a flipped bit mid-file and magic corruption must all
+    // fail loudly, not panic and not resume.
     assert!(Snapshot::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x01;
+    let err = Snapshot::from_bytes(&flipped).expect_err("a flipped bit is caught");
+    assert!(err.to_string().contains("checksum"), "{err}");
     bytes[0] ^= 0xff;
     assert!(Snapshot::from_bytes(&bytes).is_err());
 }
@@ -247,25 +252,25 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
     (
         "641.leela",
         [
-            [0x96db19f1d23084af, 0xd76491df66bbde1d, 0xfaaeb896f7d1b4f9],
-            [0x405abe2c74d7cb2c, 0xb1b877113dd80e3d, 0x0b2ae373ec25bc08],
-            [0xf0ff3ed57da6c3a2, 0xfd9151f0653ab322, 0x902fc8ae67af5047],
-            [0x7f6dc42776e51bdb, 0x2b90f839248266eb, 0x2104bd5d6e565024],
-            [0x349818ee561bab3b, 0xd0a93cca8ebc10ef, 0x96a0bc398635f7e4],
-            [0x9bc5cbf1516c852e, 0x3ed27841836c3a1f, 0x96550833a9b03d23],
-            [0xab2699eb39a21437, 0x6235a5605629378c, 0x004031e3c7be6da2],
+            [0xd2ee7c618a27091e, 0xe847a8d75a7ff1f1, 0x100cee9a1786de03],
+            [0xcbd70d6fd657a244, 0x18e422d90cb6fc2a, 0xca69f9888e4d8fa6],
+            [0x2da5cd6a4066170b, 0x5cce76b0c77504d5, 0x71b07131595e0785],
+            [0x90299bf3693e140a, 0x8a3abdfa6383941d, 0x26fc05e476d8ca8a],
+            [0x9d0002160471f4df, 0xdf54eedbdb07bf82, 0x05cbd182630afa21],
+            [0x688c77e3c8a9eea7, 0xcc41521611a14222, 0x1a635f62a494af70],
+            [0xaa251cad18178bca, 0x2b6a8435bdb4baa5, 0xa621c9a80a8724ee],
         ],
     ),
     (
         "605.mcf",
         [
-            [0x0e867e31409307a8, 0xc034e58dacfe0223, 0xd191626f991e4009],
-            [0x7624d88ed16f54a9, 0x8aa949dca928fa39, 0xafb37b84a091bbbc],
-            [0x97b3c7e6a2847be3, 0xd31f1ef0534fb7cf, 0x77074ccafd9cf8cd],
-            [0xaf3b481539e3c648, 0x22c23153e7d2693b, 0xb7f0e240739cdb1f],
-            [0x3da17ee159c332a2, 0xdfcfa6f16b91dd26, 0xa25224a36f966728],
-            [0xaed6ee0b1ee5ce80, 0x7764eed3fab210c3, 0x2ddf5450b3536f5f],
-            [0xe83c7dc3aca664d4, 0xc8219866c866188a, 0x91409df8f3d3be69],
+            [0x2478af62771b183a, 0x310842c69b2be334, 0x56910d8a6f0303df],
+            [0x99dbfeb66dc8a814, 0xb6738b90625782ef, 0x1edd4c45b7794153],
+            [0x6a1dd8ab9bfcc5f8, 0xd92658cc965a8b16, 0xee48b5f7dfc64175],
+            [0x7e98303783a4a484, 0x630e679643644074, 0xf8632d96b3ba7f9a],
+            [0x475534900ebe3a79, 0xbad61d954d04ab28, 0x8b3747735906280b],
+            [0xd600b194874ec891, 0xb01330fdcd73c164, 0x7ba9c18ff443ce16],
+            [0x791922667e562fc2, 0x19d8b1ef45453e6b, 0xf128b4d38ffdd3e1],
         ],
     ),
 ];
@@ -275,13 +280,13 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
 /// fault plan (injector state and plan bytes), metrics, the invariant
 /// checker, idle-skip off and the gshare coupled predictor.
 const PINNED_OPTIONAL_STATE_DIGESTS: [[u64; 3]; 7] = [
-    [0x159fc8f32de5299f, 0x592d9e2c09a49efc, 0x2aa99cf29163da3b],
-    [0x26daa1cb18b6cfbf, 0x090248ba196b930d, 0x84c6cee6ec6a62d6],
-    [0x5d0ec2aae3b27996, 0x70326d6b41780634, 0xedb4250a62d484b0],
-    [0x37131891d40c4233, 0x5ef21fdfaf418beb, 0x61a4e13eec0dd7c8],
-    [0xec4cae463e50506b, 0xe9d58b53dd903c32, 0xa38a334064cdc2f3],
-    [0xf738b9289fd026c8, 0x287cac5808d7c876, 0x3412c9cbfe08b651],
-    [0xd5807009b35f0de2, 0x69d3aa5eca7d9af8, 0x796dd4a65bdcc240],
+    [0x63fd1d17fa658882, 0x2c51e74a52d7f2ac, 0x046cfe16564d094a],
+    [0x4a5ca115b1682624, 0xeb760863bda027f0, 0xbce4e018e5e7d163],
+    [0xf5dd6a85910ba674, 0x82c88af2444290be, 0xb79d1c8afec8d733],
+    [0x235cf1db712dd567, 0xf59b614018ad1345, 0x3dd5155c26a05a09],
+    [0x42d32dfcb0f27138, 0xe13eb1473edbc231, 0x5f6a48df2d29256f],
+    [0x8a1aab059b7601be, 0x907b94104ad7cc1d, 0x32e2cfe7e65e61a3],
+    [0x82c9539c17b7c0c5, 0x4dced7821c0677fe, 0x7f7f5f3cbb97a8b8],
 ];
 
 /// One digest row per arch as Rust source, each line prefixed by `indent`.
@@ -407,13 +412,13 @@ fn optional_state_snapshot_bytes_are_pinned() {
 /// Table II defaults: the Boomerang-style BTB-miss probe on (pre-decoded
 /// blocks in `dcf_generate`) and FAQ-driven instruction prefetch off.
 const PINNED_FRONTEND_EXTENSION_DIGESTS: [[u64; 3]; 7] = [
-    [0x60c6b5a551cf9b01, 0xc3c12985bc1126c7, 0x29a29af63a4ac3e3],
-    [0xd0384295467c5f8d, 0x07564c9acc7663e9, 0x0d815706afa4dc9b],
-    [0x59e0a850d57a29ac, 0xaa0dac1e4aee5249, 0xb54ba069834c6aca],
-    [0x5a78af54bdeb92b6, 0x6d4394f19e87cd18, 0x384bd65028859903],
-    [0x46babaf36493b4bb, 0xc22b71f59b1a1213, 0x92602b782fa1fbc4],
-    [0xe9e545540617078f, 0x560afd7012ccaa79, 0x38aa5027919a1556],
-    [0x26dae0cb15019c22, 0x52649b0605626def, 0xede20d94f5f35c01],
+    [0xc0802d8e99b5a062, 0xbe2d6c7fa1a05afc, 0x3e9bf1ddd8637d0f],
+    [0xcf8d9d16a5fba80c, 0x76cf0295d361eba4, 0xd7ffefdfbb1c4d37],
+    [0x7aff3484012260ac, 0x1b01e24736e0ca73, 0x96c35c6992782ae4],
+    [0x128964f6de5351bf, 0x0a7509b397cd6254, 0x2f62b6dc4f289f3c],
+    [0xae666ca041aee978, 0x188d44b1fab0cf8b, 0xaa40aa1ee1a2b3ea],
+    [0x5b784ac955e2cbd1, 0xbe63eba9e7283d55, 0x9439da9db6682161],
+    [0xa943df4b12d2ba24, 0x635ddd7cb2d8594d, 0x67639b0207cca497],
 ];
 
 #[test]
