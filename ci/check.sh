@@ -9,10 +9,17 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 cargo fmt --all --check
+bash -n ci/ab.sh
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+# The back-end's slot ring and completion calendar and the predictors'
+# one-pass history folds are mask-and-shift arithmetic: run their unit
+# tests also as benches build them, with overflow checks and debug
+# assertions off.
+cargo test -q --release -p elf-core -p elf-predictors --lib
 
 # Idle-cycle skipping must stay a pure optimization: re-prove bit-identical
 # SimStats against the cycle-by-cycle reference walk in release mode (the

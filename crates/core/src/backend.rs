@@ -11,20 +11,26 @@
 //! Scheduler bookkeeping is slot-indexed. Every internal reference to an
 //! in-flight instruction (rename map, wakeup lists, completion events,
 //! load/store queue entries) is a `(fid, pos)` handle, where `pos` is the
-//! instruction's absolute ROB position; resolving one is a subtraction and
-//! an fid check. Wakeup lists and the ready bitmap are indexed by
-//! `pos` modulo a power-of-two ring, and issue walks the bitmap
-//! oldest-first from the ROB head. Loads and stores also sit in
-//! program-ordered queues, so store-to-load forwarding, RAW detection and
-//! the memory-dependence store lookup scan only the queue they need.
-//! Snapshots stay fid-keyed; positions are rebuilt on restore.
+//! instruction's absolute ROB position. The ROB itself, the wakeup lists
+//! and the ready bitmap live on one power-of-two ring indexed by `pos`
+//! modulo its size, so resolving a handle is a range check, a masked load
+//! and an fid check, and issue walks the bitmap oldest-first from the ROB
+//! head.
+//! Completion events sit in a calendar of per-cycle buckets. Loads and
+//! stores also sit in program-ordered queues, so store-to-load forwarding,
+//! RAW detection and the memory-dependence store lookup scan only the
+//! queue they need. Snapshots stay fid-keyed; positions are rebuilt on
+//! restore.
 
 use crate::config::BackendConfig;
 use crate::memdep::MemDepTable;
 use elf_mem::MemorySystem;
-use elf_types::{Addr, Cycle, FetchMode, InstClass, Prediction, SeqNum, StaticInst};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use elf_types::snap::Seq;
+use elf_types::{
+    Addr, Cycle, FetchMode, InstClass, Prediction, SeqNum, Snap, SnapError, SnapReader, SnapWriter,
+    StaticInst,
+};
+use std::collections::VecDeque;
 
 /// An instruction entering the back-end, annotated by the path tracker.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +89,7 @@ elf_types::snap_enum!(ExecState {
     2 => Done,
 });
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     b: BoundInst,
     state: ExecState,
@@ -100,6 +106,29 @@ elf_types::snap_struct!(RobEntry {
     deps_left,
     issued
 });
+
+impl RobEntry {
+    /// The content of a ring slot that has never held an instruction.
+    fn vacant() -> Self {
+        RobEntry {
+            b: BoundInst {
+                fid: 0,
+                sinst: StaticInst::simple(0, InstClass::Nop),
+                seq: None,
+                mode: FetchMode::Decoupled,
+                pred: None,
+                taken: false,
+                next_pc: 0,
+                mem_addr: None,
+                mispredicted: false,
+            },
+            state: ExecState::Waiting,
+            wait_store_fid: None,
+            deps_left: 0,
+            issued: false,
+        }
+    }
+}
 
 /// Why a pipeline flush was requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,10 +225,10 @@ elf_types::snap_struct!(BackendStats {
 });
 
 /// A reference to an in-flight instruction: its front-end id and its
-/// absolute ROB position (`rob_front_pos` + index at dispatch). Resolving
-/// one is a subtraction plus an fid check; the check rejects handles whose
-/// entry retired or was squashed, including when a younger instruction
-/// has since reused the position.
+/// absolute ROB position (the ROB's `front_pos` + index at dispatch).
+/// Resolving one is a range check, a masked load and an fid check; the
+/// checks reject handles whose entry retired or was squashed, including
+/// when a younger instruction has since reused the slot.
 #[derive(Debug, Clone, Copy)]
 struct Handle {
     fid: u64,
@@ -245,6 +274,314 @@ elf_types::snap_struct!(FidKeyed {
     events
 });
 
+/// The reorder buffer on the slot ring: the entry at absolute position
+/// `pos` lives in slot `pos & mask`, the index the ready bitmap and the
+/// wakeup lists use too. The live positions `front_pos..front_pos + len`
+/// never share a slot, because the ring is at least `rob_entries` long.
+#[derive(Debug)]
+struct Rob {
+    slots: Vec<RobEntry>,
+    /// Position of the oldest entry; advances by one per retirement, so a
+    /// handle's position stays valid while its entry is in flight.
+    front_pos: u64,
+    len: usize,
+    mask: u64,
+}
+
+impl Rob {
+    fn new(ring: usize) -> Self {
+        debug_assert!(ring.is_power_of_two());
+        Rob {
+            slots: vec![RobEntry::vacant(); ring],
+            front_pos: 0,
+            len: 0,
+            mask: ring as u64 - 1,
+        }
+    }
+
+    /// The slot backing absolute position `pos`.
+    #[inline]
+    fn slot(&self, pos: u64) -> usize {
+        (pos & self.mask) as usize
+    }
+
+    /// The position of the live entry in `slot`.
+    #[inline]
+    fn position_at(&self, slot: usize) -> u64 {
+        self.front_pos + ((slot as u64).wrapping_sub(self.front_pos) & self.mask)
+    }
+
+    /// The position the next dispatched entry takes.
+    #[inline]
+    fn back_pos(&self) -> u64 {
+        self.front_pos + self.len as u64
+    }
+
+    fn front(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self.slots[self.slot(self.front_pos)])
+    }
+
+    fn back(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self.slots[self.slot(self.back_pos() - 1)])
+    }
+
+    fn push_back(&mut self, e: RobEntry) {
+        debug_assert!(self.len < self.slots.len());
+        let s = self.slot(self.back_pos());
+        self.slots[s] = e;
+        self.len += 1;
+    }
+
+    /// Removes the oldest entry, returning it and the slot it vacated.
+    fn pop_front(&mut self) -> Option<(RobEntry, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let s = self.slot(self.front_pos);
+        self.front_pos += 1;
+        self.len -= 1;
+        Some((self.slots[s], s))
+    }
+
+    /// Removes the youngest entry, returning it and the slot it vacated.
+    fn pop_back(&mut self) -> Option<(RobEntry, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let s = self.slot(self.back_pos());
+        Some((self.slots[s], s))
+    }
+
+    /// The live entries oldest-first, each with its position.
+    fn iter(&self) -> impl Iterator<Item = (u64, &RobEntry)> {
+        (self.front_pos..self.back_pos()).map(|pos| (pos, &self.slots[self.slot(pos)]))
+    }
+
+    /// The slot of a handle's entry, if it is still in flight.
+    #[inline]
+    fn index_of(&self, h: Handle) -> Option<usize> {
+        let s = self.slot(h.pos);
+        (h.pos.wrapping_sub(self.front_pos) < self.len as u64 && self.slots[s].b.fid == h.fid)
+            .then_some(s)
+    }
+
+    /// The position of an in-flight fid (binary search: the ROB is
+    /// fid-sorted). For the rare fid-keyed calls only.
+    fn position_of(&self, fid: u64) -> Option<u64> {
+        let fid_at = |pos: u64| self.slots[self.slot(pos)].b.fid;
+        let (mut lo, mut hi) = (self.front_pos, self.back_pos());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fid_at(mid) < fid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < self.back_pos() && fid_at(lo) == fid).then_some(lo)
+    }
+}
+
+impl std::ops::Index<usize> for Rob {
+    type Output = RobEntry;
+
+    fn index(&self, slot: usize) -> &RobEntry {
+        &self.slots[slot]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Rob {
+    fn index_mut(&mut self, slot: usize) -> &mut RobEntry {
+        &mut self.slots[slot]
+    }
+}
+
+/// Snapshots hold the live entries oldest-first, the layout of a queue;
+/// loading places them from position 0.
+impl Seq for Rob {
+    fn item_count(&self) -> usize {
+        self.len
+    }
+
+    fn save_items(&self, w: &mut SnapWriter) {
+        for (_, e) in self.iter() {
+            e.save(w);
+        }
+    }
+
+    fn load_items(&mut self, r: &mut SnapReader<'_>, n: usize) -> Result<(), SnapError> {
+        if n > self.slots.len() {
+            return Err(SnapError::mismatch(format!(
+                "{n} ROB entries do not fit a {}-slot ring",
+                self.slots.len()
+            )));
+        }
+        self.front_pos = 0;
+        self.len = 0;
+        for _ in 0..n {
+            self.push_back(RobEntry::load(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// A completion event: the instruction with id `fid` at position `pos`
+/// finishes executing at cycle `done`.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    done: Cycle,
+    fid: u64,
+    pos: u64,
+}
+
+/// Buckets in the completion calendar: a power of two no shorter than the
+/// longest latency of the default configuration (DRAM, 250 cycles).
+const SPAN: usize = 256;
+
+/// End of a calendar bucket's node list.
+const NIL: u32 = u32::MAX;
+
+/// Completion events bucketed by done cycle. Every event in the ring is
+/// done in `[lo, lo + SPAN)`, so bucket `done % SPAN` holds the events of
+/// exactly one cycle, as a list threaded through one flat node pool.
+/// Events outside that window when scheduled wait in `overflow` (a config
+/// may raise `MemConfig::dram_latency`). Events leave only when their
+/// cycle completes, stale ones of squashed instructions included.
+#[derive(Debug)]
+struct Calendar {
+    /// First node of each bucket's list, or [`NIL`].
+    heads: Vec<u32>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; SPAN / 64],
+    /// Events and their next-node links; free nodes are chained from
+    /// `free`, so the pool only grows to the most events ever pending.
+    nodes: Vec<(Event, u32)>,
+    free: u32,
+    /// The window's start: cycles before it have completed (or, after a
+    /// restore, have no event).
+    lo: Cycle,
+    /// Done cycle of the earliest ring event (`Cycle::MAX` when none).
+    ring_next: Cycle,
+    overflow: Vec<Event>,
+    /// Done cycle of the earliest overflow event (`Cycle::MAX` when none).
+    overflow_next: Cycle,
+}
+
+impl Calendar {
+    /// An empty calendar whose window starts at `lo`.
+    fn new(lo: Cycle) -> Self {
+        Calendar {
+            heads: vec![NIL; SPAN],
+            occupied: [0; SPAN / 64],
+            nodes: Vec::new(),
+            free: NIL,
+            lo,
+            ring_next: Cycle::MAX,
+            overflow: Vec::new(),
+            overflow_next: Cycle::MAX,
+        }
+    }
+
+    /// Done cycle of the earliest pending event, stale or live.
+    #[inline]
+    fn next_done(&self) -> Option<Cycle> {
+        let next = self.ring_next.min(self.overflow_next);
+        (next != Cycle::MAX).then_some(next)
+    }
+
+    fn push(&mut self, ev: Event) {
+        if ev.done < self.lo || ev.done - self.lo >= SPAN as u64 {
+            self.overflow.push(ev);
+            self.overflow_next = self.overflow_next.min(ev.done);
+            return;
+        }
+        let b = ev.done as usize & (SPAN - 1);
+        let link = (ev, self.heads[b]);
+        let n = if self.free == NIL {
+            self.nodes.push(link);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 pending events")
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].1;
+            self.nodes[n as usize] = link;
+            n
+        };
+        self.heads[b] = n;
+        self.occupied[b / 64] |= 1 << (b & 63);
+        self.ring_next = self.ring_next.min(ev.done);
+    }
+
+    /// Removes and returns one event done at or before `now`, if any.
+    fn pop_due(&mut self, now: Cycle) -> Option<Event> {
+        if self.ring_next <= now {
+            let b = self.ring_next as usize & (SPAN - 1);
+            let n = self.heads[b];
+            let (ev, next) = self.nodes[n as usize];
+            self.heads[b] = next;
+            self.nodes[n as usize].1 = self.free;
+            self.free = n;
+            if next == NIL {
+                self.occupied[b / 64] &= !(1 << (b & 63));
+                self.ring_next = self.first_from(self.ring_next + 1);
+            }
+            return Some(ev);
+        }
+        if self.overflow_next <= now {
+            let i = self.overflow.iter().position(|e| e.done <= now)?;
+            let ev = self.overflow.swap_remove(i);
+            self.overflow_next = self
+                .overflow
+                .iter()
+                .map(|e| e.done)
+                .min()
+                .unwrap_or(Cycle::MAX);
+            return Some(ev);
+        }
+        None
+    }
+
+    /// Done cycle of the first non-empty bucket from cycle `from` on, when
+    /// every ring event is done in `[from, from + SPAN)`.
+    fn first_from(&self, from: Cycle) -> Cycle {
+        const WORDS: usize = SPAN / 64;
+        let start = from as usize & (SPAN - 1);
+        let (start_word, start_bit) = (start / 64, start & 63);
+        for k in 0..=WORDS {
+            let wi = (start_word + k) & (WORDS - 1);
+            let mut bits = self.occupied[wi];
+            if k == 0 {
+                bits &= !0u64 << start_bit;
+            } else if k == WORDS {
+                bits &= (1u64 << start_bit) - 1;
+            }
+            if bits != 0 {
+                let b = wi * 64 + bits.trailing_zeros() as usize;
+                return from + (b.wrapping_sub(start) & (SPAN - 1)) as u64;
+            }
+        }
+        Cycle::MAX
+    }
+
+    /// Records that every cycle through `now` has completed.
+    fn advance(&mut self, now: Cycle) {
+        debug_assert!(self.next_done().is_none_or(|d| d > now));
+        self.lo = self.lo.max(now + 1);
+    }
+
+    /// Every pending event, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        let ring = self.heads.iter().flat_map(move |&head| {
+            std::iter::successors((head != NIL).then_some(head), move |&n| {
+                let next = self.nodes[n as usize].1;
+                (next != NIL).then_some(next)
+            })
+            .map(move |n| self.nodes[n as usize].0)
+        });
+        ring.chain(self.overflow.iter().copied())
+    }
+}
+
 /// What [`Backend::squash_younger`] removed, and the replay material of
 /// the survivors when asked for.
 #[derive(Debug, Default)]
@@ -261,13 +598,9 @@ struct Squashed {
 #[derive(Debug)]
 pub struct Backend {
     cfg: BackendConfig,
-    rob: VecDeque<RobEntry>,
-    /// Absolute position of `rob[0]`; advances by one per retirement, so a
-    /// handle's position stays valid while its entry is in flight.
-    rob_front_pos: u64,
-    /// `ring - 1`, where `ring = rob_entries.next_power_of_two()` slots
-    /// back the per-slot scheduler state; live positions never collide.
-    slot_mask: u64,
+    /// The ROB on a ring of `rob_entries.next_power_of_two()` slots; the
+    /// per-slot scheduler state below uses the same slot indices.
+    rob: Rob,
     dispatch_q: VecDeque<(BoundInst, Cycle)>,
     reg_map: [Option<Handle>; 32],
     prf_used: usize,
@@ -280,17 +613,17 @@ pub struct Backend {
     /// instruction. Cleared when the slot is reallocated; entries for
     /// squashed dependents are rejected by their handle's fid check.
     wakeup: Vec<Vec<Handle>>,
-    /// Completion events, a min-heap on (done cycle, fid, pos). A fid
-    /// issues at most once, so (done, fid) is unique and pop order is the
-    /// sorted order; snapshots write the events sorted.
-    exec_events: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
+    /// Completion events by done cycle. A fid issues at most once, so
+    /// (done, fid) is unique; snapshots write the events sorted by it.
+    exec_events: Calendar,
     /// In-flight loads and stores, each in program order: pushed at
     /// dispatch, popped at commit (front) or squash (back).
     loads: VecDeque<LsqEntry>,
     stores: VecDeque<LsqEntry>,
-    /// Scratch flush lists reused by `complete` (cleared per cycle).
-    raw_flush_scratch: Vec<PendingFlush>,
-    misp_flush_scratch: Vec<PendingFlush>,
+    /// Scratch flush lists reused by `complete` (cleared per cycle), each
+    /// flush keyed by the (done, fid) of the completion that raised it.
+    raw_flush_scratch: Vec<((Cycle, u64), PendingFlush)>,
+    misp_flush_scratch: Vec<((Cycle, u64), PendingFlush)>,
     /// Replay lists of the last applied flush, handed back through
     /// [`Backend::recycle_flush`] for the next one to fill.
     spare_hist_replay: Vec<bool>,
@@ -308,16 +641,14 @@ impl Backend {
     pub fn new(cfg: BackendConfig) -> Self {
         let ring = cfg.rob_entries.next_power_of_two();
         Backend {
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            rob_front_pos: 0,
-            slot_mask: ring as u64 - 1,
+            rob: Rob::new(ring),
             dispatch_q: VecDeque::new(),
             reg_map: [None; 32],
             prf_used: 0,
             iq_used: 0,
             ready: vec![0; ring.div_ceil(64)],
             wakeup: vec![Vec::new(); ring],
-            exec_events: BinaryHeap::new(),
+            exec_events: Calendar::new(0),
             loads: VecDeque::with_capacity(cfg.lsq_entries),
             stores: VecDeque::with_capacity(cfg.lsq_entries),
             raw_flush_scratch: Vec::new(),
@@ -352,7 +683,7 @@ impl Backend {
     /// Whether the back-end (ROB + dispatch queue) is completely empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rob.is_empty() && self.dispatch_q.is_empty()
+        self.rob.len == 0 && self.dispatch_q.is_empty()
     }
 
     /// Whether a flush has been requested but not yet applied (redirect in
@@ -393,47 +724,43 @@ impl Backend {
         self.loads.len() + self.stores.len()
     }
 
-    /// Current ROB index of a handle's entry, if it is still in flight.
+    /// The ROB slot of a handle's entry, if it is still in flight.
     #[inline]
     fn index_of(&self, h: Handle) -> Option<usize> {
-        let i = h.pos.wrapping_sub(self.rob_front_pos) as usize;
-        (i < self.rob.len() && self.rob[i].b.fid == h.fid).then_some(i)
+        self.rob.index_of(h)
     }
 
-    /// Current ROB index of an in-flight fid (binary search: the ROB is
-    /// fid-sorted). For the rare fid-keyed calls only.
+    /// The ROB slot of an in-flight fid. For the rare fid-keyed calls only.
     fn rob_index(&self, fid: u64) -> Option<usize> {
-        self.rob.binary_search_by_key(&fid, |e| e.b.fid).ok()
+        self.rob.position_of(fid).map(|pos| self.rob.slot(pos))
     }
 
     /// A handle for `fid`: its live position, or [`GONE`] when not in the
     /// ROB.
     fn handle_of(&self, fid: u64) -> Handle {
-        let pos = self
-            .rob_index(fid)
-            .map_or(GONE, |i| self.rob_front_pos + i as u64);
+        let pos = self.rob.position_of(fid).unwrap_or(GONE);
         Handle { fid, pos }
     }
 
     /// The scheduler slot backing absolute ROB position `pos`.
     #[inline]
     fn slot(&self, pos: u64) -> usize {
-        (pos & self.slot_mask) as usize
+        self.rob.slot(pos)
     }
 
     #[inline]
     fn set_ready(&mut self, slot: usize) {
-        self.ready[slot / 64] |= 1 << (slot % 64);
+        self.ready[slot / 64] |= 1 << (slot & 63);
     }
 
     #[inline]
     fn clear_ready(&mut self, slot: usize) {
-        self.ready[slot / 64] &= !(1 << (slot % 64));
+        self.ready[slot / 64] &= !(1 << (slot & 63));
     }
 
     #[inline]
     fn is_ready(&self, slot: usize) -> bool {
-        (self.ready[slot / 64] >> (slot % 64)) & 1 == 1
+        (self.ready[slot / 64] >> (slot & 63)) & 1 == 1
     }
 
     /// The oracle sequence number of an in-flight instruction, if present
@@ -535,9 +862,8 @@ impl Backend {
         });
         while self.rob.back().is_some_and(|e| e.b.fid > boundary_fid) {
             // invariant: the loop condition proves the ROB is non-empty.
-            let e = self.rob.pop_back().expect("checked above");
+            let (e, slot) = self.rob.pop_back().expect("checked above");
             note(e.b.seq);
-            let slot = self.slot(self.rob_front_pos + self.rob.len() as u64);
             self.release_entry(&e, slot);
             self.stats.squashed += 1;
             count += 1;
@@ -549,12 +875,9 @@ impl Backend {
             }
         }
         self.reg_map = [None; 32];
-        for (i, e) in self.rob.iter().enumerate() {
+        for (pos, e) in self.rob.iter() {
             if let Some(d) = e.b.sinst.dst {
-                self.reg_map[d as usize] = Some(Handle {
-                    fid: e.b.fid,
-                    pos: self.rob_front_pos + i as u64,
-                });
+                self.reg_map[d as usize] = Some(Handle { fid: e.b.fid, pos });
             }
             if !replay || !e.b.is_bound() {
                 continue;
@@ -633,7 +956,7 @@ impl Backend {
             if *ready > now {
                 break;
             }
-            if self.rob.len() >= self.cfg.rob_entries {
+            if self.rob.len >= self.cfg.rob_entries {
                 self.stats.rob_full_cycles += 1;
                 break;
             }
@@ -650,7 +973,7 @@ impl Backend {
             let (b, _) = self.dispatch_q.pop_front().expect("checked above");
             let h = Handle {
                 fid: b.fid,
-                pos: self.rob_front_pos + self.rob.len() as u64,
+                pos: self.rob.back_pos(),
             };
             let slot = self.slot(h.pos);
             let mut producers: [Option<Handle>; 3] = [None, None, None];
@@ -710,11 +1033,13 @@ impl Backend {
 
         // Walk the ready bitmap oldest-first: from the head's slot to the
         // end of the ring, then around to just below the head.
-        let head = self.slot(self.rob_front_pos);
+        // `words` is a power of two: the ring is, and a ring shorter than
+        // 64 slots has one word.
+        let head = self.slot(self.rob.front_pos);
         let words = self.ready.len();
-        let (head_word, head_bit) = (head / 64, head % 64);
+        let (head_word, head_bit) = (head / 64, head & 63);
         'walk: for k in 0..=words {
-            let wi = (head_word + k) % words;
+            let wi = (head_word + k) & (words - 1);
             let mut bits = self.ready[wi];
             if k == 0 {
                 bits &= !0u64 << head_bit;
@@ -729,9 +1054,8 @@ impl Backend {
                 }
                 let slot = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let i = (slot.wrapping_sub(head) as u64 & self.slot_mask) as usize;
                 let class = {
-                    let e = &self.rob[i];
+                    let e = &self.rob[slot];
                     debug_assert_eq!(e.state, ExecState::Waiting);
                     debug_assert_eq!(e.deps_left, 0);
                     e.b.sinst.class
@@ -775,23 +1099,23 @@ impl Backend {
                 if !port_ok {
                     continue;
                 }
-                let latency = self.exec_latency(i, mem, now);
+                let latency = self.exec_latency(slot, mem, now);
                 let done = now + u64::from(latency.max(1));
-                let e = &mut self.rob[i];
+                let e = &mut self.rob[slot];
                 e.state = ExecState::Executing { done };
                 e.issued = true;
                 let fid = e.b.fid;
                 self.clear_ready(slot);
                 self.iq_used = self.iq_used.saturating_sub(1);
-                self.exec_events
-                    .push(Reverse((done, fid, self.rob_front_pos + i as u64)));
+                let pos = self.rob.position_at(slot);
+                self.exec_events.push(Event { done, fid, pos });
                 issued += 1;
             }
         }
     }
 
-    fn exec_latency(&mut self, idx: usize, mem: &mut MemorySystem, now: Cycle) -> u32 {
-        let e = &self.rob[idx];
+    fn exec_latency(&mut self, slot: usize, mem: &mut MemorySystem, now: Cycle) -> u32 {
+        let e = &self.rob[slot];
         match e.b.sinst.class {
             InstClass::Alu | InstClass::Nop | InstClass::Branch(_) => 1,
             InstClass::Mul => self.cfg.mul_latency,
@@ -823,11 +1147,10 @@ impl Backend {
         let mut mispredict_flushes = std::mem::take(&mut self.misp_flush_scratch);
         debug_assert!(raw_flushes.is_empty() && mispredict_flushes.is_empty());
 
-        while let Some(&Reverse((done, fid, pos))) = self.exec_events.peek() {
-            if done > now {
-                break;
-            }
-            self.exec_events.pop();
+        // Events of one cycle come out in no particular order: done marks
+        // and wakeups commute, and the flushes are requested below in the
+        // events' (done, fid) order.
+        while let Some(Event { done, fid, pos }) = self.exec_events.pop_due(now) {
             // Squashed entries leave stale completion events behind; skip them.
             let Some(i) = self.index_of(Handle { fid, pos }) else {
                 continue;
@@ -842,7 +1165,7 @@ impl Backend {
 
             // Branch resolution.
             if bound && b.mispredicted && class.is_branch() {
-                mispredict_flushes.push(PendingFlush {
+                let f = PendingFlush {
                     cause: FlushCause::Mispredict,
                     boundary_fid: fid,
                     restart_pc: b.next_pc,
@@ -850,7 +1173,8 @@ impl Backend {
                     cursor_target: b.seq.expect("bound") + 1,
                     apply_at: now + u64::from(self.cfg.redirect_latency),
                     raw_pair: None,
-                });
+                };
+                mispredict_flushes.push(((done, fid), f));
             }
 
             // RAW-hazard detection: a store executing finds the oldest
@@ -861,12 +1185,15 @@ impl Backend {
                     let qword = sa & !7;
                     let first = self.loads.partition_point(|l| l.h.fid < fid);
                     let hit = self.loads.range(first..).find_map(|l| {
+                        if !l.bound || l.qword != qword {
+                            return None;
+                        }
                         let j = self.index_of(l.h)?;
-                        (l.bound && l.qword == qword && self.rob[j].issued).then_some(j)
+                        self.rob[j].issued.then_some(j)
                     });
                     if let Some(j) = hit {
                         let l = &self.rob[j].b;
-                        raw_flushes.push(PendingFlush {
+                        let f = PendingFlush {
                             cause: FlushCause::RawHazard,
                             boundary_fid: l.fid - 1,
                             restart_pc: l.sinst.pc,
@@ -874,7 +1201,8 @@ impl Backend {
                             cursor_target: l.seq.expect("bound"),
                             apply_at: now + u64::from(self.cfg.redirect_latency),
                             raw_pair: Some((l.sinst.pc, store_pc)),
-                        });
+                        };
+                        raw_flushes.push(((done, fid), f));
                     }
                 }
             }
@@ -896,8 +1224,13 @@ impl Backend {
             }
             self.wakeup[slot] = deps;
         }
+        self.exec_events.advance(now);
 
-        for f in mispredict_flushes.drain(..).chain(raw_flushes.drain(..)) {
+        // The first request wins among equal boundaries, so two stores that
+        // alias one younger load train memdep with the older store's PC.
+        mispredict_flushes.sort_unstable_by_key(|&(key, _)| key);
+        raw_flushes.sort_unstable_by_key(|&(key, _)| key);
+        for (_, f) in mispredict_flushes.drain(..).chain(raw_flushes.drain(..)) {
             self.request_flush(f);
         }
         self.raw_flush_scratch = raw_flushes;
@@ -991,9 +1324,7 @@ impl Backend {
                 break;
             }
             // invariant: the let-else binding proves the ROB is non-empty.
-            let e = self.rob.pop_front().expect("checked above");
-            let slot = self.slot(self.rob_front_pos);
-            self.rob_front_pos += 1;
+            let (e, slot) = self.rob.pop_front().expect("checked above");
             self.release_entry(&e, slot);
             match e.b.sinst.class {
                 InstClass::Load => {
@@ -1044,7 +1375,7 @@ impl Backend {
         // Complete: next completion event (stale events count — popping
         // them mutates the event set, so the reference walk must do it at
         // the same cycle).
-        if let Some(&Reverse((done, _, _))) = self.exec_events.peek() {
+        if let Some(done) = self.exec_events.next_done() {
             if done <= now {
                 return None;
             }
@@ -1065,7 +1396,7 @@ impl Backend {
         if let Some(&(b, ready)) = self.dispatch_q.front() {
             if ready > now {
                 until = until.min(ready);
-            } else if self.rob.len() < self.cfg.rob_entries
+            } else if self.rob.len < self.cfg.rob_entries
                 && self.iq_used < self.cfg.iq_entries
                 && !(b.sinst.class.is_mem() && self.lsq_used() >= self.cfg.lsq_entries)
                 && !(b.sinst.dst.is_some() && self.prf_used >= self.cfg.prf_entries)
@@ -1117,7 +1448,7 @@ impl Backend {
     /// ROB-full counter.
     pub fn charge_idle_cycles(&mut self, n: u64, now: Cycle) {
         if let Some(&(_, ready)) = self.dispatch_q.front() {
-            if ready <= now && self.rob.len() >= self.cfg.rob_entries {
+            if ready <= now && self.rob.len >= self.cfg.rob_entries {
                 self.stats.rob_full_cycles += n;
             }
         }
@@ -1126,7 +1457,7 @@ impl Backend {
     /// ROB occupancy (for statistics/tests).
     #[must_use]
     pub fn rob_len(&self) -> usize {
-        self.rob.len()
+        self.rob.len
     }
 
     /// Saves or restores the complete back-end state: ROB, dispatch queue,
@@ -1149,7 +1480,7 @@ impl Backend {
     /// whose fids are not strictly increasing, ready or wakeup dependents
     /// that are not live waiting entries, or wakeup producers that are not
     /// live unfinished entries.
-    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), SnapError> {
         io.bounded(&mut self.rob, self.cfg.rob_entries, "ROB")?;
         io.value(&mut self.dispatch_q)?;
         let mut keyed = if io.loading() {
@@ -1170,26 +1501,28 @@ impl Backend {
 
     /// The scheduler bookkeeping in snapshot form.
     fn fid_keyed(&self) -> FidKeyed {
-        let slot_at = |i: usize| self.slot(self.rob_front_pos + i as u64);
-        let fid_at = |i: usize| self.rob[i].b.fid;
-        let ready = (0..self.rob.len())
-            .filter(|&i| self.is_ready(slot_at(i)))
-            .map(fid_at)
+        let ready = self
+            .rob
+            .iter()
+            .filter(|&(pos, _)| self.is_ready(self.slot(pos)))
+            .map(|(_, e)| e.b.fid)
             .collect();
-        let wakeup = (0..self.rob.len())
-            .filter_map(|i| {
-                let deps: Vec<u64> = self.wakeup[slot_at(i)]
+        let wakeup = self
+            .rob
+            .iter()
+            .filter_map(|(pos, e)| {
+                let deps: Vec<u64> = self.wakeup[self.slot(pos)]
                     .iter()
                     .filter(|d| self.index_of(**d).is_some())
                     .map(|d| d.fid)
                     .collect();
-                (!deps.is_empty()).then(|| (fid_at(i), deps))
+                (!deps.is_empty()).then_some((e.b.fid, deps))
             })
             .collect();
         let mut events: Vec<(Cycle, u64)> = self
             .exec_events
             .iter()
-            .map(|&Reverse((done, fid, _))| (done, fid))
+            .map(|ev| (ev.done, ev.fid))
             .collect();
         events.sort_unstable();
         FidKeyed {
@@ -1202,43 +1535,43 @@ impl Backend {
 
     /// Rebuilds the positional scheduler state and resource counts around
     /// a just-loaded ROB, rejecting bookkeeping the ROB does not imply.
-    fn restore_fid_keyed(&mut self, keyed: FidKeyed) -> Result<(), elf_types::SnapError> {
-        use elf_types::SnapError;
+    fn restore_fid_keyed(&mut self, keyed: FidKeyed) -> Result<(), SnapError> {
         if self
             .rob
             .iter()
             .zip(self.rob.iter().skip(1))
-            .any(|(a, b)| a.b.fid >= b.b.fid)
+            .any(|((_, a), (_, b))| a.b.fid >= b.b.fid)
         {
             return Err(SnapError::mismatch("ROB fids are not strictly increasing"));
         }
-        // Positions are not serialized: re-anchor them at the restored
-        // ROB's current layout.
-        self.rob_front_pos = 0;
+        // Positions are not serialized: loading placed the ROB from
+        // position 0.
+        debug_assert_eq!(self.rob.front_pos, 0);
         self.reg_map = keyed.reg_map.map(|f| f.map(|f| self.handle_of(f)));
-        self.prf_used = self.rob.iter().filter(|e| e.b.sinst.dst.is_some()).count();
-        self.iq_used = self.rob.iter().filter(|e| !e.issued).count();
+        self.prf_used = self
+            .rob
+            .iter()
+            .filter(|(_, e)| e.b.sinst.dst.is_some())
+            .count();
+        self.iq_used = self.rob.iter().filter(|(_, e)| !e.issued).count();
         self.loads.clear();
         self.stores.clear();
-        for i in 0..self.rob.len() {
-            let b = self.rob[i].b;
-            let h = Handle {
-                fid: b.fid,
-                pos: i as u64,
-            };
-            self.lsq_push(h, &b);
+        for pos in 0..self.rob.len as u64 {
+            let b = self.rob[self.slot(pos)].b;
+            self.lsq_push(Handle { fid: b.fid, pos }, &b);
         }
         let waiting = |be: &Self, fid: u64, what: &str| {
-            be.rob_index(fid)
-                .filter(|&i| be.rob[i].state == ExecState::Waiting)
+            be.rob
+                .position_of(fid)
+                .filter(|&pos| be.rob[be.slot(pos)].state == ExecState::Waiting)
                 .ok_or_else(|| {
                     SnapError::mismatch(format!("{what} fid {fid} is not a waiting ROB entry"))
                 })
         };
         self.ready.fill(0);
         for fid in keyed.ready {
-            let i = waiting(self, fid, "ready")?;
-            self.set_ready(self.slot(i as u64));
+            let pos = waiting(self, fid, "ready")?;
+            self.set_ready(self.slot(pos));
         }
         for list in &mut self.wakeup {
             list.clear();
@@ -1246,31 +1579,44 @@ impl Backend {
         for (producer, deps) in keyed.wakeup {
             let p = self
                 .rob_index(producer)
-                .filter(|&i| self.rob[i].state != ExecState::Done)
+                .filter(|&s| self.rob[s].state != ExecState::Done)
                 .ok_or_else(|| {
                     SnapError::mismatch(format!(
                         "wakeup producer fid {producer} is not an unfinished ROB entry"
                     ))
                 })?;
             for fid in deps {
-                let d = waiting(self, fid, "wakeup dependent")?;
-                let ps = self.slot(p as u64);
-                self.wakeup[ps].push(Handle { fid, pos: d as u64 });
+                let pos = waiting(self, fid, "wakeup dependent")?;
+                self.wakeup[p].push(Handle { fid, pos });
             }
         }
-        self.exec_events = keyed
+        // Anchor the calendar at the earliest event: every event is still
+        // pending, so none is done before the next tick.
+        let lo = keyed
             .events
-            .into_iter()
-            .map(|(done, fid)| Reverse((done, fid, self.handle_of(fid).pos)))
-            .collect();
+            .iter()
+            .map(|&(done, _)| done)
+            .min()
+            .unwrap_or(0);
+        self.exec_events = Calendar::new(lo);
+        for (done, fid) in keyed.events {
+            let pos = self.handle_of(fid).pos;
+            self.exec_events.push(Event { done, fid, pos });
+        }
         Ok(())
+    }
+
+    /// Completion events waiting in the calendar's overflow list.
+    #[cfg(test)]
+    pub(crate) fn overflow_events(&self) -> usize {
+        self.exec_events.overflow.len()
     }
 
     /// Diagnostic dump of the oldest ROB entries.
     #[must_use]
     pub fn debug_head(&self) -> String {
         let mut s = String::new();
-        for (i, e) in self.rob.iter().enumerate().take(4) {
+        for (pos, e) in self.rob.iter().take(4) {
             s.push_str(&format!(
                 "[fid={} seq={:?} class={:?} state={:?} deps={} ws={:?} issued={} ready_in_set={}] ",
                 e.b.fid,
@@ -1280,7 +1626,7 @@ impl Backend {
                 e.deps_left,
                 e.wait_store_fid,
                 e.issued,
-                self.is_ready(self.slot(self.rob_front_pos + i as u64)),
+                self.is_ready(self.slot(pos)),
             ));
         }
         s
@@ -1313,6 +1659,11 @@ mod tests {
             mem_addr: None,
             mispredicted: false,
         }
+    }
+
+    /// The `i`-th oldest ROB entry.
+    fn at(be: &Backend, i: usize) -> &RobEntry {
+        &be.rob[be.slot(be.rob.front_pos + i as u64)]
     }
 
     fn run_until_empty(be: &mut Backend, mem: &mut MemorySystem) -> (u64, Vec<RetiredInst>) {
@@ -1685,15 +2036,15 @@ mod tests {
         assert_eq!(be.squash_after_returning_seq(2), Some(3));
         be.accept(alu(4, 0xf00c, None, [20, NO_REG]), 3);
         run_cycles(&mut be, &mut mem, 4..30);
-        assert_eq!(be.rob[0].b.fid, 2, "the divide completed and retired");
-        let e = &be.rob[1];
+        assert_eq!(at(&be, 0).b.fid, 2, "the divide completed and retired");
+        let e = at(&be, 1);
         assert_eq!(e.b.fid, 4);
         assert_eq!(
             (e.state, e.deps_left),
             (ExecState::Waiting, 1),
             "the divide's completion must not wake the slot's new occupant"
         );
-        assert!(!be.is_ready(be.slot(be.rob_front_pos + 1)));
+        assert!(!be.is_ready(be.slot(be.rob.front_pos + 1)));
         let (_, retired) = run_until_empty(&mut be, &mut mem);
         assert_eq!(retired.len(), 2, "the load and fid 4");
     }
@@ -1717,7 +2068,7 @@ mod tests {
             0,
         );
         run_cycles(&mut be, &mut mem, 0..6);
-        assert!(be.rob[2].issued && !be.rob[1].issued);
+        assert!(at(&be, 2).issued && !at(&be, 1).issued);
         let (cycles, retired) = run_until_empty(&mut be, &mut mem);
         assert_eq!(retired.len(), 3);
         assert_eq!(
@@ -1729,6 +2080,84 @@ mod tests {
             cycles > 50,
             "the load must pay the cold miss: {cycles} cycles"
         );
+    }
+
+    #[test]
+    fn same_cycle_aliasing_stores_train_memdep_with_the_older_store() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        // Two stores to one word wait on a divide, so they issue together
+        // and complete in the same cycle; the younger load to that word
+        // issues first.
+        be.accept(
+            op(1, 0x1_3000, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(
+            mem_op(2, 0x1_3004, InstClass::Store, [5, NO_REG], 0x11_0000),
+            0,
+        );
+        be.accept(
+            mem_op(3, 0x1_3008, InstClass::Store, [5, NO_REG], 0x11_0000),
+            0,
+        );
+        be.accept(
+            mem_op(4, 0x1_300c, InstClass::Load, [NO_REG, NO_REG], 0x11_0000),
+            0,
+        );
+        let mut store_done = Vec::new();
+        let mut retired = Vec::new();
+        let mut flush = None;
+        for c in 0..100 {
+            flush = be.tick_into(&mut mem, c, &mut retired);
+            for (_, e) in be.rob.iter() {
+                if let (InstClass::Store, ExecState::Executing { done }) =
+                    (e.b.sinst.class, e.state)
+                {
+                    store_done.push(done);
+                }
+            }
+            if flush.is_some() {
+                break;
+            }
+        }
+        store_done.dedup();
+        assert_eq!(store_done.len(), 1, "the stores complete in one cycle");
+        let f = flush.expect("the load must raise a RAW flush");
+        assert_eq!((f.cause, f.boundary_fid), (FlushCause::RawHazard, 3));
+        assert_eq!(
+            be.memdep.predicted_store(0x1_300c),
+            Some(0x1_3004),
+            "memdep learns the older store's PC"
+        );
+    }
+
+    #[test]
+    fn a_stale_completion_event_bounds_quiescence() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        be.accept(
+            op(1, 0x1_4000, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        let mut retired = Vec::new();
+        let mut now = 0;
+        let done = loop {
+            be.tick_into(&mut mem, now, &mut retired);
+            if let Some((_, e)) = be.rob.iter().next() {
+                if let ExecState::Executing { done } = e.state {
+                    break done;
+                }
+            }
+            now += 1;
+            assert!(now < 20, "the divide never issued");
+        };
+        // Squash the divide: its event stays in the calendar until `done`.
+        assert_eq!(be.squash_after_returning_seq(0), Some(1));
+        assert!(be.is_empty());
+        assert_eq!(be.quiescent_until(now), Some(done));
+        be.tick_into(&mut mem, done, &mut retired);
+        assert_eq!(be.quiescent_until(done), Some(Cycle::MAX));
     }
 
     #[test]
@@ -1791,7 +2220,7 @@ mod tests {
             0,
         );
         run_cycles(&mut be, &mut mem, 0..=2);
-        let ld = &be.rob[4];
+        let ld = at(&be, 4);
         assert_eq!(ld.b.fid, 5);
         assert_eq!(ld.wait_store_fid, Some(3));
         assert_eq!(ld.deps_left, 1, "the load waits for that store");
@@ -1812,10 +2241,10 @@ mod tests {
         let drain = |be: &mut Backend, mem: &mut MemorySystem, cycle: &mut u64, check: bool| {
             let mut wrapped_choice = false;
             while !be.is_empty() {
-                let head = be.slot(be.rob_front_pos);
+                let head = be.slot(be.rob.front_pos);
                 let (mut above, mut below) = (false, false);
-                for (i, _) in be.rob.iter().enumerate() {
-                    let slot = be.slot(be.rob_front_pos + i as u64);
+                for (pos, _) in be.rob.iter() {
+                    let slot = be.slot(pos);
                     if be.is_ready(slot) {
                         *(if slot >= head { &mut above } else { &mut below }) = true;
                     }
@@ -1827,7 +2256,7 @@ mod tests {
                 if check {
                     // Independent ALUs issue in program order: the issued
                     // entries always form a prefix of the ROB.
-                    let issued: Vec<bool> = be.rob.iter().map(|e| e.issued).collect();
+                    let issued: Vec<bool> = be.rob.iter().map(|(_, e)| e.issued).collect();
                     assert!(
                         issued.windows(2).all(|w| w[0] || !w[1]),
                         "younger entry issued before an older one: {issued:?}"
@@ -1840,7 +2269,7 @@ mod tests {
             be.accept(alu(1 + i, 0x2_0000 + i * 4, None, [NO_REG, NO_REG]), 0);
         }
         drain(&mut be, &mut mem, &mut cycle, false);
-        assert_eq!(be.slot(be.rob_front_pos), 120);
+        assert_eq!(be.slot(be.rob.front_pos), 120);
         for i in 0..40 {
             be.accept(
                 alu(121 + i, 0x3_0000 + i * 4, None, [NO_REG, NO_REG]),

@@ -1204,6 +1204,38 @@ mod tests {
         assert_geometry_rejected("frontend.tage.hist_lens", |c| {
             c.frontend.tage.hist_lens.push(200);
         });
+        assert_geometry_rejected("frontend.tage.hist_lens", |c| {
+            c.frontend.tage.hist_lens = vec![128, 4];
+        });
+        assert_geometry_rejected("frontend.tage.hist_lens", |c| {
+            c.frontend.tage.hist_lens = vec![4; 17];
+        });
+    }
+
+    #[test]
+    fn loads_past_the_completion_ring_are_exact_across_skips_and_restores() {
+        // 700-cycle DRAM misses complete past the back-end's 256-cycle
+        // completion ring, so they wait in its overflow list.
+        let mut cfg = SimConfig::baseline(FetchArch::Elf(ElfVariant::U));
+        cfg.mem.dram_latency = 700;
+        let second_leg = |idle_skip: bool| {
+            let mut c = cfg.clone();
+            c.idle_skip = idle_skip;
+            let mut sim = mini_sim(c, 23);
+            sim.run_ok(6_000);
+            sim.run_ok(6_000)
+        };
+        let want = second_leg(false);
+        assert_eq!(second_leg(true), want, "idle skipping moved the stats");
+
+        let mut head = mini_sim(cfg, 23);
+        head.run_ok(6_000);
+        assert!(
+            head.be.overflow_events() > 0,
+            "no load was past the ring at the checkpoint"
+        );
+        let mut resumed = Simulator::restore(&head.checkpoint()).expect("snapshot restores");
+        assert_eq!(resumed.run_ok(6_000), want, "the restored run diverged");
     }
 
     #[test]

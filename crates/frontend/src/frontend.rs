@@ -1843,13 +1843,16 @@ impl Frontend {
         // A retiring branch takes its own history entry; older entries
         // belong to instructions a divergence squash removed, which never
         // retire.
-        let done = self.snapshots.partition_point(|&(fid, _)| fid <= info.fid);
-        let stashed = self
-            .snapshots
-            .drain(..done)
-            .next_back()
-            .filter(|&(fid, _)| fid == info.fid)
-            .map(|(_, hist)| hist);
+        let mut stashed = None;
+        while let Some(&(fid, hist)) = self.snapshots.front() {
+            if fid > info.fid {
+                break;
+            }
+            self.snapshots.pop_front();
+            if fid == info.fid {
+                stashed = Some(hist);
+            }
+        }
         // BTB establishment at retirement.
         self.btb_builder.on_retire(
             info.pc,

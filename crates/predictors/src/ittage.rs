@@ -5,7 +5,7 @@
 //! lengths hold full targets plus a confidence counter; a PC-indexed base
 //! table provides the fallback target.
 
-use crate::history::fold;
+use crate::history::{fold_each, TableHash, MAX_TABLES};
 use elf_types::Addr;
 
 /// Geometry of an [`Ittage`] predictor.
@@ -15,7 +15,8 @@ pub struct IttageConfig {
     pub table_bits: u8,
     /// Tag width in bits.
     pub tag_bits: u8,
-    /// History length per tagged table.
+    /// History length per tagged table (non-decreasing, each at most 128,
+    /// at most [`MAX_TABLES`] tables).
     pub hist_lens: Vec<u16>,
     /// log2 entries of the PC-indexed base table.
     pub base_bits: u8,
@@ -72,8 +73,20 @@ pub struct Ittage {
 
 impl Ittage {
     /// Creates a predictor with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history lengths break the rules on
+    /// [`IttageConfig::hist_lens`].
     #[must_use]
     pub fn new(cfg: IttageConfig) -> Self {
+        let lens = &cfg.hist_lens;
+        assert!(
+            lens.len() <= MAX_TABLES
+                && lens.windows(2).all(|w| w[0] <= w[1])
+                && lens.iter().all(|&len| len <= 128),
+            "unusable ITTAGE history lengths {lens:?}"
+        );
         Ittage {
             base: vec![0; 1 << cfg.base_bits],
             tables: cfg
@@ -92,26 +105,45 @@ impl Ittage {
         Ittage::new(IttageConfig::paper())
     }
 
-    fn index(&self, pc: Addr, t: usize, hist: u128) -> usize {
-        let folded = fold(hist, self.cfg.hist_lens[t], self.cfg.table_bits);
+    /// Table `t`'s index from the history folded to `table_bits`.
+    fn index(&self, pc: Addr, t: usize, folded: u64) -> usize {
         let mask = (1u64 << self.cfg.table_bits) - 1;
         (((pc >> 2) ^ (pc >> 9) ^ folded ^ ((t as u64) << 2)) & mask) as usize
     }
 
-    fn tag(&self, pc: Addr, t: usize, hist: u128) -> u16 {
-        let f = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits);
+    /// A tag from the history folded to `tag_bits`.
+    fn tag(&self, pc: Addr, folded: u64) -> u16 {
         let mask = (1u64 << self.cfg.tag_bits) - 1;
-        (((pc >> 2) ^ (pc >> 7) ^ f.rotate_left(3)) & mask) as u16
+        (((pc >> 2) ^ (pc >> 7) ^ folded.rotate_left(3)) & mask) as u16
+    }
+
+    /// Every tagged table's index and tag for `pc` under `hist`, from one
+    /// fold pass per width.
+    fn hashes(&self, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
+        let n = self.tables.len();
+        let lens = &self.cfg.hist_lens[..];
+        let mut f_index = [0; MAX_TABLES];
+        let mut f_tag = [0; MAX_TABLES];
+        fold_each(hist, lens, self.cfg.table_bits, &mut f_index[..n]);
+        fold_each(hist, lens, self.cfg.tag_bits, &mut f_tag[..n]);
+        let mut out = [TableHash::default(); MAX_TABLES];
+        for (t, h) in out[..n].iter_mut().enumerate() {
+            *h = TableHash {
+                index: self.index(pc, t, f_index[t]),
+                tag: self.tag(pc, f_tag[t]),
+            };
+        }
+        out
     }
 
     fn base_index(&self, pc: Addr) -> usize {
         (((pc >> 2) ^ (pc >> 11)) & ((1 << self.cfg.base_bits) - 1)) as usize
     }
 
-    fn lookup(&self, pc: Addr, hist: u128) -> (Addr, Option<usize>) {
+    fn lookup(&self, pc: Addr, h: &[TableHash]) -> (Addr, Option<usize>) {
         for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][self.index(pc, t, hist)];
-            if e.tag == self.tag(pc, t, hist) && e.target != 0 {
+            let e = &self.tables[t][h[t].index];
+            if e.tag == h[t].tag && e.target != 0 {
                 return (e.target, Some(t));
             }
         }
@@ -122,7 +154,12 @@ impl Ittage {
     /// history `hist`. Returns `None` when no component has any target yet.
     #[must_use]
     pub fn predict(&self, pc: Addr, hist: u128) -> Option<Addr> {
-        let (t, _) = self.lookup(pc, hist);
+        self.predict_hashed(pc, &self.hashes(pc, hist))
+    }
+
+    /// [`Ittage::predict`] with the tables' hashes already computed.
+    fn predict_hashed(&self, pc: Addr, h: &[TableHash]) -> Option<Addr> {
+        let (t, _) = self.lookup(pc, h);
         (t != 0).then_some(t)
     }
 
@@ -136,11 +173,17 @@ impl Ittage {
     /// the history it was predicted under (the checkpoint-queue payload of
     /// §IV-D).
     pub fn train(&mut self, pc: Addr, target: Addr, hist: u128) {
-        let (pred, provider) = self.lookup(pc, hist);
+        let h = self.hashes(pc, hist);
+        self.train_hashed(pc, target, &h);
+    }
+
+    /// [`Ittage::train`] with the tables' hashes already computed.
+    fn train_hashed(&mut self, pc: Addr, target: Addr, h: &[TableHash]) {
+        let (pred, provider) = self.lookup(pc, h);
 
         match provider {
             Some(t) => {
-                let i = self.index(pc, t, hist);
+                let i = h[t].index;
                 let e = &mut self.tables[t][i];
                 if e.target == target {
                     e.conf = (e.conf + 1).min(3);
@@ -164,11 +207,11 @@ impl Ittage {
             let start = provider.map_or(0, |t| t + 1);
             let skip = self.rand1() as usize;
             let mut allocated = false;
-            for t in (start + skip)..self.tables.len() {
-                let i = self.index(pc, t, hist);
-                if self.tables[t][i].u == 0 {
-                    self.tables[t][i] = IttageEntry {
-                        tag: self.tag(pc, t, hist),
+            for (table, h) in self.tables.iter_mut().zip(h).skip(start + skip) {
+                let e = &mut table[h.index];
+                if e.u == 0 {
+                    *e = IttageEntry {
+                        tag: h.tag,
                         target,
                         conf: 1,
                         u: 0,
@@ -178,9 +221,9 @@ impl Ittage {
                 }
             }
             if !allocated {
-                for t in start..self.tables.len() {
-                    let i = self.index(pc, t, hist);
-                    self.tables[t][i].u = self.tables[t][i].u.saturating_sub(1);
+                for (table, h) in self.tables.iter_mut().zip(h).skip(start) {
+                    let e = &mut table[h.index];
+                    e.u = e.u.saturating_sub(1);
                 }
             }
         }
@@ -212,6 +255,55 @@ impl Ittage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::fold;
+
+    /// The reference hashing: every table's (index, tag) from its own
+    /// `history::fold` calls.
+    fn reference_hashes(it: &Ittage, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
+        let c = &it.cfg;
+        let mut out = [TableHash::default(); MAX_TABLES];
+        for (t, &len) in c.hist_lens.iter().enumerate() {
+            out[t] = TableHash {
+                index: it.index(pc, t, fold(hist, len, c.table_bits)),
+                tag: it.tag(pc, fold(hist, len, c.tag_bits)),
+            };
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_hashing_predicts_like_per_table_folding() {
+        let odd = IttageConfig {
+            hist_lens: vec![0, 7, 7, 128],
+            ..IttageConfig::tiny()
+        };
+        let tgts = [0x10_000u64, 0x20_040, 0x30_080, 0x40_0c0];
+        for cfg in [IttageConfig::paper(), IttageConfig::tiny(), odd] {
+            let mut fast = Ittage::new(cfg.clone());
+            let mut reference = Ittage::new(cfg);
+            let mut hist = 0u128;
+            let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+            for step in 0..20_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pc = 0x2000 + ((x >> 40) % 16) * 4;
+                // History-selected targets with some noise.
+                let target = tgts
+                    [((hist >> (pc % 5)) as usize ^ usize::from((x >> 20).is_multiple_of(8))) & 3];
+                let h = reference_hashes(&reference, pc, hist);
+                assert_eq!(fast.hashes(pc, hist), h, "step {step}");
+                assert_eq!(
+                    fast.predict(pc, hist),
+                    reference.predict_hashed(pc, &h),
+                    "step {step}"
+                );
+                fast.train(pc, target, hist);
+                reference.train_hashed(pc, target, &h);
+                hist = (hist << 1) | u128::from((x >> 33) & 1 == 1);
+            }
+        }
+    }
 
     fn run(it: &mut Ittage, pc: Addr, targets: impl Iterator<Item = Addr>, warmup: usize) -> f64 {
         let mut miss = 0u64;

@@ -15,7 +15,8 @@
 //!
 //! The history-based predictors (TAGE, ITTAGE) hold no history of their
 //! own: `predict` and `train` take the global history as a `u128` argument
-//! and fold it with [`history::fold`]. The front-end owns the one
+//! and fold it as [`history::fold`] does, one pass per fold width serving
+//! every table. The front-end owns the one
 //! speculative register, repairs it on flushes, and hands each branch's
 //! predict-time snapshot back at retirement so training replays the exact
 //! predict-time indices — the simulator form of checkpoint-based history

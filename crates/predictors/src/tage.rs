@@ -12,7 +12,7 @@
 //!   bimodal, which costs one bubble on an L0 BTB hit (BP2 resteers BP1).
 
 use crate::bimodal::Bimodal;
-use crate::history::fold;
+use crate::history::{fold_each, TableHash, MAX_TABLES};
 use elf_types::Addr;
 
 /// Geometry of a [`Tage`] predictor.
@@ -22,7 +22,8 @@ pub struct TageConfig {
     pub table_bits: u8,
     /// Tag width in bits.
     pub tag_bits: u8,
-    /// History length per tagged table (ascending).
+    /// History length per tagged table (non-decreasing, at most
+    /// [`MAX_TABLES`] tables).
     pub hist_lens: Vec<u16>,
     /// log2 of the number of bimodal base entries.
     pub base_bits: u8,
@@ -74,9 +75,11 @@ impl TageConfig {
 
     /// What makes the geometry unusable, if anything: a fold width of zero
     /// (`table_bits` 0, or `tag_bits` below 2, since the tag folds to
-    /// `tag_bits - 1` too), a tag wider than the 16-bit tag field, or a
-    /// history longer than the 128-bit global history. The message names
-    /// the field.
+    /// `tag_bits - 1` too), a tag wider than the 16-bit tag field, a
+    /// history longer than the 128-bit global history, history lengths
+    /// that decrease (one fold pass serves every table in length order,
+    /// and allocation skews toward the shorter histories), or more than
+    /// [`MAX_TABLES`] tables. The message names the field.
     #[must_use]
     pub fn geometry_error(&self) -> Option<&'static str> {
         if self.table_bits == 0 {
@@ -85,6 +88,10 @@ impl TageConfig {
             Some("tag_bits must be 2..=16")
         } else if self.hist_lens.iter().any(|&len| len > 128) {
             Some("hist_lens must each be at most 128")
+        } else if self.hist_lens.windows(2).any(|w| w[0] > w[1]) {
+            Some("hist_lens must be non-decreasing")
+        } else if self.hist_lens.len() > MAX_TABLES {
+            Some("hist_lens must have at most 16 entries")
         } else {
             None
         }
@@ -142,8 +149,15 @@ pub struct Tage {
 
 impl Tage {
     /// Creates a predictor with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`TageConfig::geometry_error`] rejects the geometry.
     #[must_use]
     pub fn new(cfg: TageConfig) -> Self {
+        if let Some(e) = cfg.geometry_error() {
+            panic!("unusable TAGE geometry: {e}");
+        }
         let tables = cfg
             .hist_lens
             .iter()
@@ -164,29 +178,65 @@ impl Tage {
         Tage::new(TageConfig::paper())
     }
 
-    fn index(&self, pc: Addr, t: usize, hist: u128) -> usize {
-        let folded = fold(hist, self.cfg.hist_lens[t], self.cfg.table_bits);
+    /// Table `t`'s index from the history folded to `table_bits`.
+    fn index(&self, pc: Addr, t: usize, folded: u64) -> usize {
         let mask = (1u64 << self.cfg.table_bits) - 1;
         (((pc >> 2) ^ (pc >> (self.cfg.table_bits as u64 + 2)) ^ folded ^ (t as u64) << 3) & mask)
             as usize
     }
 
-    fn tag(&self, pc: Addr, t: usize, hist: u128) -> u16 {
-        let f1 = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits);
-        let f2 = fold(hist, self.cfg.hist_lens[t], self.cfg.tag_bits - 1) << 1;
+    /// A tag from the history folded to `tag_bits` (`f1`) and to
+    /// `tag_bits - 1` (`f2`).
+    fn tag(&self, pc: Addr, f1: u64, f2: u64) -> u16 {
         let mask = (1u64 << self.cfg.tag_bits) - 1;
-        (((pc >> 2) ^ f1 ^ f2) & mask) as u16
+        (((pc >> 2) ^ f1 ^ (f2 << 1)) & mask) as u16
+    }
+
+    /// Every tagged table's index and tag for `pc` under `hist`, from one
+    /// fold pass per width.
+    fn hashes(&self, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
+        let n = self.tables.len();
+        let (lens, table_bits, tag_bits) = (
+            &self.cfg.hist_lens[..],
+            self.cfg.table_bits,
+            self.cfg.tag_bits,
+        );
+        let mut f_index = [0; MAX_TABLES];
+        let mut f_tag = [0; MAX_TABLES];
+        fold_each(hist, lens, table_bits, &mut f_index[..n]);
+        fold_each(hist, lens, tag_bits, &mut f_tag[..n]);
+        // In the paper geometry `tag_bits - 1 == table_bits`.
+        let f_tag2 = if tag_bits - 1 == table_bits {
+            f_index
+        } else {
+            let mut f = [0; MAX_TABLES];
+            fold_each(hist, lens, tag_bits - 1, &mut f[..n]);
+            f
+        };
+        let mut out = [TableHash::default(); MAX_TABLES];
+        for (t, h) in out[..n].iter_mut().enumerate() {
+            *h = TableHash {
+                index: self.index(pc, t, f_index[t]),
+                tag: self.tag(pc, f_tag[t], f_tag2[t]),
+            };
+        }
+        out
     }
 
     /// Predicts `pc` under the global history `hist`.
     #[must_use]
     pub fn predict(&self, pc: Addr, hist: u128) -> TagePrediction {
+        self.predict_hashed(pc, &self.hashes(pc, hist))
+    }
+
+    /// [`Tage::predict`] with the tables' hashes already computed.
+    fn predict_hashed(&self, pc: Addr, h: &[TableHash]) -> TagePrediction {
         let base_taken = self.base.predict(pc).taken;
         let mut provider = None;
         let mut pred = base_taken;
         for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][self.index(pc, t, hist)];
-            if e.tag == self.tag(pc, t, hist) {
+            let e = &self.tables[t][h[t].index];
+            if e.tag == h[t].tag {
                 provider = Some(t as u8);
                 pred = e.ctr >= 0;
                 break;
@@ -210,16 +260,22 @@ impl Tage {
     /// Trains on a retired conditional branch with the history it was
     /// predicted under (the checkpoint-queue payload of §IV-D).
     pub fn train(&mut self, pc: Addr, taken: bool, hist: u128) {
-        let pred = self.predict(pc, hist);
+        let h = self.hashes(pc, hist);
+        self.train_hashed(pc, taken, &h);
+    }
+
+    /// [`Tage::train`] with the tables' hashes already computed.
+    fn train_hashed(&mut self, pc: Addr, taken: bool, h: &[TableHash]) {
+        let pred = self.predict_hashed(pc, h);
 
         // Update the provider (or base) counter.
         match pred.provider {
             Some(t) => {
                 let t = t as usize;
-                let i = self.index(pc, t, hist);
+                let i = h[t].index;
                 // Useful bit: bumped when the provider differed from the
                 // alternate prediction and was right (aged when wrong).
-                let alt = self.alt_pred(pc, t, hist);
+                let alt = self.alt_pred(pc, t, h);
                 let e = &mut self.tables[t][i];
                 e.ctr = if taken {
                     (e.ctr + 1).min(3)
@@ -249,11 +305,11 @@ impl Tage {
                 // histories, requiring u == 0.
                 let mut allocated = false;
                 let skip = (self.rand2() & 1) as usize;
-                for t in (start + skip)..self.tables.len() {
-                    let i = self.index(pc, t, hist);
-                    if self.tables[t][i].u == 0 {
-                        self.tables[t][i] = TageEntry {
-                            tag: self.tag(pc, t, hist),
+                for (table, h) in self.tables.iter_mut().zip(h).skip(start + skip) {
+                    let e = &mut table[h.index];
+                    if e.u == 0 {
+                        *e = TageEntry {
+                            tag: h.tag,
                             ctr: if taken { 0 } else { -1 },
                             u: 0,
                         };
@@ -263,9 +319,9 @@ impl Tage {
                 }
                 if !allocated {
                     // Decay the u counters along the allocation path.
-                    for t in start..self.tables.len() {
-                        let i = self.index(pc, t, hist);
-                        self.tables[t][i].u = self.tables[t][i].u.saturating_sub(1);
+                    for (table, h) in self.tables.iter_mut().zip(h).skip(start) {
+                        let e = &mut table[h.index];
+                        e.u = e.u.saturating_sub(1);
                     }
                 }
             }
@@ -282,10 +338,10 @@ impl Tage {
         }
     }
 
-    fn alt_pred(&self, pc: Addr, provider: usize, hist: u128) -> bool {
+    fn alt_pred(&self, pc: Addr, provider: usize, h: &[TableHash]) -> bool {
         for t in (0..provider).rev() {
-            let e = &self.tables[t][self.index(pc, t, hist)];
-            if e.tag == self.tag(pc, t, hist) {
+            let e = &self.tables[t][h[t].index];
+            if e.tag == h[t].tag {
                 return e.ctr >= 0;
             }
         }
@@ -318,6 +374,59 @@ impl Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::fold;
+
+    /// The reference hashing: every table's (index, tag) from its own
+    /// `history::fold` calls.
+    fn reference_hashes(tage: &Tage, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
+        let c = &tage.cfg;
+        let mut out = [TableHash::default(); MAX_TABLES];
+        for (t, &len) in c.hist_lens.iter().enumerate() {
+            out[t] = TableHash {
+                index: tage.index(pc, t, fold(hist, len, c.table_bits)),
+                tag: tage.tag(
+                    pc,
+                    fold(hist, len, c.tag_bits),
+                    fold(hist, len, c.tag_bits - 1),
+                ),
+            };
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_hashing_predicts_like_per_table_folding() {
+        let odd = TageConfig {
+            hist_lens: vec![0, 5, 5, 64, 128, 128],
+            ..TageConfig::tiny()
+        };
+        // The paper geometry shares the `table_bits` fold with the tag's
+        // second half; the tiny one folds three widths.
+        for cfg in [TageConfig::paper(), TageConfig::tiny(), odd] {
+            let mut fast = Tage::new(cfg.clone());
+            let mut reference = Tage::new(cfg);
+            let mut hist = 0u128;
+            let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+            for step in 0..20_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pc = 0x1000 + ((x >> 40) % 64) * 4;
+                // History-correlated outcomes with some noise.
+                let taken = ((hist >> (pc % 7)) & 1 == 1) ^ (x >> 20).is_multiple_of(16);
+                let h = reference_hashes(&reference, pc, hist);
+                assert_eq!(fast.hashes(pc, hist), h, "step {step}");
+                assert_eq!(
+                    fast.predict(pc, hist),
+                    reference.predict_hashed(pc, &h),
+                    "step {step}"
+                );
+                fast.train(pc, taken, hist);
+                reference.train_hashed(pc, taken, &h);
+                hist = (hist << 1) | u128::from(taken);
+            }
+        }
+    }
 
     /// Drives predict→train→history push in lockstep (no wrong path).
     fn run_stream(tage: &mut Tage, pc: Addr, outcomes: impl Iterator<Item = bool>) -> f64 {
