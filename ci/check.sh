@@ -59,12 +59,15 @@ for csv in fig6 fig7 fig8 fig9 ablations; do
     test -s "target/elf-results/$csv.csv"
 done
 
-# Smoke: a checkpointed run must resume from its snapshot (end-to-end
-# through the CLI; bit-identity is pinned by tests/checkpoint.rs).
+# Smoke: a checkpointed run must resume from its snapshot and report
+# what the straight run to the same target reports, banner line aside
+# (end-to-end through the CLI; tests/checkpoint.rs pins the bytes).
 ckpt="$tmp/smoke.ckpt"
 ./target/release/elfsim 641.leela u-elf --warmup 5000 --window 20000 \
     --checkpoint-every 8000 --checkpoint-file "$ckpt" >/dev/null
-./target/release/elfsim --resume "$ckpt" --window 30000 >/dev/null
+./target/release/elfsim --resume "$ckpt" --window 30000 >"$tmp/resumed.out"
+./target/release/elfsim 641.leela u-elf --warmup 5000 --window 30000 >"$tmp/straight.out"
+diff <(tail -n +2 "$tmp/straight.out") <(tail -n +2 "$tmp/resumed.out")
 
 # The cycle-attribution report must be schema-valid JSON with one run
 # whose fetch-cause buckets and mode slots each sum *exactly* to the cycle

@@ -19,8 +19,9 @@
 //! Completion events sit in a calendar of per-cycle buckets. Loads and
 //! stores also sit in program-ordered queues, so store-to-load forwarding,
 //! RAW detection and the memory-dependence store lookup scan only the
-//! queue they need. Snapshots stay fid-keyed; positions are rebuilt on
-//! restore.
+//! queue they need. Snapshots hold the ROB, not the scheduler: loading
+//! rebuilds the rename map, wakeup lists, ready set and queues by
+//! replaying dispatch's rename-and-subscribe step over the ROB.
 
 use crate::config::BackendConfig;
 use crate::memdep::MemDepTable;
@@ -96,15 +97,13 @@ struct RobEntry {
     wait_store_fid: Option<u64>,
     /// Producers (register or predicted-store) not yet complete.
     deps_left: u8,
-    issued: bool,
 }
 
 elf_types::snap_struct!(RobEntry {
     b,
     state,
     wait_store_fid,
-    deps_left,
-    issued
+    deps_left
 });
 
 impl RobEntry {
@@ -125,7 +124,6 @@ impl RobEntry {
             state: ExecState::Waiting,
             wait_store_fid: None,
             deps_left: 0,
-            issued: false,
         }
     }
 }
@@ -235,9 +233,9 @@ struct Handle {
     pos: u64,
 }
 
-/// Position given to restored handles whose fid is no longer in the ROB
-/// (retired rename-map producers, stale completion events). Their fid
-/// check can never succeed again, so the position is never used.
+/// Position given to restored completion events whose fid is no longer
+/// in the ROB (stale events of squashed instructions). Their fid check
+/// can never succeed again, so the position is never used.
 const GONE: u64 = u64::MAX;
 
 /// `qword` of a memory operation without an address. Real qwords have
@@ -253,26 +251,6 @@ struct LsqEntry {
     qword: Addr,
     bound: bool,
 }
-
-/// The positional scheduler bookkeeping in its fid-keyed, canonical
-/// snapshot form: the rename map as fids, the ready set oldest-first,
-/// the wakeup network as a producer-sorted map holding only live
-/// dependents, and the completion events sorted (stale ones included —
-/// popping them is observable by the idle skipper).
-#[derive(Debug, Default)]
-struct FidKeyed {
-    reg_map: [Option<u64>; 32],
-    ready: Vec<u64>,
-    wakeup: Vec<(u64, Vec<u64>)>,
-    events: Vec<(Cycle, u64)>,
-}
-
-elf_types::snap_struct!(FidKeyed {
-    reg_map,
-    ready,
-    wakeup,
-    events
-});
 
 /// The reorder buffer on the slot ring: the entry at absolute position
 /// `pos` lives in slot `pos & mask`, the index the ready bitmap and the
@@ -458,8 +436,7 @@ struct Calendar {
     /// `free`, so the pool only grows to the most events ever pending.
     nodes: Vec<(Event, u32)>,
     free: u32,
-    /// The window's start: cycles before it have completed (or, after a
-    /// restore, have no event).
+    /// The window's start: cycles before it have completed.
     lo: Cycle,
     /// Done cycle of the earliest ring event (`Cycle::MAX` when none).
     ring_next: Cycle,
@@ -724,28 +701,9 @@ impl Backend {
         self.loads.len() + self.stores.len()
     }
 
-    /// The ROB slot of a handle's entry, if it is still in flight.
-    #[inline]
-    fn index_of(&self, h: Handle) -> Option<usize> {
-        self.rob.index_of(h)
-    }
-
     /// The ROB slot of an in-flight fid. For the rare fid-keyed calls only.
     fn rob_index(&self, fid: u64) -> Option<usize> {
         self.rob.position_of(fid).map(|pos| self.rob.slot(pos))
-    }
-
-    /// A handle for `fid`: its live position, or [`GONE`] when not in the
-    /// ROB.
-    fn handle_of(&self, fid: u64) -> Handle {
-        let pos = self.rob.position_of(fid).unwrap_or(GONE);
-        Handle { fid, pos }
-    }
-
-    /// The scheduler slot backing absolute ROB position `pos`.
-    #[inline]
-    fn slot(&self, pos: u64) -> usize {
-        self.rob.slot(pos)
     }
 
     #[inline]
@@ -923,7 +881,7 @@ impl Backend {
         if e.b.sinst.dst.is_some() {
             self.prf_used = self.prf_used.saturating_sub(1);
         }
-        if !e.issued {
+        if e.state == ExecState::Waiting {
             self.iq_used = self.iq_used.saturating_sub(1);
             self.clear_ready(slot);
         }
@@ -971,15 +929,6 @@ impl Backend {
             }
             // invariant: the let-else above proves the queue is non-empty.
             let (b, _) = self.dispatch_q.pop_front().expect("checked above");
-            let h = Handle {
-                fid: b.fid,
-                pos: self.rob.back_pos(),
-            };
-            let slot = self.slot(h.pos);
-            let mut producers: [Option<Handle>; 3] = [None, None, None];
-            for (i, s) in b.sinst.sources().enumerate().take(2) {
-                producers[i] = self.reg_map[s as usize];
-            }
             // Memory-dependence prediction at rename (Table II): wait for
             // the youngest in-flight store with the predicted PC.
             let wait_store = if b.sinst.class == InstClass::Load && b.is_bound() {
@@ -989,39 +938,62 @@ impl Backend {
             } else {
                 None
             };
-            producers[2] = wait_store;
-            if let Some(d) = b.sinst.dst {
-                self.reg_map[d as usize] = Some(h);
-                self.prf_used += 1;
+            let mut e = RobEntry {
+                b,
+                state: ExecState::Waiting,
+                wait_store_fid: wait_store.map(|s| s.fid),
+                deps_left: 0,
+            };
+            e.deps_left = self.rename(self.rob.back_pos(), &e, wait_store);
+            self.stats.dispatched += 1;
+            self.rob.push_back(e);
+        }
+    }
+
+    /// Renames entry `e` at ROB position `pos` against the rename map and
+    /// takes its resources: a physical register if it writes one, a
+    /// load/store-queue entry if it accesses memory and, while it waits to
+    /// issue, an issue-queue slot. A waiting entry also subscribes to the
+    /// completion of its unfinished producers (the in-flight writers of its
+    /// source registers, once per read, and the predicted store
+    /// `wait_store`) and is ready when it has none. Returns how many
+    /// producers it waits for.
+    ///
+    /// Dispatch runs this step once per new entry; snapshot loading replays
+    /// it over the ROB oldest-first, which rebuilds the scheduler state
+    /// that dispatch and completion leave behind.
+    fn rename(&mut self, pos: u64, e: &RobEntry, wait_store: Option<Handle>) -> u8 {
+        let h = Handle { fid: e.b.fid, pos };
+        let slot = self.rob.slot(pos);
+        self.wakeup[slot].clear();
+        let mut deps_left = 0u8;
+        if e.state == ExecState::Waiting {
+            let mut producers = [None, None, wait_store];
+            for (p, s) in producers.iter_mut().zip(e.b.sinst.sources()) {
+                *p = self.reg_map[s as usize];
             }
-            // Register in the wakeup network: count producers that are
-            // still in flight and subscribe to their completion.
-            self.wakeup[slot].clear();
-            let mut deps_left = 0u8;
             for p in producers.into_iter().flatten() {
                 if self
+                    .rob
                     .index_of(p)
                     .is_some_and(|i| self.rob[i].state != ExecState::Done)
                 {
                     deps_left += 1;
-                    let ps = self.slot(p.pos);
+                    let ps = self.rob.slot(p.pos);
                     self.wakeup[ps].push(h);
                 }
             }
             if deps_left == 0 {
                 self.set_ready(slot);
             }
-            self.lsq_push(h, &b);
             self.iq_used += 1;
-            self.stats.dispatched += 1;
-            self.rob.push_back(RobEntry {
-                b,
-                state: ExecState::Waiting,
-                wait_store_fid: wait_store.map(|s| s.fid),
-                deps_left,
-                issued: false,
-            });
         }
+        if let Some(d) = e.b.sinst.dst {
+            self.reg_map[d as usize] = Some(h);
+            self.prf_used += 1;
+        }
+        self.lsq_push(h, &e.b);
+        deps_left
     }
 
     fn issue(&mut self, mem: &mut MemorySystem, now: Cycle) {
@@ -1035,7 +1007,7 @@ impl Backend {
         // end of the ring, then around to just below the head.
         // `words` is a power of two: the ring is, and a ring shorter than
         // 64 slots has one word.
-        let head = self.slot(self.rob.front_pos);
+        let head = self.rob.slot(self.rob.front_pos);
         let words = self.ready.len();
         let (head_word, head_bit) = (head / 64, head & 63);
         'walk: for k in 0..=words {
@@ -1103,7 +1075,6 @@ impl Backend {
                 let done = now + u64::from(latency.max(1));
                 let e = &mut self.rob[slot];
                 e.state = ExecState::Executing { done };
-                e.issued = true;
                 let fid = e.b.fid;
                 self.clear_ready(slot);
                 self.iq_used = self.iq_used.saturating_sub(1);
@@ -1128,7 +1099,11 @@ impl Backend {
                 // Store-to-load forwarding from an older issued store.
                 let qword = a & !7;
                 let forwarded = self.stores.iter().take_while(|s| s.h.fid < fid).any(|s| {
-                    s.qword == qword && self.index_of(s.h).is_some_and(|j| self.rob[j].issued)
+                    s.qword == qword
+                        && self
+                            .rob
+                            .index_of(s.h)
+                            .is_some_and(|j| self.rob[j].state != ExecState::Waiting)
                 });
                 if forwarded {
                     self.stats.forwards += 1;
@@ -1152,7 +1127,7 @@ impl Backend {
         // events' (done, fid) order.
         while let Some(Event { done, fid, pos }) = self.exec_events.pop_due(now) {
             // Squashed entries leave stale completion events behind; skip them.
-            let Some(i) = self.index_of(Handle { fid, pos }) else {
+            let Some(i) = self.rob.index_of(Handle { fid, pos }) else {
                 continue;
             };
             let e = &mut self.rob[i];
@@ -1188,8 +1163,8 @@ impl Backend {
                         if !l.bound || l.qword != qword {
                             return None;
                         }
-                        let j = self.index_of(l.h)?;
-                        self.rob[j].issued.then_some(j)
+                        let j = self.rob.index_of(l.h)?;
+                        (self.rob[j].state != ExecState::Waiting).then_some(j)
                     });
                     if let Some(j) = hit {
                         let l = &self.rob[j].b;
@@ -1209,15 +1184,17 @@ impl Backend {
 
             // Wake dependents. The list is taken out for the borrow and put
             // back drained, keeping its allocation for the slot's next use.
-            let slot = self.slot(pos);
+            let slot = self.rob.slot(pos);
             let mut deps = std::mem::take(&mut self.wakeup[slot]);
             for d in deps.drain(..) {
-                let Some(j) = self.index_of(d) else { continue };
+                let Some(j) = self.rob.index_of(d) else {
+                    continue;
+                };
                 let e = &mut self.rob[j];
                 if e.state == ExecState::Waiting {
                     e.deps_left = e.deps_left.saturating_sub(1);
                     if e.deps_left == 0 {
-                        let ds = self.slot(d.pos);
+                        let ds = self.rob.slot(d.pos);
                         self.set_ready(ds);
                     }
                 }
@@ -1461,146 +1438,85 @@ impl Backend {
     }
 
     /// Saves or restores the complete back-end state: ROB, dispatch queue,
-    /// rename map, scheduler structures, memory-dependence table, pending
-    /// flush, statistics and the watchdog timer.
+    /// completion events, memory-dependence table, pending flush,
+    /// statistics and the watchdog timer.
     ///
-    /// The scheduler travels in a fid-keyed, canonical form: positions are
-    /// not written, the ready set is written oldest-first, the wakeup
-    /// network as a producer-sorted map holding only live dependents, and
-    /// the completion events sorted. Loading rebuilds the positional
-    /// handles, per-slot scheduler state, load/store queues and the
-    /// register-file and issue-queue counts from the ROB. The
-    /// configuration is not written: loading requires a back-end built
-    /// from the same config.
+    /// The ROB is the only scheduler state written: positions, the rename
+    /// map, wakeup lists, ready set, load/store queues and the
+    /// register-file and issue-queue counts are rebuilt on load by
+    /// replaying dispatch's rename step over the ROB oldest-first. The
+    /// completion events are written sorted by `(done, fid)`, stale ones
+    /// of squashed instructions included (they bound idle skips). `now` is
+    /// the first cycle not yet simulated; loading starts the completion
+    /// calendar there. The configuration is not written: loading requires
+    /// a back-end built from the same config.
     ///
     /// # Errors
     ///
     /// Loading fails on truncated bytes or on a state the live back-end
     /// can never reach: an ROB that does not fit this configuration or
-    /// whose fids are not strictly increasing, ready or wakeup dependents
-    /// that are not live waiting entries, or wakeup producers that are not
-    /// live unfinished entries.
-    pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), SnapError> {
+    /// whose fids are not strictly increasing, an entry whose producer
+    /// count differs from the one its producers in the ROB imply, or a
+    /// completion event done before `now`.
+    pub fn state(&mut self, io: &mut impl elf_types::StateIo, now: Cycle) -> Result<(), SnapError> {
         io.bounded(&mut self.rob, self.cfg.rob_entries, "ROB")?;
         io.value(&mut self.dispatch_q)?;
-        let mut keyed = if io.loading() {
-            FidKeyed::default()
-        } else {
-            self.fid_keyed()
-        };
-        io.value(&mut keyed)?;
+        let mut events: Vec<(Cycle, u64)> = Vec::new();
+        if !io.loading() {
+            events.extend(self.exec_events.iter().map(|ev| (ev.done, ev.fid)));
+            events.sort_unstable();
+        }
+        io.value(&mut events)?;
         self.memdep.state(io)?;
         io.value(&mut self.pending)?;
         io.value(&mut self.stats)?;
         io.value(&mut self.head_stuck_since)?;
         if io.loading() {
-            self.restore_fid_keyed(keyed)?;
+            self.rebuild_scheduler(&events, now)?;
         }
         Ok(())
     }
 
-    /// The scheduler bookkeeping in snapshot form.
-    fn fid_keyed(&self) -> FidKeyed {
-        let ready = self
-            .rob
-            .iter()
-            .filter(|&(pos, _)| self.is_ready(self.slot(pos)))
-            .map(|(_, e)| e.b.fid)
-            .collect();
-        let wakeup = self
-            .rob
-            .iter()
-            .filter_map(|(pos, e)| {
-                let deps: Vec<u64> = self.wakeup[self.slot(pos)]
-                    .iter()
-                    .filter(|d| self.index_of(**d).is_some())
-                    .map(|d| d.fid)
-                    .collect();
-                (!deps.is_empty()).then_some((e.b.fid, deps))
-            })
-            .collect();
-        let mut events: Vec<(Cycle, u64)> = self
-            .exec_events
-            .iter()
-            .map(|ev| (ev.done, ev.fid))
-            .collect();
-        events.sort_unstable();
-        FidKeyed {
-            reg_map: self.reg_map.map(|h| h.map(|h| h.fid)),
-            ready,
-            wakeup,
-            events,
-        }
-    }
-
-    /// Rebuilds the positional scheduler state and resource counts around
-    /// a just-loaded ROB, rejecting bookkeeping the ROB does not imply.
-    fn restore_fid_keyed(&mut self, keyed: FidKeyed) -> Result<(), SnapError> {
-        if self
-            .rob
-            .iter()
-            .zip(self.rob.iter().skip(1))
-            .any(|((_, a), (_, b))| a.b.fid >= b.b.fid)
-        {
-            return Err(SnapError::mismatch("ROB fids are not strictly increasing"));
-        }
+    /// Rebuilds the scheduler around a just-loaded ROB: renames its
+    /// entries oldest-first as dispatch did, then schedules `events` in a
+    /// calendar starting at `now`.
+    fn rebuild_scheduler(&mut self, events: &[(Cycle, u64)], now: Cycle) -> Result<(), SnapError> {
         // Positions are not serialized: loading placed the ROB from
         // position 0.
         debug_assert_eq!(self.rob.front_pos, 0);
-        self.reg_map = keyed.reg_map.map(|f| f.map(|f| self.handle_of(f)));
-        self.prf_used = self
-            .rob
-            .iter()
-            .filter(|(_, e)| e.b.sinst.dst.is_some())
-            .count();
-        self.iq_used = self.rob.iter().filter(|(_, e)| !e.issued).count();
+        self.reg_map = [None; 32];
+        self.prf_used = 0;
+        self.iq_used = 0;
+        self.ready.fill(0);
         self.loads.clear();
         self.stores.clear();
+        let mut prev_fid = None;
         for pos in 0..self.rob.len as u64 {
-            let b = self.rob[self.slot(pos)].b;
-            self.lsq_push(Handle { fid: b.fid, pos }, &b);
-        }
-        let waiting = |be: &Self, fid: u64, what: &str| {
-            be.rob
-                .position_of(fid)
-                .filter(|&pos| be.rob[be.slot(pos)].state == ExecState::Waiting)
-                .ok_or_else(|| {
-                    SnapError::mismatch(format!("{what} fid {fid} is not a waiting ROB entry"))
-                })
-        };
-        self.ready.fill(0);
-        for fid in keyed.ready {
-            let pos = waiting(self, fid, "ready")?;
-            self.set_ready(self.slot(pos));
-        }
-        for list in &mut self.wakeup {
-            list.clear();
-        }
-        for (producer, deps) in keyed.wakeup {
-            let p = self
-                .rob_index(producer)
-                .filter(|&s| self.rob[s].state != ExecState::Done)
-                .ok_or_else(|| {
-                    SnapError::mismatch(format!(
-                        "wakeup producer fid {producer} is not an unfinished ROB entry"
-                    ))
-                })?;
-            for fid in deps {
-                let pos = waiting(self, fid, "wakeup dependent")?;
-                self.wakeup[p].push(Handle { fid, pos });
+            let e = self.rob[self.rob.slot(pos)];
+            if prev_fid.is_some_and(|f| f >= e.b.fid) {
+                return Err(SnapError::mismatch("ROB fids are not strictly increasing"));
+            }
+            prev_fid = Some(e.b.fid);
+            let wait_store = e
+                .wait_store_fid
+                .and_then(|fid| self.stores.iter().rev().find(|s| s.h.fid == fid))
+                .map(|s| s.h);
+            let deps_left = self.rename(pos, &e, wait_store);
+            if deps_left != e.deps_left {
+                return Err(SnapError::mismatch(format!(
+                    "ROB fid {} waits for {} producers, its producers in the ROB are {deps_left}",
+                    e.b.fid, e.deps_left
+                )));
             }
         }
-        // Anchor the calendar at the earliest event: every event is still
-        // pending, so none is done before the next tick.
-        let lo = keyed
-            .events
-            .iter()
-            .map(|&(done, _)| done)
-            .min()
-            .unwrap_or(0);
-        self.exec_events = Calendar::new(lo);
-        for (done, fid) in keyed.events {
-            let pos = self.handle_of(fid).pos;
+        self.exec_events = Calendar::new(now);
+        for &(done, fid) in events {
+            if done < now {
+                return Err(SnapError::mismatch(format!(
+                    "completion event of fid {fid} at cycle {done} precedes cycle {now}"
+                )));
+            }
+            let pos = self.rob.position_of(fid).unwrap_or(GONE);
             self.exec_events.push(Event { done, fid, pos });
         }
         Ok(())
@@ -1618,15 +1534,14 @@ impl Backend {
         let mut s = String::new();
         for (pos, e) in self.rob.iter().take(4) {
             s.push_str(&format!(
-                "[fid={} seq={:?} class={:?} state={:?} deps={} ws={:?} issued={} ready_in_set={}] ",
+                "[fid={} seq={:?} class={:?} state={:?} deps={} ws={:?} ready_in_set={}] ",
                 e.b.fid,
                 e.b.seq,
                 e.b.sinst.class,
                 e.state,
                 e.deps_left,
                 e.wait_store_fid,
-                e.issued,
-                self.is_ready(self.slot(pos)),
+                self.is_ready(self.rob.slot(pos)),
             ));
         }
         s
@@ -1663,7 +1578,7 @@ mod tests {
 
     /// The `i`-th oldest ROB entry.
     fn at(be: &Backend, i: usize) -> &RobEntry {
-        &be.rob[be.slot(be.rob.front_pos + i as u64)]
+        &be.rob[be.rob.slot(be.rob.front_pos + i as u64)]
     }
 
     fn run_until_empty(be: &mut Backend, mem: &mut MemorySystem) -> (u64, Vec<RetiredInst>) {
@@ -2044,7 +1959,7 @@ mod tests {
             (ExecState::Waiting, 1),
             "the divide's completion must not wake the slot's new occupant"
         );
-        assert!(!be.is_ready(be.slot(be.rob.front_pos + 1)));
+        assert!(!be.is_ready(be.rob.slot(be.rob.front_pos + 1)));
         let (_, retired) = run_until_empty(&mut be, &mut mem);
         assert_eq!(retired.len(), 2, "the load and fid 4");
     }
@@ -2068,7 +1983,7 @@ mod tests {
             0,
         );
         run_cycles(&mut be, &mut mem, 0..6);
-        assert!(at(&be, 2).issued && !at(&be, 1).issued);
+        assert!(at(&be, 2).state != ExecState::Waiting && at(&be, 1).state == ExecState::Waiting);
         let (cycles, retired) = run_until_empty(&mut be, &mut mem);
         assert_eq!(retired.len(), 3);
         assert_eq!(
@@ -2241,10 +2156,10 @@ mod tests {
         let drain = |be: &mut Backend, mem: &mut MemorySystem, cycle: &mut u64, check: bool| {
             let mut wrapped_choice = false;
             while !be.is_empty() {
-                let head = be.slot(be.rob.front_pos);
+                let head = be.rob.slot(be.rob.front_pos);
                 let (mut above, mut below) = (false, false);
                 for (pos, _) in be.rob.iter() {
-                    let slot = be.slot(pos);
+                    let slot = be.rob.slot(pos);
                     if be.is_ready(slot) {
                         *(if slot >= head { &mut above } else { &mut below }) = true;
                     }
@@ -2256,7 +2171,11 @@ mod tests {
                 if check {
                     // Independent ALUs issue in program order: the issued
                     // entries always form a prefix of the ROB.
-                    let issued: Vec<bool> = be.rob.iter().map(|(_, e)| e.issued).collect();
+                    let issued: Vec<bool> = be
+                        .rob
+                        .iter()
+                        .map(|(_, e)| e.state != ExecState::Waiting)
+                        .collect();
                     assert!(
                         issued.windows(2).all(|w| w[0] || !w[1]),
                         "younger entry issued before an older one: {issued:?}"
@@ -2269,7 +2188,7 @@ mod tests {
             be.accept(alu(1 + i, 0x2_0000 + i * 4, None, [NO_REG, NO_REG]), 0);
         }
         drain(&mut be, &mut mem, &mut cycle, false);
-        assert_eq!(be.slot(be.rob.front_pos), 120);
+        assert_eq!(be.rob.slot(be.rob.front_pos), 120);
         for i in 0..40 {
             be.accept(
                 alu(121 + i, 0x3_0000 + i * 4, None, [NO_REG, NO_REG]),
@@ -2280,5 +2199,119 @@ mod tests {
             drain(&mut be, &mut mem, &mut cycle, true),
             "ready entries never straddled the wrap; the test is vacuous"
         );
+    }
+
+    /// Saves `be` and `mem` and loads them into fresh copies, `now` being
+    /// the first cycle not yet simulated.
+    fn reload(be: &mut Backend, mem: &mut MemorySystem, now: Cycle) -> (Backend, MemorySystem) {
+        let mut w = SnapWriter::new();
+        be.state(&mut w, now).expect("saving cannot fail");
+        mem.state(&mut w).expect("saving cannot fail");
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let mut be2 = Backend::new(be.cfg.clone());
+        let mut mem2 = MemorySystem::paper();
+        be2.state(&mut r, now).expect("snapshot loads");
+        mem2.state(&mut r).expect("snapshot loads");
+        assert_eq!(r.remaining(), 0);
+        (be2, mem2)
+    }
+
+    #[test]
+    fn a_reloaded_backend_runs_in_lockstep_with_the_original() {
+        let (spc, lpc) = (0x1_5010, 0x1_5014);
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        be.memdep.train(lpc, spc);
+        // fid 2 misses to DRAM; fid 3 reads its register twice and fid 4
+        // depends on fid 3. The load fid 6 waits for the store fid 5, which
+        // waits for the divide fid 1. The divide fid 7 issues and is
+        // squashed with its dependent fid 8, leaving its completion event
+        // stale.
+        be.accept(
+            op(1, 0x1_5000, InstClass::Div, Some(5), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(
+            mem_op(2, 0x1_5004, InstClass::Load, [NO_REG, NO_REG], 0x40_0000),
+            0,
+        );
+        be.accept(alu(3, 0x1_5008, Some(7), [20, 20]), 0);
+        be.accept(alu(4, 0x1_500c, None, [7, NO_REG]), 0);
+        be.accept(mem_op(5, spc, InstClass::Store, [5, NO_REG], 0x50_0000), 0);
+        be.accept(
+            mem_op(6, lpc, InstClass::Load, [NO_REG, NO_REG], 0x60_0000),
+            0,
+        );
+        be.accept(
+            op(7, 0x1_5018, InstClass::Div, Some(8), [NO_REG, NO_REG]),
+            0,
+        );
+        be.accept(op(8, 0x1_501c, InstClass::Mul, Some(9), [8, NO_REG]), 0);
+        run_cycles(&mut be, &mut mem, 0..5);
+        assert_eq!(be.squash_after_returning_seq(6), Some(7));
+        // fid 9 takes fid 7's position; fid 10 is independent and issues
+        // right after the reload, before any saved event is due.
+        be.accept(alu(9, 0x1_5018, Some(10), [20, 5]), 5);
+        be.accept(alu(10, 0x1_501c, None, [NO_REG, NO_REG]), 8);
+        run_cycles(&mut be, &mut mem, 5..10);
+        let now = 10;
+
+        let fid = |be: &Backend, fid: u64| be.rob[be.rob_index(fid).expect("in flight")];
+        assert_eq!(fid(&be, 3).deps_left, 2, "fid 3 waits for the load twice");
+        assert_eq!(
+            (fid(&be, 4).state, fid(&be, 4).deps_left),
+            (ExecState::Waiting, 1)
+        );
+        let ld = fid(&be, 6);
+        assert_eq!((ld.wait_store_fid, ld.deps_left), (Some(5), 1));
+        assert!(matches!(fid(&be, 2).state, ExecState::Executing { done } if done > now + 200));
+        assert!(
+            be.exec_events
+                .iter()
+                .any(|ev| be.rob.position_of(ev.fid).is_none()),
+            "no stale completion event"
+        );
+
+        let (mut be2, mut mem2) = reload(&mut be, &mut mem, now);
+        let (mut r1, mut r2) = (Vec::new(), Vec::new());
+        let mut retired = 0;
+        for c in now..now + 1_000 {
+            let f1 = be.tick_into(&mut mem, c, &mut r1);
+            let f2 = be2.tick_into(&mut mem2, c, &mut r2);
+            assert_eq!(format!("{f1:?}"), format!("{f2:?}"), "flush at cycle {c}");
+            let fids = |r: &[RetiredInst]| r.iter().map(|r| r.b.fid).collect::<Vec<_>>();
+            assert_eq!(fids(&r1), fids(&r2), "retirements at cycle {c}");
+            assert_eq!(be.quiescent_until(c + 1), be2.quiescent_until(c + 1));
+            assert_eq!(be2.overflow_events(), 0, "cycle {c}");
+            retired += r1.len();
+            if be.is_empty() && be2.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(retired, 8, "fids 1-6, 9 and 10 retire");
+    }
+
+    #[test]
+    fn a_producer_count_the_rob_does_not_imply_is_rejected() {
+        let mut be = Backend::new(cfg());
+        let mut mem = MemorySystem::paper();
+        be.accept(
+            mem_op(1, 0x1_6000, InstClass::Load, [NO_REG, NO_REG], 0x40_0000),
+            0,
+        );
+        be.accept(alu(2, 0x1_6004, None, [20, NO_REG]), 0);
+        run_cycles(&mut be, &mut mem, 0..4);
+        let (mut good, _) = reload(&mut be, &mut mem, 4);
+        let slot = good.rob.slot(good.rob.front_pos + 1);
+        assert_eq!(good.rob[slot].deps_left, 1);
+        good.rob[slot].deps_left = 2;
+        let mut w = SnapWriter::new();
+        good.state(&mut w, 4).expect("saving cannot fail");
+        let bytes = w.into_bytes();
+        let err = Backend::new(cfg())
+            .state(&mut SnapReader::new(&bytes), 4)
+            .expect_err("the tampered count must not load");
+        assert!(matches!(err, SnapError::Mismatch { .. }), "{err}");
     }
 }

@@ -49,10 +49,6 @@ pub struct Simulator {
     /// A ForceMispredict fault fired; the next correct-path branch
     /// resolves as mispredicted.
     force_misp_pending: bool,
-    /// Last observed coupled/decoupled mode (edge detection).
-    prev_coupled: bool,
-    /// Last observed FAQ-empty state (edge detection).
-    prev_faq_empty: bool,
     /// Forward-progress cap parameters (see `SimConfig`).
     cap_base: u64,
     cap_per_inst: u64,
@@ -110,18 +106,14 @@ impl Simulator {
             });
         }
         let start = prog.entry();
-        let fe = Frontend::new(cfg.frontend.clone(), cfg.arch, start);
-        let prev_coupled = fe.in_coupled_mode();
         Ok(Simulator {
             oracle: Oracle::new(Arc::clone(&prog), seed),
-            fe,
+            fe: Frontend::new(cfg.frontend.clone(), cfg.arch, start),
             be: Backend::new(cfg.backend.clone()),
             mem: MemorySystem::new(cfg.mem.clone()),
             recorder: FlightRecorder::new(cfg.recorder_events),
             injector: cfg.fault.filter(|p| !p.is_empty()).map(FaultInjector::new),
             force_misp_pending: false,
-            prev_coupled,
-            prev_faq_empty: true,
             cap_base: cfg.progress_cap_base,
             cap_per_inst: cfg.progress_cap_per_inst,
             prog,
@@ -472,11 +464,11 @@ impl Simulator {
     /// program. The differential harness's commit log is not state and is
     /// skipped.
     fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
+        io.value(&mut self.cycle)?;
         self.oracle.state(io)?;
         self.fe.state(io)?;
-        self.be.state(io)?;
+        self.be.state(io, self.cycle)?;
         self.mem.state(io)?;
-        io.value(&mut self.cycle)?;
         io.value(&mut self.cursor)?;
         io.value(&mut self.wrong_path)?;
         io.value(&mut self.retired_seq)?;
@@ -487,8 +479,6 @@ impl Simulator {
             inj.state(io)?;
         }
         io.value(&mut self.force_misp_pending)?;
-        io.value(&mut self.prev_coupled)?;
-        io.value(&mut self.prev_faq_empty)?;
         io.value(&mut self.retired)?;
         io.value(&mut self.cond_branches)?;
         io.value(&mut self.cond_mispredicts)?;
@@ -513,6 +503,9 @@ impl Simulator {
 
     fn tick(&mut self) {
         let now = self.cycle;
+        // The mode and FAQ state the flight recorder's edges compare with.
+        let was_coupled = self.fe.in_coupled_mode();
+        let faq_was_empty = self.fe.faq_len() == 0;
         if self.injector.is_some() {
             self.inject_faults(now);
         }
@@ -691,14 +684,12 @@ impl Simulator {
         if let Some(m) = &mut self.metrics {
             m.note_coupled(coupled, now);
         }
-        if coupled != self.prev_coupled {
-            self.prev_coupled = coupled;
+        if coupled != was_coupled {
             self.recorder
                 .record(now, PipelineEvent::ModeSwitch { coupled });
         }
         let faq_empty = self.fe.faq_len() == 0;
-        if faq_empty != self.prev_faq_empty {
-            self.prev_faq_empty = faq_empty;
+        if faq_empty != faq_was_empty {
             self.recorder
                 .record(now, PipelineEvent::FaqEdge { empty: faq_empty });
         }

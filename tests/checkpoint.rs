@@ -252,25 +252,25 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
     (
         "641.leela",
         [
-            [0xd2ee7c618a27091e, 0xe847a8d75a7ff1f1, 0x100cee9a1786de03],
-            [0xcbd70d6fd657a244, 0x18e422d90cb6fc2a, 0xca69f9888e4d8fa6],
-            [0x2da5cd6a4066170b, 0x5cce76b0c77504d5, 0x71b07131595e0785],
-            [0x90299bf3693e140a, 0x8a3abdfa6383941d, 0x26fc05e476d8ca8a],
-            [0x9d0002160471f4df, 0xdf54eedbdb07bf82, 0x05cbd182630afa21],
-            [0x688c77e3c8a9eea7, 0xcc41521611a14222, 0x1a635f62a494af70],
-            [0xaa251cad18178bca, 0x2b6a8435bdb4baa5, 0xa621c9a80a8724ee],
+            [0x46248c0f7783ccc8, 0xd0441ac94ed3c852, 0x3e7c2b1a1f67b600],
+            [0xda7007126ca32e67, 0xfa8e5e20f001df96, 0x90c736b83622a548],
+            [0x5a4a23212d204423, 0xf969b68424548242, 0x986863321126e2b6],
+            [0xd01440633d239ce1, 0x7d29fc35a287e066, 0xacd73ce1b9594cf9],
+            [0x0a312351dcdb5685, 0xc3fac93c1b201ffd, 0x9d67ca42b1a4f58e],
+            [0x8263df0dcbbdfd21, 0x5fa4548c825191ee, 0x781f0fdc063bdd81],
+            [0x2f936824933d07b4, 0x8b86deeb3885a893, 0x0737b0fd51d53608],
         ],
     ),
     (
         "605.mcf",
         [
-            [0x2478af62771b183a, 0x310842c69b2be334, 0x56910d8a6f0303df],
-            [0x99dbfeb66dc8a814, 0xb6738b90625782ef, 0x1edd4c45b7794153],
-            [0x6a1dd8ab9bfcc5f8, 0xd92658cc965a8b16, 0xee48b5f7dfc64175],
-            [0x7e98303783a4a484, 0x630e679643644074, 0xf8632d96b3ba7f9a],
-            [0x475534900ebe3a79, 0xbad61d954d04ab28, 0x8b3747735906280b],
-            [0xd600b194874ec891, 0xb01330fdcd73c164, 0x7ba9c18ff443ce16],
-            [0x791922667e562fc2, 0x19d8b1ef45453e6b, 0xf128b4d38ffdd3e1],
+            [0x22d00f9969ce004b, 0xaa48e7ae1157d915, 0x60ca376ae1d7e0b7],
+            [0x4723c52eae68193d, 0xbad3d8bfabe0472b, 0xfcf004d8f5bd23f1],
+            [0x4095d73caebe5311, 0x172ef6346824af01, 0x97382785d97a106a],
+            [0x00d87a5129da6d16, 0x4bb113b5194e430f, 0x061b3be7d729b6a4],
+            [0xd7dbce0c37ff69b8, 0x73e1581f099bafcf, 0x40bfb1f8588f77a6],
+            [0x39a231997c9b98c7, 0x9137cbedfa94f94f, 0x83e29aa3793248cf],
+            [0x4fe0ca8633dc6baa, 0x0da701ef5dd3c637, 0x62ab665577b982d1],
         ],
     ),
 ];
@@ -280,13 +280,13 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
 /// fault plan (injector state and plan bytes), metrics, the invariant
 /// checker, idle-skip off and the gshare coupled predictor.
 const PINNED_OPTIONAL_STATE_DIGESTS: [[u64; 3]; 7] = [
-    [0x63fd1d17fa658882, 0x2c51e74a52d7f2ac, 0x046cfe16564d094a],
-    [0x4a5ca115b1682624, 0xeb760863bda027f0, 0xbce4e018e5e7d163],
-    [0xf5dd6a85910ba674, 0x82c88af2444290be, 0xb79d1c8afec8d733],
-    [0x235cf1db712dd567, 0xf59b614018ad1345, 0x3dd5155c26a05a09],
-    [0x42d32dfcb0f27138, 0xe13eb1473edbc231, 0x5f6a48df2d29256f],
-    [0x8a1aab059b7601be, 0x907b94104ad7cc1d, 0x32e2cfe7e65e61a3],
-    [0x82c9539c17b7c0c5, 0x4dced7821c0677fe, 0x7f7f5f3cbb97a8b8],
+    [0x7214349ef44368ca, 0x563a9b53c770833f, 0x14cd417aa148b0f6],
+    [0xad17994474063591, 0xfc686eb84e5f7200, 0x3fbcbf5f89dc2839],
+    [0x404d60ed76d4c5d0, 0xa61e6d1b6f449518, 0x86e7baa614a22bdf],
+    [0x44cf5d2d927c8347, 0x6717a55f516ae3c7, 0x0ebe1f883e1f3541],
+    [0x5289e532a9c3d8c4, 0x02aaeb4caaaf0ced, 0xe3c87ba5c8d983b7],
+    [0xc77bb0d6552a50cd, 0x4267e90b95eea2db, 0xdc3cad52dac472d1],
+    [0x65bae0c17d731270, 0x5bed89de53aedf1c, 0xd280b871a2a68684],
 ];
 
 /// One digest row per arch as Rust source, each line prefixed by `indent`.
@@ -412,13 +412,13 @@ fn optional_state_snapshot_bytes_are_pinned() {
 /// Table II defaults: the Boomerang-style BTB-miss probe on (pre-decoded
 /// blocks in `dcf_generate`) and FAQ-driven instruction prefetch off.
 const PINNED_FRONTEND_EXTENSION_DIGESTS: [[u64; 3]; 7] = [
-    [0xc0802d8e99b5a062, 0xbe2d6c7fa1a05afc, 0x3e9bf1ddd8637d0f],
-    [0xcf8d9d16a5fba80c, 0x76cf0295d361eba4, 0xd7ffefdfbb1c4d37],
-    [0x7aff3484012260ac, 0x1b01e24736e0ca73, 0x96c35c6992782ae4],
-    [0x128964f6de5351bf, 0x0a7509b397cd6254, 0x2f62b6dc4f289f3c],
-    [0xae666ca041aee978, 0x188d44b1fab0cf8b, 0xaa40aa1ee1a2b3ea],
-    [0x5b784ac955e2cbd1, 0xbe63eba9e7283d55, 0x9439da9db6682161],
-    [0xa943df4b12d2ba24, 0x635ddd7cb2d8594d, 0x67639b0207cca497],
+    [0xd86cb0120576d33b, 0x6ef6f364a2a7b2a2, 0xb2b4c7786d8bd51b],
+    [0x6d7572dbcd8ddb49, 0x6cd9e145b8e3997e, 0xee7d07446d3a1b95],
+    [0x6c81f5c3c8b9b75c, 0xff27ff0a21767c94, 0x8b1022661ba8ca53],
+    [0xa4c324997e777dfb, 0x223bde050275361a, 0x1fb505db8cc1026c],
+    [0x4568480fddb89f85, 0x5460f95dfbef855a, 0xd044e20c39a9fd0c],
+    [0xf2f824a2ba1041e2, 0xe71599c0e0b676a9, 0x203185300f7cd5ca],
+    [0xaed0d899b582e14c, 0x25b73285b4f91d22, 0x250b5184c8519189],
 ];
 
 #[test]
