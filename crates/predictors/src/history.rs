@@ -34,13 +34,6 @@ pub fn fold(bits: u128, len: u16, width: u8) -> u64 {
 /// each lookup hashes every table into a fixed array of this size.
 pub const MAX_TABLES: usize = 16;
 
-/// One tagged table's index and tag for a (pc, history) pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct TableHash {
-    pub(crate) index: usize,
-    pub(crate) tag: u16,
-}
-
 /// Writes `fold(bits, lens[i], width)` to `out[i]` for every `i`, in one
 /// walk over `bits`' `width`-bit chunks. A fold is the XOR of the chunks
 /// below `len` plus the low `len % width` bits of the chunk `len` falls

@@ -5,7 +5,8 @@
 //! lengths hold full targets plus a confidence counter; a PC-indexed base
 //! table provides the fallback target.
 
-use crate::history::{fold_each, TableHash, MAX_TABLES};
+use crate::history::{fold_each, MAX_TABLES};
+use crate::tagged::{self, TableHash, TaggedTables};
 use elf_types::Addr;
 
 /// Geometry of an [`Ittage`] predictor.
@@ -46,20 +47,14 @@ impl IttageConfig {
     }
 }
 
+/// A tagged entry's payload: a full target and its confidence.
 #[derive(Debug, Clone, Copy, Default)]
-struct IttageEntry {
-    tag: u16,
+struct Target {
     target: Addr,
     conf: u8, // 0..=3
-    u: u8,    // 0..=3
 }
 
-elf_types::snap_struct!(IttageEntry {
-    tag,
-    target,
-    conf,
-    u
-});
+elf_types::snap_struct!(Target { target, conf });
 
 /// The ITTAGE predictor. The global history is the caller's: every call
 /// takes it as a `u128` (bit 0 = most recent outcome).
@@ -67,8 +62,7 @@ elf_types::snap_struct!(IttageEntry {
 pub struct Ittage {
     cfg: IttageConfig,
     base: Vec<Addr>,
-    tables: Vec<Vec<IttageEntry>>,
-    lfsr: u32,
+    tagged: TaggedTables<Target>,
 }
 
 impl Ittage {
@@ -76,25 +70,16 @@ impl Ittage {
     ///
     /// # Panics
     ///
-    /// Panics if the history lengths break the rules on
-    /// [`IttageConfig::hist_lens`].
+    /// Panics if the geometry fails the check
+    /// [`crate::tage::TageConfig::geometry_error`] states for TAGE.
     #[must_use]
     pub fn new(cfg: IttageConfig) -> Self {
-        let lens = &cfg.hist_lens;
-        assert!(
-            lens.len() <= MAX_TABLES
-                && lens.windows(2).all(|w| w[0] <= w[1])
-                && lens.iter().all(|&len| len <= 128),
-            "unusable ITTAGE history lengths {lens:?}"
-        );
+        if let Some(e) = tagged::geometry_error(cfg.table_bits, cfg.tag_bits, &cfg.hist_lens) {
+            panic!("unusable ITTAGE geometry: {e}");
+        }
         Ittage {
             base: vec![0; 1 << cfg.base_bits],
-            tables: cfg
-                .hist_lens
-                .iter()
-                .map(|_| vec![IttageEntry::default(); 1 << cfg.table_bits])
-                .collect(),
-            lfsr: 0xb0b1,
+            tagged: TaggedTables::new(cfg.hist_lens.len(), cfg.table_bits, 0xb0b1),
             cfg,
         }
     }
@@ -120,7 +105,7 @@ impl Ittage {
     /// Every tagged table's index and tag for `pc` under `hist`, from one
     /// fold pass per width.
     fn hashes(&self, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
-        let n = self.tables.len();
+        let n = self.tagged.len();
         let lens = &self.cfg.hist_lens[..];
         let mut f_index = [0; MAX_TABLES];
         let mut f_tag = [0; MAX_TABLES];
@@ -140,14 +125,16 @@ impl Ittage {
         (((pc >> 2) ^ (pc >> 11)) & ((1 << self.cfg.base_bits) - 1)) as usize
     }
 
+    /// The providing target and table; an entry that never held a target
+    /// does not provide.
     fn lookup(&self, pc: Addr, h: &[TableHash]) -> (Addr, Option<usize>) {
-        for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][h[t].index];
-            if e.tag == h[t].tag && e.target != 0 {
-                return (e.target, Some(t));
-            }
+        let hit = self
+            .tagged
+            .longest_match(h, self.tagged.len(), |p| p.target != 0);
+        match hit {
+            Some((t, p)) => (p.target, Some(t)),
+            None => (self.base[self.base_index(pc)], None),
         }
-        (self.base[self.base_index(pc)], None)
     }
 
     /// Predicts the target of the indirect branch at `pc` under the global
@@ -161,12 +148,6 @@ impl Ittage {
     fn predict_hashed(&self, pc: Addr, h: &[TableHash]) -> Option<Addr> {
         let (t, _) = self.lookup(pc, h);
         (t != 0).then_some(t)
-    }
-
-    fn rand1(&mut self) -> u32 {
-        let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
-        self.lfsr = (self.lfsr >> 1) | (bit << 15);
-        self.lfsr & 1
     }
 
     /// Trains on a retired indirect branch with its resolved `target` and
@@ -183,16 +164,16 @@ impl Ittage {
 
         match provider {
             Some(t) => {
-                let i = h[t].index;
-                let e = &mut self.tables[t][i];
-                if e.target == target {
-                    e.conf = (e.conf + 1).min(3);
+                let e = self.tagged.entry_mut(t, h);
+                let p = &mut e.payload;
+                if p.target == target {
+                    p.conf = (p.conf + 1).min(3);
                     e.u = (e.u + 1).min(3);
                 } else {
-                    if e.conf == 0 {
-                        e.target = target;
+                    if p.conf == 0 {
+                        p.target = target;
                     }
-                    e.conf = e.conf.saturating_sub(1);
+                    p.conf = p.conf.saturating_sub(1);
                     e.u = e.u.saturating_sub(1);
                 }
             }
@@ -205,27 +186,7 @@ impl Ittage {
         if pred != target {
             // Allocate in a longer-history table.
             let start = provider.map_or(0, |t| t + 1);
-            let skip = self.rand1() as usize;
-            let mut allocated = false;
-            for (table, h) in self.tables.iter_mut().zip(h).skip(start + skip) {
-                let e = &mut table[h.index];
-                if e.u == 0 {
-                    *e = IttageEntry {
-                        tag: h.tag,
-                        target,
-                        conf: 1,
-                        u: 0,
-                    };
-                    allocated = true;
-                    break;
-                }
-            }
-            if !allocated {
-                for (table, h) in self.tables.iter_mut().zip(h).skip(start) {
-                    let e = &mut table[h.index];
-                    e.u = e.u.saturating_sub(1);
-                }
-            }
+            self.tagged.allocate(h, start, Target { target, conf: 1 });
         }
     }
 
@@ -233,7 +194,7 @@ impl Ittage {
     #[must_use]
     pub fn storage_bits(&self) -> usize {
         let per = self.cfg.tag_bits as usize + 48 + 2 + 2;
-        self.tables.len() * (1 << self.cfg.table_bits) * per + (1 << self.cfg.base_bits) * 48
+        self.tagged.len() * (1 << self.cfg.table_bits) * per + (1 << self.cfg.base_bits) * 48
     }
 
     /// Saves or restores all mutable state (base table, tagged tables,
@@ -244,11 +205,7 @@ impl Ittage {
     /// Loading fails on truncated bytes or tables of another geometry.
     pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
         io.table(&mut self.base, "ittage base table")?;
-        io.fixed_len(self.tables.len(), "ittage table count")?;
-        for t in &mut self.tables {
-            io.table(t, "ittage table")?;
-        }
-        io.value(&mut self.lfsr)
+        self.tagged.state(io)
     }
 }
 
@@ -376,6 +333,25 @@ mod tests {
         }
         assert_eq!(it.predict(0x400, 0), Some(0xaaa0));
         assert_eq!(it.predict(0x500, 0), Some(0xbbb0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unusable ITTAGE geometry: table_bits")]
+    fn a_zero_width_index_is_rejected() {
+        // A zero fold width would never advance the history walk.
+        let _ = Ittage::new(IttageConfig {
+            table_bits: 0,
+            ..IttageConfig::tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unusable ITTAGE geometry: tag_bits")]
+    fn a_tag_wider_than_the_tag_field_is_rejected() {
+        let _ = Ittage::new(IttageConfig {
+            tag_bits: 17,
+            ..IttageConfig::tiny()
+        });
     }
 
     #[test]

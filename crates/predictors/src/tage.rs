@@ -12,7 +12,8 @@
 //!   bimodal, which costs one bubble on an L0 BTB hit (BP2 resteers BP1).
 
 use crate::bimodal::Bimodal;
-use crate::history::{fold_each, TableHash, MAX_TABLES};
+use crate::history::{fold_each, MAX_TABLES};
+use crate::tagged::{self, TableHash, TaggedTables};
 use elf_types::Addr;
 
 /// Geometry of a [`Tage`] predictor.
@@ -79,33 +80,13 @@ impl TageConfig {
     /// history longer than the 128-bit global history, history lengths
     /// that decrease (one fold pass serves every table in length order,
     /// and allocation skews toward the shorter histories), or more than
-    /// [`MAX_TABLES`] tables. The message names the field.
+    /// [`MAX_TABLES`] tables. The message names the field. ITTAGE applies
+    /// the same check.
     #[must_use]
     pub fn geometry_error(&self) -> Option<&'static str> {
-        if self.table_bits == 0 {
-            Some("table_bits must be at least 1")
-        } else if !(2..=16).contains(&self.tag_bits) {
-            Some("tag_bits must be 2..=16")
-        } else if self.hist_lens.iter().any(|&len| len > 128) {
-            Some("hist_lens must each be at most 128")
-        } else if self.hist_lens.windows(2).any(|w| w[0] > w[1]) {
-            Some("hist_lens must be non-decreasing")
-        } else if self.hist_lens.len() > MAX_TABLES {
-            Some("hist_lens must have at most 16 entries")
-        } else {
-            None
-        }
+        tagged::geometry_error(self.table_bits, self.tag_bits, &self.hist_lens)
     }
 }
-
-#[derive(Debug, Clone, Copy, Default)]
-struct TageEntry {
-    tag: u16,
-    ctr: i8, // -4..=3, taken when >= 0
-    u: u8,   // 0..=3
-}
-
-elf_types::snap_struct!(TageEntry { tag, ctr, u });
 
 /// A TAGE prediction with the side information the DCF timing rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +123,8 @@ pub struct TagePrediction {
 pub struct Tage {
     cfg: TageConfig,
     base: Bimodal,
-    tables: Vec<Vec<TageEntry>>,
-    lfsr: u32,
+    /// Payload: the 3-bit direction counter, -4..=3, taken when >= 0.
+    tagged: TaggedTables<i8>,
     trained: u64,
 }
 
@@ -158,15 +139,9 @@ impl Tage {
         if let Some(e) = cfg.geometry_error() {
             panic!("unusable TAGE geometry: {e}");
         }
-        let tables = cfg
-            .hist_lens
-            .iter()
-            .map(|_| vec![TageEntry::default(); 1 << cfg.table_bits])
-            .collect();
         Tage {
             base: Bimodal::new(1 << cfg.base_bits, 2),
-            tables,
-            lfsr: 0xace1,
+            tagged: TaggedTables::new(cfg.hist_lens.len(), cfg.table_bits, 0xace1),
             trained: 0,
             cfg,
         }
@@ -195,7 +170,7 @@ impl Tage {
     /// Every tagged table's index and tag for `pc` under `hist`, from one
     /// fold pass per width.
     fn hashes(&self, pc: Addr, hist: u128) -> [TableHash; MAX_TABLES] {
-        let n = self.tables.len();
+        let n = self.tagged.len();
         let (lens, table_bits, tag_bits) = (
             &self.cfg.hist_lens[..],
             self.cfg.table_bits,
@@ -231,30 +206,15 @@ impl Tage {
 
     /// [`Tage::predict`] with the tables' hashes already computed.
     fn predict_hashed(&self, pc: Addr, h: &[TableHash]) -> TagePrediction {
-        let base_taken = self.base.predict(pc).taken;
-        let mut provider = None;
-        let mut pred = base_taken;
-        for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][h[t].index];
-            if e.tag == h[t].tag {
-                provider = Some(t as u8);
-                pred = e.ctr >= 0;
-                break;
-            }
-        }
+        let base_taken = self.base.predict(pc, 0).taken;
+        let hit = self.tagged.longest_match(h, self.tagged.len(), |_| true);
+        let taken = hit.map_or(base_taken, |(_, &ctr)| ctr >= 0);
         TagePrediction {
-            taken: pred,
+            taken,
             base_taken,
-            provider,
-            tagged_override: pred != base_taken,
+            provider: hit.map(|(t, _)| t as u8),
+            tagged_override: taken != base_taken,
         }
-    }
-
-    fn rand2(&mut self) -> u32 {
-        // 16-bit Galois LFSR for allocation randomization.
-        let bit = (self.lfsr ^ (self.lfsr >> 2) ^ (self.lfsr >> 3) ^ (self.lfsr >> 5)) & 1;
-        self.lfsr = (self.lfsr >> 1) | (bit << 15);
-        self.lfsr & 3
     }
 
     /// Trains on a retired conditional branch with the history it was
@@ -272,15 +232,14 @@ impl Tage {
         match pred.provider {
             Some(t) => {
                 let t = t as usize;
-                let i = h[t].index;
                 // Useful bit: bumped when the provider differed from the
                 // alternate prediction and was right (aged when wrong).
                 let alt = self.alt_pred(pc, t, h);
-                let e = &mut self.tables[t][i];
-                e.ctr = if taken {
-                    (e.ctr + 1).min(3)
+                let e = self.tagged.entry_mut(t, h);
+                e.payload = if taken {
+                    (e.payload + 1).min(3)
                 } else {
-                    (e.ctr - 1).max(-4)
+                    (e.payload - 1).max(-4)
                 };
                 if pred.taken != alt {
                     if pred.taken == taken {
@@ -290,62 +249,34 @@ impl Tage {
                     }
                 }
             }
-            None => self.base.train(pc, taken),
+            None => self.base.train(pc, 0, taken),
         }
         // Base also trains when it provided or when the provider is weak.
         if pred.provider.is_some() && taken == pred.base_taken {
-            self.base.train(pc, taken);
+            self.base.train(pc, 0, taken);
         }
 
-        // Allocate a new entry on misprediction.
+        // Allocate a new entry on misprediction, unless the provider is
+        // already the longest history (then the LFSR does not step).
         if pred.taken != taken {
             let start = pred.provider.map_or(0, |t| t as usize + 1);
-            if start < self.tables.len() {
-                // Pick among up to the next 3 tables, skewed toward shorter
-                // histories, requiring u == 0.
-                let mut allocated = false;
-                let skip = (self.rand2() & 1) as usize;
-                for (table, h) in self.tables.iter_mut().zip(h).skip(start + skip) {
-                    let e = &mut table[h.index];
-                    if e.u == 0 {
-                        *e = TageEntry {
-                            tag: h.tag,
-                            ctr: if taken { 0 } else { -1 },
-                            u: 0,
-                        };
-                        allocated = true;
-                        break;
-                    }
-                }
-                if !allocated {
-                    // Decay the u counters along the allocation path.
-                    for (table, h) in self.tables.iter_mut().zip(h).skip(start) {
-                        let e = &mut table[h.index];
-                        e.u = e.u.saturating_sub(1);
-                    }
-                }
+            if start < self.tagged.len() {
+                self.tagged.allocate(h, start, if taken { 0 } else { -1 });
             }
         }
 
         // Periodic aging of useful counters.
         self.trained += 1;
         if self.trained.is_multiple_of(self.cfg.u_reset_period) {
-            for t in &mut self.tables {
-                for e in t.iter_mut() {
-                    e.u >>= 1;
-                }
-            }
+            self.tagged.age_useful();
         }
     }
 
     fn alt_pred(&self, pc: Addr, provider: usize, h: &[TableHash]) -> bool {
-        for t in (0..provider).rev() {
-            let e = &self.tables[t][h[t].index];
-            if e.tag == h[t].tag {
-                return e.ctr >= 0;
-            }
+        match self.tagged.longest_match(h, provider, |_| true) {
+            Some((_, &ctr)) => ctr >= 0,
+            None => self.base.predict(pc, 0).taken,
         }
-        self.base.predict(pc).taken
     }
 
     /// Storage cost in bits.
@@ -362,11 +293,7 @@ impl Tage {
     /// Loading fails on truncated bytes or tables of another geometry.
     pub fn state(&mut self, io: &mut impl elf_types::StateIo) -> Result<(), elf_types::SnapError> {
         self.base.state(io)?;
-        io.fixed_len(self.tables.len(), "tage table count")?;
-        for t in &mut self.tables {
-            io.table(t, "tage table")?;
-        }
-        io.value(&mut self.lfsr)?;
+        self.tagged.state(io)?;
         io.value(&mut self.trained)
     }
 }
@@ -493,10 +420,10 @@ mod tests {
         let mut bim = Bimodal::new(512, 2);
         let mut miss = 0;
         for &t in &outcomes {
-            if bim.predict(0x4000).taken != t {
+            if bim.predict(0x4000, 0).taken != t {
                 miss += 1;
             }
-            bim.train(0x4000, t);
+            bim.train(0x4000, 0, t);
         }
         let bim_rate = miss as f64 / outcomes.len() as f64;
         assert!(
