@@ -33,13 +33,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: usize) {
-        let last = self.buckets.len() - 1;
-        if value > last {
-            self.overflow += 1;
-        }
-        self.buckets[value.min(last)] += 1;
-        self.total += 1;
-        self.sum += value as u64;
+        self.record_n(value, 1);
     }
 
     /// Records the same sample `n` times in one step (bulk accounting for

@@ -18,7 +18,7 @@ use elf_frontend::{FlushCtx, Frontend, RetireInfo};
 use elf_mem::MemorySystem;
 use elf_trace::program::DATA_BASE;
 use elf_trace::workloads::Workload;
-use elf_trace::{synthesize, Oracle, Program};
+use elf_trace::{synthesize, DynInst, Oracle, Program};
 use elf_types::{Addr, BranchKind, Cycle, InstClass, Prediction, SeqNum};
 use std::sync::Arc;
 
@@ -543,14 +543,11 @@ impl Simulator {
             }
             if let Some(seq) = self.be.seq_of(sq.fid) {
                 let e = self.oracle.entry(seq);
-                let kind = self.prog.inst_or_nop(e.pc).branch_kind();
-                let misp = match kind {
-                    Some(k) if k.is_conditional() => {
-                        sq.taken != e.taken || (e.taken && sq.target != Some(e.next_pc))
-                    }
-                    Some(_) => sq.target != Some(e.next_pc),
-                    None => false,
-                };
+                let misp = self
+                    .prog
+                    .inst_or_nop(e.pc)
+                    .branch_kind()
+                    .is_some_and(|k| mispredicts(k, sq.taken, sq.target, &e));
                 let pred = Prediction {
                     taken: sq.taken,
                     target: sq.target,
@@ -593,11 +590,7 @@ impl Simulator {
                     self.cursor += 1;
                     if let Some(k) = sinst.branch_kind() {
                         let pred = d.inst.pred.unwrap_or_else(Prediction::not_taken);
-                        let mut misp = if k.is_conditional() {
-                            pred.taken != e.taken || (e.taken && pred.target != Some(e.next_pc))
-                        } else {
-                            pred.target != Some(e.next_pc)
-                        };
+                        let mut misp = mispredicts(k, pred.taken, pred.target, &e);
                         // ForceMispredict fault: resolve the next
                         // correct-path branch as mispredicted so the
                         // execute-time flush + refetch path runs even
@@ -898,6 +891,17 @@ impl Simulator {
             static_target: b.sinst.target,
             mode: b.mode,
         });
+    }
+}
+
+/// Whether a branch of kind `kind` predicted `taken` to `target` misses
+/// its oracle outcome `e`: for a conditional, the direction differs or it
+/// is taken to the wrong target; for any other branch, the target differs.
+fn mispredicts(kind: BranchKind, taken: bool, target: Option<Addr>, e: &DynInst) -> bool {
+    if kind.is_conditional() {
+        taken != e.taken || (e.taken && target != Some(e.next_pc))
+    } else {
+        target != Some(e.next_pc)
     }
 }
 
