@@ -43,7 +43,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ELFSNAP\0";
 /// Current snapshot layout version. Readers reject any other value: the
 /// format is not self-describing, so a layout change anywhere in the
 /// serialized state must bump this.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Bytes before the parsed sections: magic and version.
 const HEADER_BYTES: usize = SNAPSHOT_MAGIC.len() + 4;

@@ -1,7 +1,7 @@
 //! Fetch-path records: FAQ entries, predictions and fetched instructions.
 
 use crate::inst::{BranchKind, StaticInst};
-use crate::{Addr, SeqNum};
+use crate::Addr;
 
 /// Which fetch engine produced an instruction (paper §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,8 +132,6 @@ pub struct FaqEntry {
     pub next_pc: Addr,
     /// Branches tracked in the block (at most 2 taken-capable + terminator).
     pub branches: Vec<FaqBranch>,
-    /// Cycle the entry was enqueued (for occupancy statistics).
-    pub enqueue_cycle: u64,
 }
 
 impl FaqEntry {
@@ -147,7 +145,6 @@ impl FaqEntry {
             term: FaqTermination::BtbMiss,
             next_pc: 0,
             branches: Vec::new(),
-            enqueue_cycle: 0,
         }
     }
 
@@ -159,7 +156,6 @@ impl FaqEntry {
         self.term = src.term;
         self.next_pc = src.next_pc;
         self.branches.clone_from(&src.branches);
-        self.enqueue_cycle = src.enqueue_cycle;
     }
 
     /// Address one past the last instruction of the block.
@@ -187,30 +183,15 @@ impl FaqEntry {
 pub struct FetchedInst {
     /// The static instruction (copied out of the program image).
     pub sinst: StaticInst,
-    /// Oracle sequence number if this instruction is on the correct path.
-    pub oracle_seq: Option<SeqNum>,
-    /// Whether the instruction was fetched down a known-wrong path.
-    pub wrong_path: bool,
     /// Which engine fetched it.
     pub mode: FetchMode,
     /// Direction/target prediction attributed to it, if it is a branch.
     pub pred: Option<Prediction>,
-    /// Cycle the instruction left the fetch stage.
-    pub fetch_cycle: u64,
-}
-
-impl FetchedInst {
-    /// Whether this record is a correct-path instruction bound to the oracle.
-    #[must_use]
-    pub fn on_correct_path(&self) -> bool {
-        self.oracle_seq.is_some() && !self.wrong_path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::InstClass;
 
     fn entry(start: Addr, n: u8, term: FaqTermination, next: Addr) -> FaqEntry {
         FaqEntry {
@@ -219,7 +200,6 @@ mod tests {
             term,
             next_pc: next,
             branches: Vec::new(),
-            enqueue_cycle: 0,
         }
     }
 
@@ -238,29 +218,6 @@ mod tests {
         assert!(FaqTermination::TakenBranch(BranchKind::Return).is_taken());
         assert!(!FaqTermination::FallThrough.is_taken());
         assert!(!FaqTermination::BtbMiss.is_taken());
-    }
-
-    #[test]
-    fn fetched_inst_correct_path_requires_binding_and_right_path() {
-        let base = FetchedInst {
-            sinst: StaticInst::simple(0, InstClass::Alu),
-            oracle_seq: Some(7),
-            wrong_path: false,
-            mode: FetchMode::Decoupled,
-            pred: None,
-            fetch_cycle: 0,
-        };
-        assert!(base.on_correct_path());
-        assert!(!FetchedInst {
-            oracle_seq: None,
-            ..base
-        }
-        .on_correct_path());
-        assert!(!FetchedInst {
-            wrong_path: true,
-            ..base
-        }
-        .on_correct_path());
     }
 
     #[test]

@@ -573,9 +573,7 @@ macro_rules! snap_enum {
 
 // --- Snap impls for this crate's vocabulary types -------------------------
 
-use crate::fetch::{
-    FaqBranch, FaqEntry, FaqTermination, FetchMode, FetchedInst, PredSource, Prediction,
-};
+use crate::fetch::{FaqBranch, FaqEntry, FaqTermination, FetchMode, PredSource, Prediction};
 use crate::inst::{BranchKind, InstClass, StaticInst};
 
 snap_enum!(BranchKind {
@@ -641,16 +639,7 @@ snap_struct!(FaqEntry {
     inst_count,
     term,
     next_pc,
-    branches,
-    enqueue_cycle
-});
-snap_struct!(FetchedInst {
-    sinst,
-    oracle_seq,
-    wrong_path,
-    mode,
-    pred,
-    fetch_cycle
+    branches
 });
 
 #[cfg(test)]
@@ -712,7 +701,6 @@ mod tests {
             term: FaqTermination::FallThrough,
             next_pc: 0x1020,
             branches: vec![fb],
-            enqueue_cycle: 99,
         });
     }
 

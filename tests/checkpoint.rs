@@ -252,25 +252,25 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
     (
         "641.leela",
         [
-            [0x46248c0f7783ccc8, 0xd0441ac94ed3c852, 0x3e7c2b1a1f67b600],
-            [0xda7007126ca32e67, 0xfa8e5e20f001df96, 0x90c736b83622a548],
-            [0x5a4a23212d204423, 0xf969b68424548242, 0x986863321126e2b6],
-            [0xd01440633d239ce1, 0x7d29fc35a287e066, 0xacd73ce1b9594cf9],
-            [0x0a312351dcdb5685, 0xc3fac93c1b201ffd, 0x9d67ca42b1a4f58e],
-            [0x8263df0dcbbdfd21, 0x5fa4548c825191ee, 0x781f0fdc063bdd81],
-            [0x2f936824933d07b4, 0x8b86deeb3885a893, 0x0737b0fd51d53608],
+            [0x8ba61de2f1197b6b, 0x895ae7b77995ab0c, 0x223a4076e0afd42f],
+            [0xfa6ce8f6101a146f, 0xf8fd8ef6efe1ffd0, 0x0926c00ae242036e],
+            [0xaba2e4ebb65e7b1f, 0xb39cde545bb10cd7, 0xb0b0d12db2a30938],
+            [0x5587bf1fc2f5ffe0, 0xa987245c1a670266, 0x768229b770d8b590],
+            [0xe086e1e6e691d71f, 0xf313b5a5270cb91a, 0x7b0061653e3c5417],
+            [0xeb3ac469d4ce9661, 0x78c950e4826d518d, 0xfc2dac0737fae3df],
+            [0x7af64c86fd83e7fa, 0x03e9e1ed610e2f2b, 0xb63e5af1d351e367],
         ],
     ),
     (
         "605.mcf",
         [
-            [0x22d00f9969ce004b, 0xaa48e7ae1157d915, 0x60ca376ae1d7e0b7],
-            [0x4723c52eae68193d, 0xbad3d8bfabe0472b, 0xfcf004d8f5bd23f1],
-            [0x4095d73caebe5311, 0x172ef6346824af01, 0x97382785d97a106a],
-            [0x00d87a5129da6d16, 0x4bb113b5194e430f, 0x061b3be7d729b6a4],
-            [0xd7dbce0c37ff69b8, 0x73e1581f099bafcf, 0x40bfb1f8588f77a6],
-            [0x39a231997c9b98c7, 0x9137cbedfa94f94f, 0x83e29aa3793248cf],
-            [0x4fe0ca8633dc6baa, 0x0da701ef5dd3c637, 0x62ab665577b982d1],
+            [0xfa3524d28922f953, 0xf4ea32657e6e6b42, 0xee78db89ee2bbfd1],
+            [0xb11cff98ae4ae3ee, 0xa5a4a65e904aa905, 0x8f99a40d6f87ac66],
+            [0x85a05ba2966b4801, 0xa7db469fb63b7a4f, 0xa9478c054435afed],
+            [0x081b804ee98a30a0, 0x320329ea410436a1, 0xfefe204196e61454],
+            [0x70545710a9784ed9, 0x163464e0c7b5f04f, 0x548d2434da86a618],
+            [0x301b4612a6229318, 0x3927d00fd560d683, 0x42b62671c7e5ba24],
+            [0x8835dffe3419f996, 0xbc394d3aef3601fe, 0x67f685cd21dbd1ef],
         ],
     ),
 ];
@@ -280,13 +280,13 @@ const PINNED_SNAPSHOT_DIGESTS: [(&str, [[u64; 3]; 7]); 2] = [
 /// fault plan (injector state and plan bytes), metrics, the invariant
 /// checker, idle-skip off and the gshare coupled predictor.
 const PINNED_OPTIONAL_STATE_DIGESTS: [[u64; 3]; 7] = [
-    [0x7214349ef44368ca, 0x563a9b53c770833f, 0x14cd417aa148b0f6],
-    [0xad17994474063591, 0xfc686eb84e5f7200, 0x3fbcbf5f89dc2839],
-    [0x404d60ed76d4c5d0, 0xa61e6d1b6f449518, 0x86e7baa614a22bdf],
-    [0x44cf5d2d927c8347, 0x6717a55f516ae3c7, 0x0ebe1f883e1f3541],
-    [0x5289e532a9c3d8c4, 0x02aaeb4caaaf0ced, 0xe3c87ba5c8d983b7],
-    [0xc77bb0d6552a50cd, 0x4267e90b95eea2db, 0xdc3cad52dac472d1],
-    [0x65bae0c17d731270, 0x5bed89de53aedf1c, 0xd280b871a2a68684],
+    [0xa4f8c6935e67d626, 0x00a8bec281347cbe, 0xc0aae49f22d44ec0],
+    [0x01a17a55a97e6a6f, 0x306c4f08c20ab9ce, 0x492d427c75879ef1],
+    [0xc88b84c78838ce66, 0xabbff563fa8f22ae, 0x9619ee81d3cbf9cc],
+    [0x4bd51ab1666c72ca, 0xe9c86fc5e76833ad, 0xaad15cbc2e0673a2],
+    [0x0e974881edd7c180, 0xb8c5c1ebf957613d, 0xf8fb114e523642a4],
+    [0x4c8447ba21eb77a1, 0xf6bad1a440507828, 0xaefa56f482323661],
+    [0xb9a10c46c1c8bc89, 0xac9d4658d9fcbdd9, 0x567a40d535d17aa6],
 ];
 
 /// One digest row per arch as Rust source, each line prefixed by `indent`.
@@ -412,13 +412,13 @@ fn optional_state_snapshot_bytes_are_pinned() {
 /// Table II defaults: the Boomerang-style BTB-miss probe on (pre-decoded
 /// blocks in `dcf_generate`) and FAQ-driven instruction prefetch off.
 const PINNED_FRONTEND_EXTENSION_DIGESTS: [[u64; 3]; 7] = [
-    [0xd86cb0120576d33b, 0x6ef6f364a2a7b2a2, 0xb2b4c7786d8bd51b],
-    [0x6d7572dbcd8ddb49, 0x6cd9e145b8e3997e, 0xee7d07446d3a1b95],
-    [0x6c81f5c3c8b9b75c, 0xff27ff0a21767c94, 0x8b1022661ba8ca53],
-    [0xa4c324997e777dfb, 0x223bde050275361a, 0x1fb505db8cc1026c],
-    [0x4568480fddb89f85, 0x5460f95dfbef855a, 0xd044e20c39a9fd0c],
-    [0xf2f824a2ba1041e2, 0xe71599c0e0b676a9, 0x203185300f7cd5ca],
-    [0xaed0d899b582e14c, 0x25b73285b4f91d22, 0x250b5184c8519189],
+    [0x5d0c435255a62c17, 0x66dfdb8d8e0573a4, 0xbc11d5dd2ff5a4e0],
+    [0x1eb345e27fa1b5be, 0xd88adda382688ad2, 0xadbcaf2327ca28de],
+    [0xbaa5d9995bf1d855, 0x232ca08bb50bea36, 0x54eaa0bb3538a802],
+    [0xa330b30fce37baf0, 0x389b8014588cacde, 0x4b276256de70d1ef],
+    [0xd11529981f8a1c4f, 0x8cd6fd720a13dda4, 0xcf873e7a605eee28],
+    [0xee1559a2fb4c0ad5, 0x8b47adcef17fe861, 0x152497c136d69f0d],
+    [0x38db8cd418fbc5b7, 0x9ad84cc462c2b3da, 0xdb5ec3969c11fa4c],
 ];
 
 #[test]
